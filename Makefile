@@ -4,13 +4,14 @@
 
 all: build test
 
-# Full pre-merge gate: vet + build + race-enabled tests + the fault-injection
-# suite under -race + a cached-vs-uncached paperfigs smoke proving the
-# persistent run cache reproduces byte-identical tables with zero
-# re-simulations, a one-iteration pass over every benchmark, and a throughput
-# comparison against the committed BENCH.json baseline (fails on a >10%
-# uops/s regression).
+# Full pre-merge gate: gofmt-clean sources + vet + build + race-enabled tests
+# + the fault-injection suite under -race + a cached-vs-uncached paperfigs
+# smoke proving the persistent run cache reproduces byte-identical tables
+# with zero re-simulations, a one-iteration pass over every benchmark, and a
+# throughput comparison against the committed BENCH.json baseline (fails on
+# a >10% uops/s regression).
 check:
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go build ./...
 	go test -race ./...

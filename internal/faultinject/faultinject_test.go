@@ -2,8 +2,8 @@ package faultinject
 
 import (
 	"math"
-	"time"
 	"testing"
+	"time"
 )
 
 func TestParse(t *testing.T) {

@@ -64,36 +64,41 @@ func TestResetCoreMatchesFresh(t *testing.T) {
 // TestSteadyStateZeroAlloc proves the timing loop itself is allocation-free:
 // simulating 6x the instructions must cost exactly the same number of heap
 // allocations (all of which are per-run setup — predictor, branch
-// predictor, result copy).
+// predictor, result copy). 505.mcf spends most of its cycles in dead-cycle
+// jumps, so it covers the skip path; 511.povray the stepping path.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	short := appTrace(t, "511.povray", 4000)
-	long := appTrace(t, "511.povray", 24000)
-	// Interned traces arrive with prefixes prebuilt, as in sim.TraceFor.
-	short.Pre()
-	long.Pre()
-	opt := DefaultOptions()
-	c, err := New(config.AlderLake(), corePHAST(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(tr *trace.Trace) float64 {
-		return testing.AllocsPerRun(3, func() {
-			if err := c.Reset(corePHAST()); err != nil {
+	for _, app := range []string{"511.povray", "505.mcf"} {
+		t.Run(app, func(t *testing.T) {
+			short := appTrace(t, app, 4000)
+			long := appTrace(t, app, 24000)
+			// Interned traces arrive with prefixes prebuilt, as in sim.TraceFor.
+			short.Pre()
+			long.Pre()
+			opt := DefaultOptions()
+			c, err := New(config.AlderLake(), corePHAST(), opt)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Run(tr); err != nil {
-				t.Fatal(err)
+			measure := func(tr *trace.Trace) float64 {
+				return testing.AllocsPerRun(3, func() {
+					if err := c.Reset(corePHAST()); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := c.Run(tr); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			// Warm both lengths once so one-time pool growth (predictor
+			// table nodes surviving in the same core) cannot masquerade as
+			// steady-state allocation.
+			measure(long)
+			allocsShort := measure(short)
+			allocsLong := measure(long)
+			if allocsLong != allocsShort {
+				t.Errorf("steady state allocates: %v allocs at n=4000 vs %v at n=24000 (want equal)",
+					allocsShort, allocsLong)
 			}
 		})
-	}
-	// Warm both lengths once so one-time pool growth (predictor table
-	// nodes surviving in the same core) cannot masquerade as steady-state
-	// allocation.
-	measure(long)
-	allocsShort := measure(short)
-	allocsLong := measure(long)
-	if allocsLong != allocsShort {
-		t.Errorf("steady state allocates: %v allocs at n=4000 vs %v at n=24000 (want equal)",
-			allocsShort, allocsLong)
 	}
 }

@@ -14,11 +14,15 @@
 // DESIGN.md §3 for why this substitution preserves the predictor ranking).
 //
 // Hot-path structure (see DESIGN.md §10): the issue scan skips entries whose
-// wake-up condition provably cannot clear yet (retryAt / retryEpoch), the
-// store-queue, store-buffer and load-queue searches are gated by per-cache-
-// line occupancy filters so non-overlapping accesses never scan, and the
-// steady state performs no heap allocations (fixed rings for SQ/SB, a
-// bounded executed-load list, reused scratch buffers).
+// wake-up condition provably cannot clear yet (retryAt / retryEpoch), with
+// wake bounds that follow a parked producer's own bound down a dependence
+// chain; a cycle in which no stage acted jumps the clock to the next pending
+// event (issue wake, ROB-head completion, store-buffer drain, fetch unblock)
+// without crossing a watchdog poll; the store-queue, store-buffer and
+// load-queue searches are gated by per-cache-line occupancy filters so
+// non-overlapping accesses never scan; and the steady state performs no heap
+// allocations (fixed rings for SQ/SB, a bounded executed-load list, reused
+// scratch buffers).
 package pipeline
 
 import (
@@ -257,6 +261,14 @@ type Core struct {
 	// issue; the issue scan starts here instead of at the ROB head.
 	firstUnissued uint64
 
+	// issueWake is the earliest retryAt among the entries the last issue
+	// scan parked or skipped (neverRetry if none): no entry can issue
+	// before it unless memEpoch advances. setRetry and the scan's retry-skip
+	// branch maintain it; the dead-cycle jump in RunContext consumes it.
+	issueWake uint64
+	// skipped counts the cycles of the current run the loop jumped over.
+	skipped uint64
+
 	// skipTo[seq&robMask] > seq records that every entry in [seq, skipTo)
 	// was issued when the value was written; the issue scan jumps over the
 	// run instead of re-touching each entry's cache line. Issued entries
@@ -493,19 +505,58 @@ func (c *Core) srcsReady(e *robEntry) bool {
 	return c.producerReady(e.srcASeq) && c.producerReady(e.srcBSeq)
 }
 
-// srcReadyAt returns a cycle at which the producing micro-op's value can
-// first be available (0 = ready now). For an issued producer this is exact
-// (doneAt is immutable); for an unissued one it is a lower bound: producers
-// are older, so they were already scanned this cycle and cannot issue before
-// the next one, and the minimum execution latency is one cycle.
-func (c *Core) srcReadyAt(seq uint64) uint64 {
-	if seq == 0 || seq < c.headSeq {
-		return 0
+// srcReadyAt returns a cycle at which the values of producers a and b (0 =
+// none) can first both be available (0 = ready now). For an issued producer
+// this is exact (doneAt is immutable). For an unissued one it is a lower
+// bound: producers are older, so they were already scanned this cycle and
+// cannot issue before the next one, and the minimum execution latency is
+// one cycle — giving the plain bound cycle+2. A producer parked by its own
+// retry bound (retryEpoch current) cannot issue, let alone complete, before
+// its retryAt — or, parked with no time bound (neverRetry), before the
+// epoch advance that wakes it — so the consumer parks until then too. The
+// bound is transitive down a dependence chain, which keeps consumers behind
+// a DRAM miss or a partial-overlap load parked instead of re-waking every
+// two cycles; an epoch advance re-wakes producer and consumer alike. It is
+// deliberately not retryAt+1: a whole chain then wakes on the same cycle as
+// its head, and the scan, walking oldest first, re-parks every level in
+// that one cycle instead of one level per cycle.
+//
+// The one-cycle minimum latency behind the plain bound holds for every
+// register-writing op except a store: ALU and branch latencies are clamped
+// to ≥1, a load completes no earlier than the L1D hit latency
+// (config.Validate requires it positive), and Nops issue at dispatch. A
+// store completes at max(address done, issue cycle), so a register-writing
+// store (generated workloads have none; decoded traces may) can complete a
+// cycle before its plain bound, and whether its consumer then issues that
+// cycle or the next depends on which cycles the consumer re-evaluates on.
+// While either producer is an unissued store the parked refinement is
+// therefore dropped for both, keeping those cycles exactly where the plain
+// bounds put them.
+func (c *Core) srcReadyAt(a, b uint64) uint64 {
+	atA, parkedA, storeA := c.producerWake(a)
+	atB, parkedB, storeB := c.producerWake(b)
+	if storeA || storeB {
+		return max(atA, atB)
 	}
-	if d := c.readyAt[seq&c.robMask]; d != 0 {
-		return d - 1
+	return max(atA, atB, parkedA, parkedB)
+}
+
+// producerWake returns srcReadyAt's bounds for one producer seq: the plain
+// (or exact) bound, the parked bound (0 if none), and whether seq is an
+// unissued store.
+func (c *Core) producerWake(seq uint64) (at, parked uint64, store bool) {
+	if seq < c.headSeq {
+		return 0, 0, false // none, architectural or committed
 	}
-	return c.cycle + 2
+	pos := seq & c.robMask
+	if d := c.readyAt[pos]; d != 0 {
+		return d - 1, 0, false
+	}
+	p := &c.rob[pos]
+	if p.retryEpoch == c.memEpoch {
+		parked = p.retryAt
+	}
+	return c.cycle + 2, parked, p.kind == isa.Store
 }
 
 // storeDoneBound returns a lower bound on the first cycle at which
@@ -522,7 +573,7 @@ func (c *Core) storeDoneBound(st *robEntry) uint64 {
 		if st.addrDoneAt > t {
 			t = st.addrDoneAt
 		}
-		if d := c.srcReadyAt(st.srcBSeq); d > t {
+		if d := c.srcReadyAt(st.srcBSeq, 0); d > t {
 			t = d
 		}
 	}
@@ -533,10 +584,12 @@ func (c *Core) storeDoneBound(st *robEntry) uint64 {
 // lower bound on its wake-up) or until the next memory event, whichever
 // comes first. at must never exceed the first cycle at which the entry's
 // blocking evaluation could change — retries are an optimisation, not a
-// scheduling policy, and an overshoot would change timing.
+// scheduling policy, and an overshoot would change timing. It also folds at
+// into the scan's earliest wake (issueWake).
 func (c *Core) setRetry(e *robEntry, at uint64) {
 	e.retryAt = at
 	e.retryEpoch = c.memEpoch
+	c.issueWake = min(c.issueWake, at)
 }
 
 // Run simulates the full stream and returns the measured counters.
@@ -546,7 +599,9 @@ func (c *Core) Run(tr *trace.Trace) (*stats.Run, error) {
 
 // watchdogPeriod quantises the cycle loop's slow-path checks (context
 // cancellation, the zero-retirement watchdog): they run every this many
-// cycles, keeping the per-cycle cost to one mask test.
+// cycles, keeping the per-cycle cost to one mask test. Dead-cycle jumps
+// never cross a multiple of it, so the checks land on the same cycles as in
+// a loop that steps every cycle.
 const watchdogPeriod = 4096
 
 // faultHorizon bounds the cycle at which an injected pipeline fault fires.
@@ -558,6 +613,10 @@ const faultHorizon = 512
 // The run aborts (with a wrapped ctx error) shortly after ctx is cancelled
 // or its deadline passes, and aborts with a DeadlockError when the
 // zero-retirement watchdog sees no commit for Options.WatchdogCycles.
+//
+// A cycle in which no stage acted is dead, and so is every following cycle
+// until the next pending event: the loop jumps the clock to just before it
+// (see skipDeadCycles).
 func (c *Core) RunContext(ctx context.Context, tr *trace.Trace) (*stats.Run, error) {
 	c.tr = tr
 	c.pre = tr.Pre()
@@ -581,7 +640,15 @@ func (c *Core) RunContext(ctx context.Context, tr *trace.Trace) (*stats.Run, err
 		}
 		c.fiFwdFlip = p.Should(faultinject.FaultFwdFlip, key)
 	}
+	// A jump never lands past the MaxCycles abort or an injected fault.
+	jumpLimit := min(c.opt.MaxCycles, neverRetry-1) + 1
+	for _, at := range [...]uint64{fiPanicAt, fiStallAt} {
+		if at != 0 {
+			jumpLimit = min(jumpLimit, at)
+		}
+	}
 	c.verifyErr = nil
+	c.skipped = 0
 	lastCommitted := c.run.Committed
 	lastProgress := c.cycle
 	for c.nextCommitIdx < n {
@@ -596,7 +663,10 @@ func (c *Core) RunContext(ctx context.Context, tr *trace.Trace) (*stats.Run, err
 			panic(fmt.Sprintf("faultinject: injected panic in cycle loop at cycle %d (%s/%s/%s)",
 				c.cycle, c.run.App, c.run.Machine, c.run.Predictor))
 		}
-		if fiStallAt == 0 || c.cycle < fiStallAt {
+		stepped := fiStallAt == 0 || c.cycle < fiStallAt
+		var before activity
+		if stepped {
+			before = c.activity()
 			c.commitStage()
 			c.drainStoreBuffer()
 			c.issueStage()
@@ -623,6 +693,9 @@ func (c *Core) RunContext(ctx context.Context, tr *trace.Trace) (*stats.Run, err
 				}
 			}
 		}
+		if stepped && c.activity() == before {
+			c.skipDeadCycles(jumpLimit)
+		}
 	}
 	c.finalizeStats()
 	// Return a copy: a pointer into the Core would keep the whole simulator
@@ -631,6 +704,73 @@ func (c *Core) RunContext(ctx context.Context, tr *trace.Trace) (*stats.Run, err
 	out := c.run
 	return &out, nil
 }
+
+// activity is the state some stage changes whenever a cycle does any work:
+// a commit, an issue, a dispatch (tailSeq), a store-buffer drain start, a
+// store-buffer free, store address resolution or squash (all three advance
+// memEpoch), or a fetch redirect or stall change. A cycle that leaves it
+// unchanged did nothing but re-park blocked entries.
+type activity struct {
+	committed, issued, tailSeq, memEpoch uint64
+	fetchBlockedTil, fetchStallSeq       uint64
+	sbStarted                            int
+}
+
+func (c *Core) activity() activity {
+	return activity{
+		committed: c.run.Committed, issued: c.run.IssuedUops, tailSeq: c.tailSeq, memEpoch: c.memEpoch,
+		fetchBlockedTil: c.fetchBlockedTil, fetchStallSeq: c.fetchStallSeq,
+		sbStarted: c.sbStarted,
+	}
+}
+
+// skipDeadCycles runs after a cycle in which no stage acted. Until the next
+// pending event every later cycle would act the same (not at all), so the
+// clock jumps to just before the earliest of:
+//
+//   - issueWake: no parked entry can issue sooner, and without an epoch
+//     advance nothing else wakes one (port-limited entries never reach here:
+//     their cycle issued something);
+//   - the ROB head's doneAt, if it has issued but not completed (a completed
+//     head that did not commit is waiting on a full store buffer);
+//   - the store-buffer front's drainedAt (every entry's drain has started,
+//     or this cycle would have started one);
+//   - fetchBlockedTil, while fetch is blocked (an unresolved mispredicted
+//     branch unblocks at its issue, covered by issueWake).
+//
+// The jump stops at the next watchdogPeriod boundary and at limit, and the
+// skipped cycles add their unchanged occupancy to the per-cycle sums, so
+// every counter matches a loop that steps each cycle.
+func (c *Core) skipDeadCycles(limit uint64) {
+	next := c.issueWake
+	if !c.robEmpty() {
+		if h := c.entry(c.headSeq); h.state == stIssued && h.doneAt > c.cycle {
+			next = min(next, h.doneAt)
+		}
+	}
+	if c.sbLen > 0 {
+		next = min(next, c.sbAt(0).drainedAt)
+	}
+	if c.fetchBlockedTil > c.cycle {
+		next = min(next, c.fetchBlockedTil)
+	}
+	if next == neverRetry {
+		return // nothing pending has a time bound
+	}
+	next = min(next, limit, (c.cycle|(watchdogPeriod-1))+1)
+	if next <= c.cycle+1 {
+		return
+	}
+	k := next - 1 - c.cycle
+	c.run.ROBOccupancySum += k * (c.tailSeq - c.headSeq)
+	c.run.SQOccupancySum += k * uint64(c.sqLen)
+	c.skipped += k
+	c.cycle = next - 1
+}
+
+// SkippedCycles returns how many cycles of the last run the loop jumped
+// over as dead (included in the run's Cycles).
+func (c *Core) SkippedCycles() uint64 { return c.skipped }
 
 func (c *Core) finalizeStats() {
 	// Component counters are cumulative over the core's life; subtracting

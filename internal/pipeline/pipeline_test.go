@@ -31,7 +31,7 @@ type coreResult struct {
 // statsRun aliases the stats type without importing it twice in tests.
 type statsRun = runAlias
 
-func appTrace(t *testing.T, name string, n int) *trace.Trace {
+func appTrace(t testing.TB, name string, n int) *trace.Trace {
 	t.Helper()
 	p, err := workload.ByName(name)
 	if err != nil {

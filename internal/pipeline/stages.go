@@ -141,6 +141,10 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 func (c *Core) issueStage() {
 	aluPorts := c.cfg.IssuePorts - c.cfg.LoadPorts - c.cfg.StorePorts
 	loads, storesP, alu, total := 0, 0, 0, 0
+	// The earliest wake of this scan: setRetry folds in every entry it
+	// parks, skipWake every entry the retry check skips.
+	c.issueWake = neverRetry
+	skipWake := neverRetry
 	if c.firstUnissued < c.headSeq {
 		c.firstUnissued = c.headSeq
 	}
@@ -183,16 +187,13 @@ func (c *Core) issueStage() {
 		}
 		seq++
 		if c.cycle < e.retryAt && e.retryEpoch == c.memEpoch {
+			skipWake = min(skipWake, e.retryAt)
 			continue
 		}
 		switch e.kind {
 		case isa.ALU, isa.Branch:
 			if !c.srcsReady(e) {
-				a := c.srcReadyAt(e.srcASeq)
-				if b := c.srcReadyAt(e.srcBSeq); b > a {
-					a = b
-				}
-				c.setRetry(e, a)
+				c.setRetry(e, c.srcReadyAt(e.srcASeq, e.srcBSeq))
 				continue
 			}
 			if alu >= aluPorts {
@@ -213,11 +214,7 @@ func (c *Core) issueStage() {
 			c.tryStore(e, &storesP, &total)
 		case isa.Load:
 			if !c.srcsReady(e) {
-				a := c.srcReadyAt(e.srcASeq)
-				if b := c.srcReadyAt(e.srcBSeq); b > a {
-					a = b
-				}
-				c.setRetry(e, a)
+				c.setRetry(e, c.srcReadyAt(e.srcASeq, e.srcBSeq))
 				continue
 			}
 			if loads >= c.cfg.LoadPorts {
@@ -236,6 +233,7 @@ func (c *Core) issueStage() {
 	if runStart != 0 {
 		c.skipTo[runStart&c.robMask] = seq
 	}
+	c.issueWake = min(c.issueWake, skipWake)
 }
 
 // tryStore advances a store through its two phases: address generation
@@ -245,7 +243,7 @@ func (c *Core) issueStage() {
 func (c *Core) tryStore(e *robEntry, storesP *int, total *int) {
 	if !e.addrResolved {
 		if !c.producerReady(e.srcASeq) {
-			c.setRetry(e, c.srcReadyAt(e.srcASeq))
+			c.setRetry(e, c.srcReadyAt(e.srcASeq, 0))
 			return
 		}
 		if *storesP >= c.cfg.StorePorts {
@@ -270,7 +268,7 @@ func (c *Core) tryStore(e *robEntry, storesP *int, total *int) {
 		c.resolveStore(e)
 	}
 	if e.addrResolved && !c.producerReady(e.srcBSeq) {
-		c.setRetry(e, c.srcReadyAt(e.srcBSeq))
+		c.setRetry(e, c.srcReadyAt(e.srcBSeq, 0))
 		return
 	}
 	e.state = stIssued

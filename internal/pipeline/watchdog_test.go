@@ -56,8 +56,13 @@ func TestChaosStallTripsWatchdog(t *testing.T) {
 	if de.Budget != opt.WatchdogCycles {
 		t.Errorf("Budget = %d, want %d", de.Budget, opt.WatchdogCycles)
 	}
-	if de.Cycle == 0 || de.CommitIdx < 0 || de.TraceLen != tr.Len() {
+	if de.CommitIdx < 0 || de.TraceLen != tr.Len() {
 		t.Errorf("implausible deadlock location: %+v", de)
+	}
+	// The first watchdog poll at or past the budget with no commit: the same
+	// cycle whether or not the loop jumps dead cycles before the stall.
+	if de.Cycle != 8192 {
+		t.Errorf("watchdog fired at cycle %d, want 8192", de.Cycle)
 	}
 	for _, want := range []string{"pipeline state", "ROB", "queues:", "fetch:"} {
 		if !strings.Contains(de.Dump, want) {
@@ -103,6 +108,9 @@ func TestMaxCyclesDeadlockCarriesDump(t *testing.T) {
 	}
 	if de.Budget != 0 {
 		t.Errorf("ceiling deadlock must report Budget 0, got %d", de.Budget)
+	}
+	if de.Cycle != opt.MaxCycles+1 {
+		t.Errorf("ceiling fired at cycle %d, want %d", de.Cycle, opt.MaxCycles+1)
 	}
 	if !strings.Contains(de.Dump, "pipeline state") {
 		t.Errorf("ceiling deadlock lacks a dump:\n%v", rerr)

@@ -244,11 +244,11 @@ type Server struct {
 	metrics *stats.Metrics
 	latency *stats.Histogram
 	adm     *admitter
-	fleet   *cluster.Fleet  // nil = standalone
-	peers   *peerClient     // nil = standalone
-	brk     *breakers       // nil = standalone
-	prober  *cluster.Prober // nil = standalone
-	lookup  CacheLookup     // nil when the backend has no local cache probe
+	fleet   *cluster.Fleet   // nil = standalone
+	peers   *peerClient      // nil = standalone
+	brk     *breakers        // nil = standalone
+	prober  *cluster.Prober  // nil = standalone
+	lookup  CacheLookup      // nil when the backend has no local cache probe
 	sched   ScheduledBackend // nil when the backend has no fair worker pool
 
 	store   *tracestore.Store     // nil = no trace ingestion

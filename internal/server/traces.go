@@ -53,8 +53,8 @@ const (
 	// digest's ring owner; CounterTraceReplErrors the pushes that failed
 	// (best-effort: the upload still succeeds, TraceFetch's live-member
 	// sweep makes the trace reachable regardless).
-	CounterTraceReplicated  = "server.trace.replicated"
-	CounterTraceReplErrors  = "server.trace.replicate.errors"
+	CounterTraceReplicated = "server.trace.replicated"
+	CounterTraceReplErrors = "server.trace.replicate.errors"
 	// CounterTraceFetched counts traces pulled from a fleet peer on a local
 	// store miss (the TraceFetch path).
 	CounterTraceFetched = "server.trace.fetched"
