@@ -8,10 +8,11 @@ import (
 
 // BenchmarkCoreRun measures the cycle loop alone: one pooled core, reset
 // between iterations as sim's core pool does, re-running a fixed interned
-// trace under PHAST. It reports simulated micro-ops per host second and the
-// share of simulated cycles the loop jumped over as dead (see RunContext).
+// trace under PHAST. It reports simulated micro-ops per host second, the
+// share of simulated cycles the loop jumped over as dead (see RunContext)
+// and the issue scan's entry evaluations per micro-op (see issueStage).
 func BenchmarkCoreRun(b *testing.B) {
-	for _, app := range []string{"505.mcf", "511.povray"} {
+	for _, app := range []string{"505.mcf", "511.povray", "541.leela", "502.gcc_1"} {
 		b.Run(app, func(b *testing.B) {
 			tr := appTrace(b, app, 100_000)
 			tr.Pre()
@@ -19,7 +20,7 @@ func BenchmarkCoreRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var uops, cycles, skipped uint64
+			var uops, cycles, skipped, evals uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -33,9 +34,11 @@ func BenchmarkCoreRun(b *testing.B) {
 				uops += run.Committed
 				cycles += run.Cycles
 				skipped += c.SkippedCycles()
+				evals += c.IssueEvals()
 			}
 			b.ReportMetric(float64(uops)/b.Elapsed().Seconds(), "uops/s")
 			b.ReportMetric(float64(skipped)/float64(cycles), "skipped/cycle")
+			b.ReportMetric(float64(evals)/float64(uops), "evals/uop")
 		})
 	}
 }

@@ -103,9 +103,9 @@ func (c *Core) resetTraceState() {
 	c.lastWriter = [isa.NumRegs]uint64{}
 	c.execLoads = c.execLoads[:0]
 	c.matchBuf = c.matchBuf[:0]
-	clear(c.skipTo)
 	clear(c.readyAt)
-	c.firstUnissued = c.headSeq
+	c.clearWake()
+	c.wheelAt = c.cycle
 	c.nextFetch, c.maxFetched = 0, 0
 	c.fetchBlockedTil, c.fetchStallSeq = 0, 0
 	c.nextCommitIdx = 0
