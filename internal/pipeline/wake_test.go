@@ -1,0 +1,187 @@
+package pipeline
+
+import (
+	"math/bits"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/config"
+	"repro/internal/mdp"
+	"repro/internal/stats"
+	"repro/internal/trace"
+)
+
+// stepRun simulates tr on a fresh core like RunContext does, but steps every
+// cycle (no dead-cycle jumps) and calls check after each one. It stops when
+// the stream has retired or after limit cycles, and returns the row.
+func stepRun(t *testing.T, c *Core, tr *trace.Trace, limit uint64, check func()) stats.Run {
+	t.Helper()
+	c.tr, c.pre = tr, tr.Pre()
+	c.run = stats.Run{App: tr.Name, Predictor: c.pred.Name(), Machine: c.cfg.Name}
+	for c.nextCommitIdx < tr.Len() && c.cycle < limit {
+		c.cycle++
+		c.commitStage()
+		c.drainStoreBuffer()
+		c.issueStage()
+		c.fetchStage()
+		if c.verifyErr != nil {
+			t.Fatal(c.verifyErr)
+		}
+		c.run.ROBOccupancySum += c.tailSeq - c.headSeq
+		c.run.SQOccupancySum += uint64(c.sqLen)
+		check()
+	}
+	c.finalizeStats()
+	return c.run
+}
+
+// wakeChecker returns a check of the scheduler's wake invariant, run at the
+// end of a cycle: every unissued in-flight entry is awake, or registered in
+// the dependents row of an unissued source (the source's issue files it at
+// its completion), or its park holds and a wake is filed that cannot come
+// late —
+//
+//   - time-bound: in a wheel bucket at or before its retryAt;
+//   - memory-bound: memory-parked (the park holds, so under the current
+//     epoch) and, unless it has no time bound, in a wheel bucket at or
+//     before its retryAt.
+//
+// It also checks that every non-empty bucket has its summary bit, since the
+// dead-cycle jump only looks at the summary.
+func wakeChecker(t *testing.T, c *Core) func() {
+	filedAt := make([]uint64, len(c.rob))
+	words := uint64(len(c.awake))
+	return func() {
+		t.Helper()
+		for i := range filedAt {
+			filedAt[i] = neverRetry
+		}
+		for b := uint64(0); b < wheelSize; b++ {
+			row := c.wheel[b*words : (b+1)*words]
+			at := c.bucketCycle(b)
+			for w, bitsW := range row {
+				if bitsW != 0 && c.wheelSum[b>>6]&(1<<(b&63)) == 0 {
+					t.Fatalf("cycle %d: bucket %d is not empty but its summary bit is clear", c.cycle, b)
+				}
+				for ; bitsW != 0; bitsW &= bitsW - 1 {
+					pos := uint64(w*64 + bits.TrailingZeros64(bitsW))
+					filedAt[pos] = min(filedAt[pos], at)
+				}
+			}
+		}
+		for seq := c.headSeq; seq < c.tailSeq; seq++ {
+			e := c.entry(seq)
+			if e.state == stIssued {
+				continue
+			}
+			pos := seq & c.robMask
+			w, bit := pos>>6, uint64(1)<<(pos&63)
+			if c.awake[w]&bit != 0 {
+				continue
+			}
+			fail := func(why string) {
+				t.Fatalf("cycle %d: seq %d (%s) %s: retryAt %d timed %v epoch %d/%d",
+					c.cycle, seq, kindName(e.kind), why, e.retryAt, e.retryTimed, e.retryEpoch, c.memEpoch)
+			}
+			switch {
+			case c.depProducer(e) != 0:
+				p := c.depProducer(e) & c.robMask
+				if c.depRows[p>>6]&(1<<(p&63)) == 0 {
+					fail("waits in a dependents row not marked non-empty")
+				}
+			case !c.parked(e):
+				fail("is neither awake nor parked")
+			case e.retryTimed:
+				if filedAt[pos] > e.retryAt {
+					fail("is time-bound but filed after its retryAt (or not at all)")
+				}
+			default:
+				if c.memParked[w]&bit == 0 {
+					fail("is memory-bound but not memory-parked")
+				}
+				if e.retryAt != neverRetry && filedAt[pos] > e.retryAt {
+					fail("is memory-bound but filed after its retryAt (or not at all)")
+				}
+			}
+		}
+	}
+}
+
+// TestWakeInvariant steps the stages cycle by cycle, without dead-cycle
+// jumps, and checks the wake invariant after every cycle: on a memory-bound
+// and a core-bound app, and on a random stream with register-writing stores
+// on the ROB-20 machine (a ring narrower than one bitset word, wake bounds
+// beyond the wheel horizon) under predictors producing every gate kind. The
+// stepped row must also equal RunContext's, skipped cycles included.
+func TestWakeInvariant(t *testing.T) {
+	random := withStoreDsts(randomTrace(3, 3000), 3)
+	cases := []struct {
+		name string
+		m    config.Machine
+		tr   *trace.Trace
+		pred func() mdp.Predictor
+	}{
+		{"505.mcf/phast", config.AlderLake(), appTrace(t, "505.mcf", 4000), corePHAST},
+		{"511.povray/storesets", config.AlderLake(), appTrace(t, "511.povray", 4000),
+			func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }},
+		{"random/phast", goldenMachines()[1], random, corePHAST},
+		{"random/storesets", goldenMachines()[1], random,
+			func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }},
+		{"random/vector", goldenMachines()[1], random, func() mdp.Predictor { return mdp.DefaultStoreVector() }},
+		{"random/alwayswait", goldenMachines()[1], random, func() mdp.Predictor { return mdp.NewAlwaysWait() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(tc.m, tc.pred(), DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepped := stepRun(t, c, tc.tr, 10_000_000, wakeChecker(t, c))
+			ref, err := New(tc.m, tc.pred(), DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Run(tc.tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(stepped, *want) {
+				t.Errorf("stepped row differs from RunContext's:\nstepped %+v\nrun     %+v", stepped, *want)
+			}
+		})
+	}
+}
+
+// checkParkStates asserts that every unissued ROB entry listed in a state
+// dump names where its next wake comes from.
+func checkParkStates(t *testing.T, dump string) {
+	t.Helper()
+	for _, line := range strings.Split(dump, "\n") {
+		if !strings.HasPrefix(line, "  seq ") || strings.Contains(line, "issued, completes") || strings.Contains(line, " done") {
+			continue
+		}
+		if !strings.Contains(line, "time-bound") && !strings.Contains(line, "memory-bound") && !strings.HasSuffix(line, "; awake") {
+			t.Errorf("dump line lacks the park state: %q", line)
+		}
+	}
+}
+
+// TestDumpNamesParkState stops a memory-bound run mid-stream and checks the
+// state dump: the wakeup line counts the entries by wake source, and each
+// unissued entry says whether it is parked time-bound or memory-bound.
+func TestDumpNamesParkState(t *testing.T) {
+	c, err := New(config.AlderLake(), mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepRun(t, c, appTrace(t, "505.mcf", 20_000), 3000, func() {})
+	dump := c.stateDump()
+	if !strings.Contains(dump, "wakeup: memEpoch") || !strings.Contains(dump, "next wheel wake cycle") {
+		t.Errorf("dump lacks the wakeup line or the next wheel wake:\n%s", dump)
+	}
+	if !strings.Contains(dump, "-bound park") {
+		t.Errorf("no parked entry in the dump's head region; the test proves nothing:\n%s", dump)
+	}
+	checkParkStates(t, dump)
+}

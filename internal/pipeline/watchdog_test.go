@@ -64,11 +64,13 @@ func TestChaosStallTripsWatchdog(t *testing.T) {
 	if de.Cycle != 8192 {
 		t.Errorf("watchdog fired at cycle %d, want 8192", de.Cycle)
 	}
-	for _, want := range []string{"pipeline state", "ROB", "queues:", "fetch:"} {
+	for _, want := range []string{"pipeline state", "ROB", "queues:", "fetch:",
+		"wakeup: memEpoch", "awake", "memory-parked", "wheel-filed", "waiting on a producer", "next wheel wake"} {
 		if !strings.Contains(de.Dump, want) {
 			t.Errorf("dump lacks %q:\n%s", want, de.Dump)
 		}
 	}
+	checkParkStates(t, de.Dump)
 	if !strings.Contains(rerr.Error(), "no commit for 8192 cycles") {
 		t.Errorf("error message should name the exhausted budget: %v", rerr)
 	}
