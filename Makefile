@@ -1,15 +1,15 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test bench benchdiff figures examples clean check cache-smoke bench-smoke fleet-smoke fleet-chaos trace-smoke jobs-smoke chaos api-smoke fuzz cover
+.PHONY: all build test bench benchdiff bench-selftest figures examples clean check cache-smoke bench-smoke fleet-smoke fleet-chaos trace-smoke jobs-smoke chaos api-smoke fuzz cover
 
 all: build test
 
 # Full pre-merge gate: gofmt-clean sources + vet + build + race-enabled tests
 # + the fault-injection suite under -race + a cached-vs-uncached paperfigs
 # smoke proving the persistent run cache reproduces byte-identical tables
-# with zero re-simulations, a one-iteration pass over every benchmark, and a
-# throughput comparison against the committed BENCH.json baseline (fails on
-# a >10% uops/s regression).
+# with zero re-simulations, a one-iteration pass over every benchmark, the
+# phastbench self-test, and a throughput comparison against the committed
+# BENCH.json baseline (fails on a >10% uops/s regression).
 check:
 	test -z "$$(gofmt -l .)"
 	go vet ./...
@@ -24,6 +24,7 @@ check:
 	$(MAKE) trace-smoke
 	$(MAKE) jobs-smoke
 	$(MAKE) bench-smoke
+	$(MAKE) bench-selftest
 	$(MAKE) benchdiff
 
 # Fault-injection (chaos) suite: injected panics, stalls, disk-write failures
@@ -106,6 +107,12 @@ bench:
 # Quick sanity pass: every benchmark must still run (one iteration each).
 bench-smoke:
 	go test -run '^$$' -bench=. -benchtime=1x -benchmem . >/dev/null
+
+# phastbench self-test: every workload once at the tiny size, traced and
+# untraced, checking that the simulated rows match in-process references and
+# that the printed metric names match BENCHMARK.json in both directions.
+bench-selftest:
+	bash phastbench/run.sh --selftest
 
 # Re-measure simulator throughput and gate it against the committed
 # BENCH.json (>10% uops/s regression fails).

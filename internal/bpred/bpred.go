@@ -20,47 +20,63 @@ type DirPredictor interface {
 	Update(pc uint64, taken bool)
 }
 
+// dirs lists the direction predictors, oldest design first (the x-axis order
+// of Fig. 1), with the publication year the timeline plots them at.
+var dirs = []struct {
+	name  string
+	year  int
+	build func() DirPredictor
+}{
+	{"bimodal", 1993, func() DirPredictor { return NewBimodal(14) }},
+	{"gshare", 1993, func() DirPredictor { return NewGShare(14, 12) }},
+	{"perceptron", 2001, func() DirPredictor { return NewPerceptron(10, 24) }},
+	{"tage", 2006, func() DirPredictor { return NewTAGE(DefaultTAGEConfig()) }},
+	{"tagescl", 2016, func() DirPredictor { return NewTAGESCL() }},
+}
+
+// dirIndex returns the position of name in dirs.
+func dirIndex(name string) (int, error) {
+	for i := range dirs {
+		if dirs[i].name == name {
+			return i, nil
+		}
+	}
+	return -1, fmt.Errorf("bpred: unknown predictor %q", name)
+}
+
+// CheckDir returns the error NewDir would return for name, without building
+// the predictor.
+func CheckDir(name string) error {
+	_, err := dirIndex(name)
+	return err
+}
+
 // NewDir constructs a direction predictor by name.
 func NewDir(name string) (DirPredictor, error) {
-	switch name {
-	case "bimodal":
-		return NewBimodal(14), nil
-	case "gshare":
-		return NewGShare(14, 12), nil
-	case "perceptron":
-		return NewPerceptron(10, 24), nil
-	case "tage":
-		return NewTAGE(DefaultTAGEConfig()), nil
-	case "tagescl":
-		return NewTAGESCL(), nil
-	default:
-		return nil, fmt.Errorf("bpred: unknown predictor %q", name)
+	i, err := dirIndex(name)
+	if err != nil {
+		return nil, err
 	}
+	return dirs[i].build(), nil
 }
 
 // DirNames lists available direction predictors, oldest design first (the
 // x-axis order of Fig. 1).
 func DirNames() []string {
-	return []string{"bimodal", "gshare", "perceptron", "tage", "tagescl"}
+	names := make([]string, len(dirs))
+	for i := range dirs {
+		names[i] = dirs[i].name
+	}
+	return names
 }
 
 // DirYear returns the publication year associated with a predictor for the
 // Fig. 1 timeline.
 func DirYear(name string) int {
-	switch name {
-	case "bimodal":
-		return 1993
-	case "gshare":
-		return 1993
-	case "perceptron":
-		return 2001
-	case "tage":
-		return 2006
-	case "tagescl":
-		return 2016
-	default:
-		return 0
+	if i, err := dirIndex(name); err == nil {
+		return dirs[i].year
 	}
+	return 0
 }
 
 // ctr2 is a 2-bit saturating counter.

@@ -35,23 +35,29 @@ type tageEntry struct {
 
 // bitFold is an incrementally maintained fold of the last length history
 // bits into width bits (the hardware circular-shift-register construction;
-// recomputing folds per lookup dominated the simulator profile).
+// recomputing folds per lookup dominated the simulator profile). The first
+// push derives leave (the bit the leaving history bit toggles) and mask from
+// length and width, so no later push divides.
 type bitFold struct {
 	length, width int
 	val           uint64
+	leave, mask   uint64
 }
 
 func (f *bitFold) push(newBit, leavingBit bool) {
-	if f.length == 0 || f.width == 0 {
-		return
+	if f.mask == 0 {
+		if f.length == 0 || f.width == 0 {
+			return
+		}
+		f.leave = 1 << ((f.length - 1) % f.width)
+		f.mask = 1<<f.width - 1
 	}
 	v := f.val
 	if leavingBit {
-		k := (f.length - 1) % f.width
-		v ^= 1 << k
+		v ^= f.leave
 	}
 	// Rotate left by one within width.
-	v = ((v << 1) | (v >> (f.width - 1))) & (1<<f.width - 1)
+	v = ((v << 1) | (v >> (f.width - 1))) & f.mask
 	if newBit {
 		v ^= 1
 	}

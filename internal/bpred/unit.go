@@ -75,18 +75,41 @@ func (u *Unit) pop() (uint64, bool) {
 	return v, true
 }
 
+// Outcomes records a functional pass of a Unit over a stream (see Pass).
+type Outcomes struct {
+	// Miss has bit i set when the branch at stream index i was mispredicted.
+	Miss []uint64
+	// Branches and Mispredicts count the branches the pass predicted and the
+	// mispredicted ones among them.
+	Branches, Mispredicts uint64
+}
+
+// Missed reports whether the branch at stream index i was mispredicted.
+func (o *Outcomes) Missed(i int) bool { return o.Miss[i>>6]&(1<<(i&63)) != 0 }
+
+// Pass runs PredictAndTrain on every branch of insts[from:], in program
+// order, and returns their outcomes indexed by position in insts. On a
+// front end that fetches only the correct path and trains each branch once,
+// this is the whole of the unit's work, so it can run ahead of the timing
+// model; u is left advanced over the stream.
+func (u *Unit) Pass(insts []isa.Inst, from int) *Outcomes {
+	o := &Outcomes{Miss: make([]uint64, (len(insts)+63)/64)}
+	branches, mispredicts := u.Branches, u.Mispredicts
+	for i := from; i < len(insts); i++ {
+		if insts[i].IsBranch() && u.PredictAndTrain(&insts[i]) {
+			o.Miss[i>>6] |= 1 << (i & 63)
+		}
+	}
+	o.Branches, o.Mispredicts = u.Branches-branches, u.Mispredicts-mispredicts
+	return o
+}
+
 // MPKIOver replays a stream through a fresh direction-prediction unit and
 // returns mispredicts per kilo instruction — the Fig. 1 branch timeline
 // metric (no timing model needed).
 func MPKIOver(dir DirPredictor, insts []isa.Inst) float64 {
-	u := NewUnit(dir)
-	for i := range insts {
-		if insts[i].IsBranch() {
-			u.PredictAndTrain(&insts[i])
-		}
-	}
 	if len(insts) == 0 {
 		return 0
 	}
-	return float64(u.Mispredicts) * 1000 / float64(len(insts))
+	return float64(NewUnit(dir).Pass(insts, 0).Mispredicts) * 1000 / float64(len(insts))
 }

@@ -4,19 +4,38 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/mdp"
 )
 
 // BenchmarkCoreRun measures the cycle loop alone: one pooled core, reset
 // between iterations as sim's core pool does, re-running a fixed interned
-// trace under PHAST. It reports simulated micro-ops per host second, the
-// share of simulated cycles the loop jumped over as dead (see RunContext)
-// and the issue scan's entry evaluations per micro-op (see issueStage).
+// trace under PHAST, and under Store Sets on the two apps where its waits
+// behind unissued stores dominate. It reports simulated micro-ops per host
+// second, the share of simulated cycles the loop jumped over as dead (see
+// RunContext) and the issue scan's entry evaluations per micro-op (see
+// issueStage).
 func BenchmarkCoreRun(b *testing.B) {
-	for _, app := range []string{"505.mcf", "511.povray", "541.leela", "502.gcc_1"} {
-		b.Run(app, func(b *testing.B) {
-			tr := appTrace(b, app, 100_000)
+	storeSets := func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }
+	cases := []struct {
+		name, app string
+		pred      func() mdp.Predictor
+	}{
+		{"505.mcf", "505.mcf", corePHAST},
+		{"511.povray", "511.povray", corePHAST},
+		{"541.leela", "541.leela", corePHAST},
+		{"502.gcc_1", "502.gcc_1", corePHAST},
+		{"500.perlbench_3/storesets", "500.perlbench_3", storeSets},
+		{"557.xz_1/storesets", "557.xz_1", storeSets},
+	}
+	for _, bc := range cases {
+		b.Run(bc.name, func(b *testing.B) {
+			// Interned traces arrive with prefixes and branch outcomes built.
+			tr := appTrace(b, bc.app, 100_000)
 			tr.Pre()
-			c, err := New(config.AlderLake(), corePHAST(), DefaultOptions())
+			if _, err := tr.BranchOutcomes(DefaultOptions().BranchPredictor, firstPredicted); err != nil {
+				b.Fatal(err)
+			}
+			c, err := New(config.AlderLake(), bc.pred(), DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -24,7 +43,7 @@ func BenchmarkCoreRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := c.Reset(corePHAST()); err != nil {
+				if err := c.Reset(bc.pred()); err != nil {
 					b.Fatal(err)
 				}
 				run, err := c.Run(tr)

@@ -111,11 +111,12 @@ func (c *Core) wakeCounts() (awake, memParked, filed, waiting int) {
 	return awake, memParked, filed, waiting
 }
 
-// depProducer returns the unissued source of e, needed by its next issue
-// step, in whose dependents row e is registered, or 0.
+// depProducer returns the unissued micro-op whose dependents row e is
+// registered in and whose issue e's next step waits for — a needed source,
+// or the store e's gate or serialisation waits on (waitStore) — or 0.
 func (c *Core) depProducer(e *robEntry) uint64 {
 	pos := e.seq & c.robMask
-	for _, s := range [2]uint64{e.srcASeq, e.srcBSeq} {
+	for _, s := range [3]uint64{e.srcASeq, e.srcBSeq, e.waitStore} {
 		if s < c.headSeq || s >= e.seq || c.readyAt[s&c.robMask] != 0 || !needs(e, s) {
 			continue
 		}
@@ -129,6 +130,9 @@ func (c *Core) depProducer(e *robEntry) uint64 {
 // parkState describes where an unissued entry's next evaluation comes from.
 func (c *Core) parkState(e *robEntry) string {
 	if p := c.depProducer(e); p != 0 {
+		if p == e.waitStore {
+			return fmt.Sprintf("time-bound park until store seq %d issues", p)
+		}
 		return fmt.Sprintf("time-bound park until seq %d issues", p)
 	}
 	switch {

@@ -55,11 +55,11 @@ func (c *Core) storeDone(st *robEntry) bool {
 
 // gateBlocked evaluates the load's MDP decision: true while the load must
 // keep waiting. It records the waited-for store's footprint so commit can
-// classify the wait as a true or false dependence, and a retry bound so the
-// issue scan skips the load until the blocking store can be done. A single-
-// store gate (Distance, StoreSeq) takes the store's bound class; WaitAll and
-// Vector gates are memory-bound, since the store that blocks them changes
-// as stores complete.
+// classify the wait as a true or false dependence, and parks the load until
+// the blocking store can be done. A single-store gate (Distance, StoreSeq)
+// waits for its store (waitStoreDone); WaitAll and Vector gates are
+// memory-bound, since the store that blocks them changes as stores
+// complete.
 func (c *Core) gateBlocked(e *robEntry) bool {
 	switch e.pred.Kind {
 	case mdp.NoDep:
@@ -76,7 +76,7 @@ func (c *Core) gateBlocked(e *robEntry) bool {
 		if c.storeDone(st) {
 			return false
 		}
-		c.setRetry(e, c.storeDoneBound(st))
+		c.waitStoreDone(e, st)
 		return true
 	case mdp.StoreSeq:
 		if e.pred.Seq == 0 || e.pred.Seq < c.headSeq || e.pred.Seq >= e.seq {
@@ -90,7 +90,7 @@ func (c *Core) gateBlocked(e *robEntry) bool {
 		if c.storeDone(st) {
 			return false
 		}
-		c.setRetry(e, c.storeDoneBound(st))
+		c.waitStoreDone(e, st)
 		return true
 	case mdp.WaitAll:
 		for i := c.sqLen - 1; i >= 0; i-- {

@@ -17,15 +17,19 @@
 // whose wake-up condition provably cannot clear yet is parked with a lower
 // bound (retryAt) and a wake class, and filed where its wake will come from:
 // a timing wheel, a memory-parked set woken by memory events, or the
-// dependents row of the register producer it waits for; the issue scan
-// visits only the bits of an awake set, oldest first; a cycle in which no
-// stage acted jumps the clock to the next pending event (next non-empty
-// wheel bucket, ROB-head completion, store-buffer drain, fetch unblock)
-// without crossing a watchdog poll; the store-queue, store-buffer and
-// load-queue searches are gated by per-cache-line occupancy filters so
-// non-overlapping accesses never scan; and the steady state performs no heap
-// allocations (fixed rings for SQ/SB, fixed bitsets, wheel and dependents
-// matrix, a bounded executed-load list, reused scratch buffers).
+// dependents row of the micro-op whose issue it waits for (a register
+// producer, or — on traces without register-writing stores — the unissued
+// store a Distance/StoreSeq gate or Store Sets serialisation waits on); the
+// issue scan visits only the bits of an awake set, oldest first; fetch reads
+// each branch's misprediction from outcomes computed once per trace and
+// direction predictor (see bindTrace); a cycle in which no stage acted jumps
+// the clock to the next pending event (next non-empty wheel bucket, ROB-head
+// completion, store-buffer drain, fetch unblock) without crossing a watchdog
+// poll; the store-queue, store-buffer and load-queue searches are gated by
+// per-cache-line occupancy filters so non-overlapping accesses never scan;
+// and the steady state performs no heap allocations (fixed rings for SQ/SB,
+// fixed bitsets, wheel and dependents matrix, a bounded executed-load list,
+// reused scratch buffers).
 package pipeline
 
 import (
@@ -128,6 +132,10 @@ type robEntry struct {
 	addrDoneAt   uint64
 	ssWaitSeq    uint64 // Store Sets same-set serialisation
 
+	// waitStore is the store whose dependents row this entry last registered
+	// in (a store-ordering wait; see waitStoreDone), 0 if none.
+	waitStore uint64
+
 	// Loads.
 	pred            mdp.Prediction
 	waited          bool
@@ -191,8 +199,14 @@ type Core struct {
 	cfg  config.Machine
 	opt  Options
 	mem  *cache.Hierarchy
-	bp   *bpred.Unit
 	pred mdp.Predictor
+
+	// br holds the bound trace's branch outcomes: fetch reads a branch's
+	// misprediction from it at first fetch (see bindTrace). bp is the
+	// prediction unit a WarmContext leaves advanced over its warm stream —
+	// the next run's outcomes continue it — and nil otherwise.
+	br *bpred.Outcomes
+	bp *bpred.Unit
 
 	// needOracle gates the exact SQ scan feeding LoadInfo's oracle fields:
 	// only predictors declaring NeedsOracle (the Ideal oracle) consume them.
@@ -212,6 +226,9 @@ type Core struct {
 	// pre holds the trace's precomputed divergent-branch/store prefix
 	// counts and history entries, shared across every run of the trace.
 	pre *trace.Prefixes
+	// storeWaits enables store-ordering waits in a store's dependents row
+	// (see waitStoreDone): set for traces without register-writing stores.
+	storeWaits bool
 
 	// ROB ring: entries hold seqs [headSeq, tailSeq). The ring is sized to
 	// the next power of two above the architectural capacity (robCap) so
@@ -289,9 +306,11 @@ type Core struct {
 	wheelSum  [wheelSize / 64]uint64
 	wheelAt   uint64
 	// deps is a dependents matrix: row p (len(awake) words) holds the slots
-	// of register consumers parked until the producer in slot p issues,
-	// which files them in the wheel bucket of its completion cycle (see
-	// waitSources, wakeDeps). depRows marks the rows that may be non-empty.
+	// of entries parked until the micro-op in slot p issues — register
+	// consumers of a producer, and loads and stores ordered behind a store —
+	// which files them at its completion cycle (see waitSources,
+	// waitStoreDone, wakeDeps). depRows marks the rows that may be
+	// non-empty.
 	deps    []uint64
 	depRows []uint64
 	// slotSpan is the number of ring slots per bitset word: 64, or the whole
@@ -420,14 +439,15 @@ func New(cfg config.Machine, pred mdp.Predictor, opt Options) (*Core, error) {
 	return c, nil
 }
 
-// bindFrontEnd (re)builds the per-run mutable front-end state shared by New
-// and Reset: the branch predictor unit and the MDP binding.
+// bindFrontEnd (re)binds the per-run front-end state shared by New and
+// Reset: it checks the direction predictor's name and drops any held branch
+// unit, so the next run takes its outcomes from the trace's memo, and binds
+// the MDP.
 func (c *Core) bindFrontEnd(pred mdp.Predictor) error {
-	dir, err := bpred.NewDir(c.opt.BranchPredictor)
-	if err != nil {
+	if err := bpred.CheckDir(c.opt.BranchPredictor); err != nil {
 		return err
 	}
-	c.bp = bpred.NewUnit(dir)
+	c.br, c.bp = nil, nil
 	c.pred = pred
 	no, ok := pred.(interface{ NeedsOracle() bool })
 	c.needOracle = ok && no.NeedsOracle()
@@ -548,15 +568,16 @@ type bound struct {
 // b (0 = none) can both be available (at 0 = ready now). It serves the waits
 // that do not register with a producer (see waitSources) — register waits
 // whose unready producers have all issued or include an unissued store —
-// and the done bound of a store (storeDoneBound). For an issued producer the
-// bound is exact (doneAt is immutable). For an unissued one it is a lower
-// bound: producers are older, so this cycle's scan has already evaluated
-// them (or they were parked) and they cannot issue before the next cycle,
-// and the minimum execution latency is one cycle — giving the plain bound
-// cycle+2. A producer that is still parked cannot issue, let alone complete,
-// before its retryAt — or, parked with no time bound (neverRetry), before
-// the epoch advance that wakes it — so the bound extends to it, transitively
-// down a dependence chain.
+// and the done bound of a store (storeDoneBound), which also seeds the
+// retryAt of a wait registered with an unissued store (waitStoreDone). For
+// an issued producer the bound is exact (doneAt is immutable). For an
+// unissued one it is a lower bound: producers are older, so this cycle's
+// scan has already evaluated them (or they were parked) and they cannot
+// issue before the next cycle, and the minimum execution latency is one
+// cycle — giving the plain bound cycle+2. A producer that is still parked
+// cannot issue, let alone complete, before its retryAt — or, parked with no
+// time bound (neverRetry), before the epoch advance that wakes it — so the
+// bound extends to it, transitively down a dependence chain.
 //
 // The bound is time-bound when it rests only on exact producer bounds, plain
 // bounds and time-bound producer parks; passing through a memory-bound park
@@ -640,18 +661,52 @@ func (c *Core) waitSources(e *robEntry, a, b uint64) {
 		c.setRetry(e, c.srcReadyAt(a, b))
 		return
 	}
+	c.register(e, p, at)
+}
+
+// waitStoreDone parks e — a load gated on (Distance, StoreSeq) or a store
+// serialised behind (Store Sets) the older store st, which is not done —
+// until st can be done. An issued st parks e at its exact doneAt. An
+// unissued one, on a storeWaits trace, takes e into its dependents row: its
+// issue (phase 2 of tryStore) files e at its completion, the first cycle
+// the wait can clear, and e's retryAt is st's done bound when that is
+// time-bound, else cycle+1 (st is older, so this scan has passed it). On
+// other traces e parks at the done bound, in its class: where a register-
+// writing store feeds st, the legacy plain bound overshoots (see
+// srcReadyAt), and the exact wake would move e earlier.
+func (c *Core) waitStoreDone(e, st *robEntry) {
+	b := c.storeDoneBound(st)
+	if !c.storeWaits || st.state == stIssued {
+		c.setRetry(e, b)
+		return
+	}
+	at := c.cycle + 1
+	if b.timed {
+		at = b.at
+	}
+	e.waitStore = st.seq
+	c.register(e, st.seq, at)
+}
+
+// register parks e time-bound until at, in the dependents row of the
+// unissued producer p, whose issue files it at p's completion; at must not
+// exceed that completion.
+func (c *Core) register(e *robEntry, p, at uint64) {
 	e.retryAt, e.retryEpoch, e.retryTimed = at, c.memEpoch, true
 	pos, pp := e.seq&c.robMask, p&c.robMask
 	c.deps[pp*uint64(len(c.awake))+pos>>6] |= 1 << (pos & 63)
 	c.depRows[pp>>6] |= 1 << (pp & 63)
 }
 
-// wakeDeps runs when the producer p in ring slot pos issues: each consumer
-// registered in its dependents row now has an exact bound on that source,
-// p.doneAt, so its time-bound park is raised to it and filed there. Bits
-// left by squashed occupants, or by a re-dispatched occupant whose next step
-// does not need p (a store registered for its data in an earlier life, now
-// resolving its address), are dropped.
+// wakeDeps runs when the micro-op p in ring slot pos issues: each entry
+// registered in its dependents row now has an exact bound on that wait,
+// p.doneAt, so its time-bound park is raised to it and filed there. A store
+// can complete in the cycle it issues, whose wheel bucket has already fired:
+// such an entry is set awake instead, and the live scan reaches it (it is
+// younger than p) in this same scan. Bits left by squashed occupants, or by
+// a re-dispatched occupant whose next step does not wait for p (a store
+// registered for its data in an earlier life, now resolving its address),
+// are dropped.
 func (c *Core) wakeDeps(p *robEntry, pos uint64) {
 	if c.depRows[pos>>6]&(1<<(pos&63)) == 0 {
 		return
@@ -663,25 +718,33 @@ func (c *Core) wakeDeps(p *robEntry, pos uint64) {
 		row[i] = 0
 		for ; d != 0; d &= d - 1 {
 			cpos := uint64(i*64 + bits.TrailingZeros64(d))
-			if ce := &c.rob[cpos]; ce.retryTimed && ce.state != stIssued && needs(ce, p.seq) {
-				ce.retryAt = max(ce.retryAt, p.doneAt)
+			ce := &c.rob[cpos]
+			if !ce.retryTimed || ce.state == stIssued || !needs(ce, p.seq) {
+				continue
+			}
+			ce.retryAt = max(ce.retryAt, p.doneAt)
+			if ce.retryAt <= c.cycle {
+				c.awake[cpos>>6] |= 1 << (cpos & 63)
+			} else {
 				c.file(cpos, ce.retryAt)
 			}
 		}
 	}
 }
 
-// needs reports whether the next issue step of the unissued entry e reads
-// the value of producer seq: a store resolves its address from source A and
-// then waits for its data in source B; any other op needs both sources.
+// needs reports whether the next issue step of the unissued entry e waits
+// for the micro-op seq: a store resolves its address from source A (after
+// any serialisation behind waitStore) and then waits for its data in source
+// B; a load waits for both sources and for a gating waitStore; any other op
+// needs both sources.
 func needs(e *robEntry, seq uint64) bool {
-	if e.kind == isa.Store {
-		if e.addrResolved {
-			return e.srcBSeq == seq
-		}
-		return e.srcASeq == seq
+	switch {
+	case e.kind == isa.Store && e.addrResolved:
+		return e.srcBSeq == seq
+	case e.kind == isa.Store:
+		return e.srcASeq == seq || e.waitStore == seq
 	}
-	return e.srcASeq == seq || e.srcBSeq == seq
+	return e.srcASeq == seq || e.srcBSeq == seq || e.waitStore == seq
 }
 
 // unissuedStore reports whether seq is an in-flight store that has not
@@ -692,8 +755,12 @@ func (c *Core) unissuedStore(seq uint64) bool {
 }
 
 // storeDoneBound bounds the first cycle at which storeDone(st) can become
-// true, for an st that is not done now. Its class decides whether a single-
-// store gate or Store Sets wait on st is time-bound.
+// true, for an st that is not done now. An issued st's bound is its exact
+// doneAt, at which a single-store gate or Store Sets wait parks. For an
+// unissued st those waits register in st's dependents row on storeWaits
+// traces (waitStoreDone) and take the bound as their retryAt only when it
+// is time-bound; elsewhere they park at it, in its class. WaitAll/Vector
+// gates and tryLoad's forwarding stall take its cycle, memory-bound.
 func (c *Core) storeDoneBound(st *robEntry) bound {
 	if st.state == stIssued {
 		return bound{at: st.doneAt, timed: true} // exact
@@ -732,10 +799,13 @@ func (c *Core) storeDoneBound(st *robEntry) bound {
 // evaluations a memory event used to trigger before retryAt were re-parks
 // with no other effect. A register wait changes nothing but the park, and a
 // single-store gate (Distance, StoreSeq, Store Sets) finds the same store
-// and rewrites the same wait footprint every time. Everything whose outcome
-// a memory event can change stays memory-bound: tryLoad's store-queue and
-// store-buffer outcomes, WaitAll/Vector gates (the blocking store changes as
-// stores complete), and bounds through a memory-bound producer park.
+// and rewrites the same wait footprint every time. Waits on an unissued
+// producer — or, on storeWaits traces, an unissued gating store — bypass
+// setRetry and register in its dependents row (see register). Everything
+// whose outcome a memory event can change stays memory-bound: tryLoad's
+// store-queue and store-buffer outcomes, WaitAll/Vector gates (the blocking
+// store changes as stores complete), and bounds through a memory-bound
+// producer park.
 func (c *Core) setRetry(e *robEntry, b bound) {
 	e.retryAt = b.at
 	e.retryEpoch = c.memEpoch
@@ -877,12 +947,8 @@ const faultHorizon = 512
 // until the next pending event: the loop jumps the clock to just before it
 // (see skipDeadCycles).
 func (c *Core) RunContext(ctx context.Context, tr *trace.Trace) (*stats.Run, error) {
-	c.tr = tr
-	c.pre = tr.Pre()
-	c.run = stats.Run{
-		App:       tr.Name,
-		Predictor: c.pred.Name(),
-		Machine:   c.cfg.Name,
+	if err := c.bindTrace(tr); err != nil {
+		return nil, err
 	}
 	n := tr.Len()
 	// Fault injection decides per run, before the loop, whether and when to
@@ -964,6 +1030,34 @@ func (c *Core) RunContext(ctx context.Context, tr *trace.Trace) (*stats.Run, err
 	return &out, nil
 }
 
+// firstPredicted is the first trace index fetch predicts. A branch is
+// predicted at its first fetch, detected as an index beyond maxFetched; that
+// starts at 0, so a branch at index 0 is never predicted or counted.
+const firstPredicted = 1
+
+// bindTrace binds tr for a run: its prefixes, its branch outcomes and a new
+// row. The outcomes come from the trace's memo for a fresh unit, or — after
+// a WarmContext — from a pass of the held unit, which continues it.
+func (c *Core) bindTrace(tr *trace.Trace) error {
+	c.tr, c.pre = tr, tr.Pre()
+	c.storeWaits = !c.pre.RegStores
+	if c.bp != nil {
+		c.br = c.bp.Pass(tr.Insts, firstPredicted)
+	} else {
+		br, err := tr.BranchOutcomes(c.opt.BranchPredictor, firstPredicted)
+		if err != nil {
+			return err
+		}
+		c.br = br
+	}
+	c.run = stats.Run{
+		App:       tr.Name,
+		Predictor: c.pred.Name(),
+		Machine:   c.cfg.Name,
+	}
+	return nil
+}
+
 // activity is the state some stage changes whenever a cycle does any work:
 // a commit, an issue, a dispatch (tailSeq), a store-buffer drain start, a
 // store-buffer free, store address resolution or squash (all three advance
@@ -1043,10 +1137,11 @@ func (c *Core) IssueEvals() uint64 { return c.evals }
 func (c *Core) finalizeStats() {
 	// Component counters are cumulative over the core's life; subtracting
 	// the warm-up baseline (zero for ordinary runs) scopes them to the
-	// measured run. PathsTracked is a gauge, not a counter — report as is.
+	// measured run. The branch outcomes are the run's own. PathsTracked is a
+	// gauge, not a counter — report as is.
 	c.run.Cycles = c.cycle - c.base.cycles
-	c.run.Branches = c.bp.Branches - c.base.branches
-	c.run.BranchMispredicts = c.bp.Mispredicts - c.base.mispredicts
+	c.run.Branches = c.br.Branches
+	c.run.BranchMispredicts = c.br.Mispredicts
 	reads, writes := c.pred.Accesses()
 	c.run.PredictorReads = reads - c.base.predReads
 	c.run.PredictorWrites = writes - c.base.predWrites

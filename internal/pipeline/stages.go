@@ -11,8 +11,9 @@ import (
 // fetchStage fetches, decodes and dispatches up to the front-end width of
 // micro-ops per cycle from the correct-path stream, allocating ROB/IQ/LQ/SQ
 // entries, renaming sources, predicting branches (first fetch only — a
-// squash restores checkpointed front-end state rather than re-training), and
-// asking the MDP for a decision on every load.
+// squash restores checkpointed front-end state rather than re-training; the
+// outcome is read from the run's branch outcomes, see bindTrace), and asking
+// the MDP for a decision on every load.
 func (c *Core) fetchStage() {
 	if c.cycle < c.fetchBlockedTil {
 		return
@@ -48,10 +49,11 @@ func (c *Core) fetchStage() {
 				return
 			}
 		}
-		c.dispatch(in, c.nextFetch)
-		firstFetch := c.nextFetch > c.maxFetched
+		idx := c.nextFetch
+		c.dispatch(in, idx)
+		firstFetch := idx > c.maxFetched
 		if firstFetch {
-			c.maxFetched = c.nextFetch
+			c.maxFetched = idx
 		}
 		c.nextFetch++
 		if in.IsBranch() {
@@ -61,7 +63,7 @@ func (c *Core) fetchStage() {
 			// The branch predictor trains once per static occurrence; after
 			// a squash the front end restores its checkpointed state rather
 			// than re-training (and correct-path refetches redirect cheaply).
-			if firstFetch && c.bp.PredictAndTrain(in) {
+			if firstFetch && c.br.Missed(idx) {
 				c.fetchStallSeq = c.tailSeq - 1 // the branch just dispatched
 				return
 			}
@@ -230,7 +232,7 @@ func (c *Core) tryStore(e *robEntry, storesP *int, total *int) {
 		// serialisation target (anything else would deadlock the pair).
 		if w := e.ssWaitSeq; w != 0 && w >= c.headSeq && w < e.seq {
 			if we := c.entry(w); we.inst.IsStore() && (we.state != stIssued || c.cycle < we.doneAt) {
-				c.setRetry(e, c.storeDoneBound(we))
+				c.waitStoreDone(e, we)
 				return // serialised behind an older store of the set
 			}
 		}
@@ -252,6 +254,7 @@ func (c *Core) tryStore(e *robEntry, storesP *int, total *int) {
 		e.doneAt = c.cycle
 	}
 	c.readyAt[e.seq&c.robMask] = e.doneAt + 1
+	c.wakeDeps(e, e.seq&c.robMask)
 	c.iqCount--
 	c.run.IssuedUops++
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math/bits"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -17,8 +18,9 @@ import (
 // the stream has retired or after limit cycles, and returns the row.
 func stepRun(t *testing.T, c *Core, tr *trace.Trace, limit uint64, check func()) stats.Run {
 	t.Helper()
-	c.tr, c.pre = tr, tr.Pre()
-	c.run = stats.Run{App: tr.Name, Predictor: c.pred.Name(), Machine: c.cfg.Name}
+	if err := c.bindTrace(tr); err != nil {
+		t.Fatal(err)
+	}
 	for c.nextCommitIdx < tr.Len() && c.cycle < limit {
 		c.cycle++
 		c.commitStage()
@@ -38,9 +40,9 @@ func stepRun(t *testing.T, c *Core, tr *trace.Trace, limit uint64, check func())
 
 // wakeChecker returns a check of the scheduler's wake invariant, run at the
 // end of a cycle: every unissued in-flight entry is awake, or registered in
-// the dependents row of an unissued source (the source's issue files it at
-// its completion), or its park holds and a wake is filed that cannot come
-// late —
+// the dependents row of an unissued source or of the unissued store its gate
+// or serialisation waits on (whose issue files it at its completion), or its
+// park holds and a wake is filed that cannot come late —
 //
 //   - time-bound: in a wheel bucket at or before its retryAt;
 //   - memory-bound: memory-parked (the park holds, so under the current
@@ -110,12 +112,14 @@ func wakeChecker(t *testing.T, c *Core) func() {
 
 // TestWakeInvariant steps the stages cycle by cycle, without dead-cycle
 // jumps, and checks the wake invariant after every cycle: on a memory-bound
-// and a core-bound app, and on a random stream with register-writing stores
-// on the ROB-20 machine (a ring narrower than one bitset word, wake bounds
-// beyond the wheel horizon) under predictors producing every gate kind. The
-// stepped row must also equal RunContext's, skipped cycles included.
+// and a core-bound app, on the two apps whose Store Sets waits register with
+// stores most, and on a random stream with register-writing stores on the
+// ROB-20 machine (a ring narrower than one bitset word, wake bounds beyond
+// the wheel horizon) under predictors producing every gate kind. The stepped
+// row must also equal RunContext's, skipped cycles included.
 func TestWakeInvariant(t *testing.T) {
 	random := withStoreDsts(randomTrace(3, 3000), 3)
+	storeSets := func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }
 	cases := []struct {
 		name string
 		m    config.Machine
@@ -123,11 +127,11 @@ func TestWakeInvariant(t *testing.T) {
 		pred func() mdp.Predictor
 	}{
 		{"505.mcf/phast", config.AlderLake(), appTrace(t, "505.mcf", 4000), corePHAST},
-		{"511.povray/storesets", config.AlderLake(), appTrace(t, "511.povray", 4000),
-			func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }},
+		{"511.povray/storesets", config.AlderLake(), appTrace(t, "511.povray", 4000), storeSets},
+		{"557.xz_1/storesets", config.AlderLake(), appTrace(t, "557.xz_1", 4000), storeSets},
+		{"500.perlbench_3/storesets", config.AlderLake(), appTrace(t, "500.perlbench_3", 4000), storeSets},
 		{"random/phast", goldenMachines()[1], random, corePHAST},
-		{"random/storesets", goldenMachines()[1], random,
-			func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }},
+		{"random/storesets", goldenMachines()[1], random, storeSets},
 		{"random/vector", goldenMachines()[1], random, func() mdp.Predictor { return mdp.DefaultStoreVector() }},
 		{"random/alwayswait", goldenMachines()[1], random, func() mdp.Predictor { return mdp.NewAlwaysWait() }},
 	}
@@ -167,9 +171,43 @@ func checkParkStates(t *testing.T, dump string) {
 	}
 }
 
+// TestStoreWaitEvals guards the store-ordering waits: Store Sets, whose
+// loads and stores wait behind unissued stores, must keep to under three
+// issue-scan evaluations per micro-op on the two apps where it used to
+// re-evaluate such waits almost every cycle (26 and 37 evaluations per
+// micro-op at this n before they registered with the store).
+func TestStoreWaitEvals(t *testing.T) {
+	for _, app := range []string{"500.perlbench_3", "557.xz_1"} {
+		c, err := New(config.AlderLake(), mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(appTrace(t, app, 20_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if per := float64(c.IssueEvals()) / float64(res.Committed); per >= 3 {
+			t.Errorf("%s/storesets: %.2f issue evaluations per micro-op, want < 3", app, per)
+		}
+	}
+}
+
+// storeWaitAtHead reports whether one of the entries a state dump lists is
+// registered with the store its gate or serialisation waits on.
+func storeWaitAtHead(c *Core) bool {
+	for seq := c.headSeq; seq < c.tailSeq && seq < c.headSeq+12; seq++ {
+		if e := c.entry(seq); e.state != stIssued && e.waitStore != 0 && c.depProducer(e) == e.waitStore {
+			return true
+		}
+	}
+	return false
+}
+
 // TestDumpNamesParkState stops a memory-bound run mid-stream and checks the
 // state dump: the wakeup line counts the entries by wake source, and each
-// unissued entry says whether it is parked time-bound or memory-bound.
+// unissued entry says whether it is parked time-bound or memory-bound. A
+// Store Sets run on 557.xz_1, stopped at the first cycle an entry of the
+// dump waits for a store's issue, must name that store.
 func TestDumpNamesParkState(t *testing.T) {
 	c, err := New(config.AlderLake(), mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()), DefaultOptions())
 	if err != nil {
@@ -182,6 +220,31 @@ func TestDumpNamesParkState(t *testing.T) {
 	}
 	if !strings.Contains(dump, "-bound park") {
 		t.Errorf("no parked entry in the dump's head region; the test proves nothing:\n%s", dump)
+	}
+	checkParkStates(t, dump)
+
+	tr := appTrace(t, "557.xz_1", 4000)
+	probe, err := New(config.AlderLake(), mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop uint64
+	stepRun(t, probe, tr, 10_000_000, func() {
+		if stop == 0 && storeWaitAtHead(probe) {
+			stop = probe.cycle
+		}
+	})
+	if stop == 0 {
+		t.Fatal("no dumped entry ever waits for a store's issue; the test proves nothing")
+	}
+	c, err = New(config.AlderLake(), mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepRun(t, c, tr, stop, func() {})
+	dump = c.stateDump()
+	if !regexp.MustCompile(`; time-bound park until store seq \d+ issues\n`).MatchString(dump) {
+		t.Errorf("no dump line names the store an entry waits for:\n%s", dump)
 	}
 	checkParkStates(t, dump)
 }

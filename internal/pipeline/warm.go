@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -21,7 +22,6 @@ import (
 // reads; everything else in stats.Run is per-RunContext already.
 type warmBase struct {
 	cycles                uint64
-	branches, mispredicts uint64
 	predReads, predWrites uint64
 	l1dHits, l1dMisses    uint64
 	l2Hits, l2Misses      uint64
@@ -32,9 +32,10 @@ type warmBase struct {
 // measured slice) to heat the core's learned structures, then resets the
 // per-trace state so the next RunContext starts a fresh measured run:
 //
-//   - Kept: predictor tables, branch predictor, cache arrays (including
-//     in-flight fills — the cycle clock keeps advancing so their absolute
-//     completion cycles stay meaningful), SVW filter state, and the
+//   - Kept: predictor tables, the branch prediction unit (advanced over the
+//     warm stream; the measured run's outcomes continue it), cache arrays
+//     (including in-flight fills — the cycle clock keeps advancing so their
+//     absolute completion cycles stay meaningful), SVW filter state, and the
 //     monotonic sequence numbers (committed producers must stay readable
 //     as "ready" — producerReady treats seq < headSeq as architectural).
 //   - Reset: the trace binding and its prefix structures (divergent-branch
@@ -55,6 +56,15 @@ type warmBase struct {
 // so the first interval of a parallel plan behaves like an ordinary run).
 func (c *Core) WarmContext(ctx context.Context, warm *trace.Trace) error {
 	if warm.Len() > 0 {
+		if c.bp == nil {
+			// Hold a unit, so the warm run's outcomes advance it and the
+			// measured run's continue it (see bindTrace).
+			dir, err := bpred.NewDir(c.opt.BranchPredictor)
+			if err != nil {
+				return err
+			}
+			c.bp = bpred.NewUnit(dir)
+		}
 		verify := c.opt.Verify
 		c.opt.Verify = nil
 		_, err := c.RunContext(ctx, warm)
@@ -122,16 +132,14 @@ func (c *Core) resetTraceState() {
 func (c *Core) snapshotBase() {
 	reads, writes := c.pred.Accesses()
 	c.base = warmBase{
-		cycles:      c.cycle,
-		branches:    c.bp.Branches,
-		mispredicts: c.bp.Mispredicts,
-		predReads:   reads,
-		predWrites:  writes,
-		l1dHits:     c.mem.L1D.Hits,
-		l1dMisses:   c.mem.L1D.Misses,
-		l2Hits:      c.mem.L2.Hits,
-		l2Misses:    c.mem.L2.Misses,
-		l3Hits:      c.mem.L3.Hits,
-		l3Misses:    c.mem.L3.Misses,
+		cycles:     c.cycle,
+		predReads:  reads,
+		predWrites: writes,
+		l1dHits:    c.mem.L1D.Hits,
+		l1dMisses:  c.mem.L1D.Misses,
+		l2Hits:     c.mem.L2.Hits,
+		l2Misses:   c.mem.L2.Misses,
+		l3Hits:     c.mem.L3.Hits,
+		l3Misses:   c.mem.L3.Misses,
 	}
 }

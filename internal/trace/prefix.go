@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"sync"
+
+	"repro/internal/bpred"
 	"repro/internal/histutil"
 	"repro/internal/isa"
 )
@@ -19,6 +22,10 @@ type Prefixes struct {
 	// DivEntries holds the history entries of all divergent branches, in
 	// stream order; DivEntries[:Div[i]] is the history before index i.
 	DivEntries []histutil.Entry
+	// RegStores reports whether some store also writes a register — a shape
+	// only decoded streams have, and one the timing model's store-ordering
+	// waits treat apart.
+	RegStores bool
 }
 
 // Pre returns the trace's precomputed prefixes, building them on first use.
@@ -47,6 +54,7 @@ func (t *Trace) Pre() *Prefixes {
 			}
 			if in.IsStore() {
 				p.St[i+1]++
+				p.RegStores = p.RegStores || in.Dst != 0
 			}
 		}
 		t.pre = p
@@ -63,4 +71,45 @@ func EntryOf(in *isa.Inst) histutil.Entry {
 		dest = in.PC + 4
 	}
 	return histutil.NewEntry(in.Class.IndirectTarget(), in.Taken, dest)
+}
+
+// branchMemo is one entry of a trace's branch-outcome memo.
+type branchMemo struct {
+	dir  string
+	from int
+	once sync.Once
+	out  *bpred.Outcomes
+	err  error
+}
+
+// BranchOutcomes returns the outcomes of a fresh prediction unit with
+// direction predictor dir passed over the stream from index from (see
+// bpred.Unit.Pass), building them on first use. A front end that fetches
+// only the correct path and trains each branch once makes them a function
+// of the stream and the predictor, so one pass serves every run of the
+// trace. Safe for concurrent use: concurrent first uses build once, and a
+// hit allocates nothing. The result must be treated as read-only.
+func (t *Trace) BranchOutcomes(dir string, from int) (*bpred.Outcomes, error) {
+	t.branchMu.Lock()
+	var m *branchMemo
+	for _, x := range t.branches {
+		if x.dir == dir && x.from == from {
+			m = x
+			break
+		}
+	}
+	if m == nil {
+		m = &branchMemo{dir: dir, from: from}
+		t.branches = append(t.branches, m)
+	}
+	t.branchMu.Unlock()
+	m.once.Do(func() {
+		d, err := bpred.NewDir(dir)
+		if err != nil {
+			m.err = err
+			return
+		}
+		m.out = bpred.NewUnit(d).Pass(t.Insts, from)
+	})
+	return m.out, m.err
 }

@@ -18,14 +18,17 @@ import (
 )
 
 // Trace is a named dynamic micro-op stream. The stream is immutable once
-// built; Pre lazily attaches the precomputed prefix structures the timing
-// model shares across runs (see prefix.go).
+// built; Pre and BranchOutcomes lazily attach the precomputed structures the
+// timing model shares across runs (see prefix.go).
 type Trace struct {
 	Name  string
 	Insts []isa.Inst
 
 	preOnce sync.Once
 	pre     *Prefixes
+
+	branchMu sync.Mutex
+	branches []*branchMemo
 }
 
 // Generate produces the first n micro-ops of a program's stream.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/workload"
 )
@@ -387,5 +389,56 @@ func TestPrefixesMatchStream(t *testing.T) {
 	}
 	if uint32(len(p.DivEntries)) != divs {
 		t.Fatalf("divEntries length %d, want %d", len(p.DivEntries), divs)
+	}
+	if p.RegStores {
+		t.Error("generated streams have no register-writing stores")
+	}
+	insts := append([]isa.Inst(nil), tr.Insts...)
+	for i := range insts {
+		if insts[i].IsStore() {
+			insts[i].Dst = 3
+			break
+		}
+	}
+	if !(&Trace{Insts: insts}).Pre().RegStores {
+		t.Error("RegStores misses a register-writing store")
+	}
+}
+
+// TestBranchOutcomesMemo: concurrent first uses of one (predictor, from) key
+// build once and share the result, a hit allocates nothing, keys differing
+// in either part are distinct, and an unknown predictor is an error.
+func TestBranchOutcomesMemo(t *testing.T) {
+	tr := testTrace(t, "502.gcc_1", 5000)
+	outs := make([]*bpred.Outcomes, 8)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o, err := tr.BranchOutcomes("tagescl", 1)
+			if err != nil {
+				t.Error(err)
+			}
+			outs[i] = o
+		}()
+	}
+	wg.Wait()
+	for _, o := range outs {
+		if o == nil || o != outs[0] {
+			t.Fatal("concurrent first uses did not share one result")
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tr.BranchOutcomes("tagescl", 1) }); allocs != 0 {
+		t.Errorf("a memo hit allocates %v times", allocs)
+	}
+	if o, _ := tr.BranchOutcomes("tagescl", 0); o == outs[0] {
+		t.Error("a different start index shares the result")
+	}
+	if o, _ := tr.BranchOutcomes("gshare", 1); o == outs[0] || o.Mispredicts == outs[0].Mispredicts {
+		t.Error("a different predictor shares the result")
+	}
+	if _, err := tr.BranchOutcomes("crystalball", 1); err == nil {
+		t.Error("an unknown predictor should error")
 	}
 }
