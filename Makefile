@@ -1,21 +1,23 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test bench benchdiff bench-selftest figures examples clean check cache-smoke bench-smoke fleet-smoke fleet-chaos trace-smoke jobs-smoke chaos api-smoke fuzz cover
+.PHONY: all build test bench benchdiff bench-selftest figures examples clean check cache-smoke bench-smoke fleet-smoke fleet-chaos trace-smoke jobs-smoke chaos api-smoke fuzz fuzz-smoke cover
 
 all: build test
 
 # Full pre-merge gate: gofmt-clean sources + vet + build + race-enabled tests
-# + the fault-injection suite under -race + a cached-vs-uncached paperfigs
-# smoke proving the persistent run cache reproduces byte-identical tables
-# with zero re-simulations, a one-iteration pass over every benchmark, the
-# phastbench self-test, and a throughput comparison against the committed
-# BENCH.json baseline (fails on a >10% uops/s regression).
+# + the fault-injection suite under -race + a 10-second pipeline fuzz + a
+# cached-vs-uncached paperfigs smoke proving the persistent run cache
+# reproduces byte-identical tables with zero re-simulations, a one-iteration
+# pass over every benchmark, the phastbench self-test, and a throughput
+# comparison against the committed BENCH.json baseline (fails on a >10%
+# uops/s regression).
 check:
 	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go build ./...
 	go test -race ./...
 	$(MAKE) chaos
+	$(MAKE) fuzz-smoke
 	$(MAKE) examples
 	$(MAKE) api-smoke
 	$(MAKE) cache-smoke
@@ -144,6 +146,13 @@ examples:
 	go build ./examples/...
 	go run ./examples/quickstart
 	go run ./examples/compare
+
+# Pipeline fuzz smoke: random streams through the core, every retired value
+# checked by the architectural oracle — the forwarding and violation paths
+# the queue searches implement.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzPipelineTrace$$' -fuzztime 10s ./internal/oracle
+	@echo "fuzz smoke ok: 10s of FuzzPipelineTrace, no crashers"
 
 # Native Go fuzzing over the externally-driven surfaces: arbitrary micro-op
 # streams through the oracle-verified pipeline, arbitrary Configs through

@@ -3,6 +3,9 @@
 // and an IP-stride L1D prefetcher. The model is latency oriented: the
 // pipeline asks at which cycle an access completes; tag state, inclusion,
 // and miss-status handling evolve as accesses are performed in order.
+//
+// LRU order is kept as per-way use stamps (see Recency), so a hit writes
+// one byte; the MDP prediction tables (package mdp) share the mechanism.
 package cache
 
 import (
@@ -18,7 +21,7 @@ type Level struct {
 	hitLatency int
 
 	tags []uint64 // sets × ways line tags; 0 = invalid
-	lru  []uint8  // per way recency (0 = MRU)
+	lru  Recency
 
 	mshrs []uint64 // busy-until cycle per MSHR
 
@@ -39,29 +42,17 @@ func NewLevel(name string, c config.Cache) *Level {
 		lineShift:  shift,
 		hitLatency: c.HitLatency,
 		tags:       make([]uint64, sets*c.Ways),
-		lru:        make([]uint8, sets*c.Ways),
+		lru:        NewRecency(sets, c.Ways),
 		mshrs:      make([]uint64, c.MSHRs),
 	}
-	l.initLRU()
 	return l
-}
-
-// initLRU seeds the recency counters: they must form a permutation per set
-// (0 = MRU … ways-1 = LRU) or the relative-increment update cannot order
-// ways.
-func (l *Level) initLRU() {
-	for s := 0; s < l.sets; s++ {
-		for w := 0; w < l.ways; w++ {
-			l.lru[s*l.ways+w] = uint8(w)
-		}
-	}
 }
 
 // Reset invalidates every line and clears MSHR and hit/miss state, returning
 // the level to its just-constructed contents without reallocating.
 func (l *Level) Reset() {
 	clear(l.tags)
-	l.initLRU()
+	l.lru.Reset()
 	clear(l.mshrs)
 	l.Hits, l.Misses = 0, 0
 }
@@ -91,44 +82,37 @@ func (l *Level) Lookup(addr uint64) bool {
 // access probes and on hit refreshes LRU. Returns hit.
 func (l *Level) access(addr uint64) bool {
 	line := l.line(addr)
-	base := l.set(line) * l.ways
-	for w := 0; w < l.ways; w++ {
-		if l.tags[base+w] == line+1 {
-			l.touch(base, w)
+	s := l.set(line)
+	tags := l.tags[s*l.ways : (s+1)*l.ways]
+	for w, t := range tags {
+		if t == line+1 {
+			l.lru.Touch(s, w)
 			return true
 		}
 	}
 	return false
 }
 
-func (l *Level) touch(base, way int) {
-	old := l.lru[base+way]
-	for w := 0; w < l.ways; w++ {
-		if l.lru[base+w] < old {
-			l.lru[base+w]++
-		}
-	}
-	l.lru[base+way] = 0
-}
-
-// Fill installs the line, evicting the LRU way. Returns the evicted line
-// (+1 encoded) or 0 if an invalid way was used.
+// Fill installs the line in the first invalid way, else the least recently
+// used one. Returns the evicted line (+1 encoded) or 0 if an invalid way was
+// used.
 func (l *Level) Fill(addr uint64) uint64 {
 	line := l.line(addr)
-	base := l.set(line) * l.ways
-	victim, worst := 0, uint8(0)
-	for w := 0; w < l.ways; w++ {
-		if l.tags[base+w] == 0 {
+	s := l.set(line)
+	tags, stamps := l.tags[s*l.ways:(s+1)*l.ways], l.lru.Stamps(s)
+	victim := 0
+	for w, t := range tags {
+		if t == 0 {
 			victim = w
 			break
 		}
-		if l.lru[base+w] >= worst {
-			worst, victim = l.lru[base+w], w
+		if stamps[w] < stamps[victim] {
+			victim = w
 		}
 	}
-	evicted := l.tags[base+victim]
-	l.tags[base+victim] = line + 1
-	l.touch(base, victim)
+	evicted := tags[victim]
+	tags[victim] = line + 1
+	l.lru.Touch(s, victim)
 	if evicted == line+1 {
 		return 0
 	}

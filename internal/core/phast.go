@@ -94,6 +94,9 @@ func NewDefault() *PHAST { return New(DefaultConfig()) }
 // Name implements mdp.Predictor.
 func (p *PHAST) Name() string { return "phast" }
 
+// Tables returns the predictor's tables, shortest history first.
+func (p *PHAST) Tables() []*mdp.AssocTable { return p.tables }
+
 // Bind implements mdp.Predictor: register one S+T-bit fold per table on both
 // history registers (§IV-B: the history is folded until S+T bits remain).
 func (p *PHAST) Bind(decode, commit *histutil.Reg) {

@@ -9,10 +9,15 @@ package histutil
 // Invariant (verified by TestFoldMatchesReference):
 //
 //	Value() == XOR_{j=0..Len-1} rotl(entry[age j], j mod Width)
+//
+// NewFold derives the rotation of the leaving entry and the width mask once,
+// so an update neither divides nor branches on the rotation.
 type Fold struct {
 	Len   int
 	Width int
 	val   uint64
+	leave uint   // (Len-1) mod Width: the rotation of the leaving entry
+	mask  uint64 // the low Width bits
 }
 
 // Value returns the current folded history.
@@ -28,14 +33,17 @@ func rotl(x uint64, k, w int) uint64 {
 }
 
 // update advances the fold by one pushed entry; leaving is the entry that
-// just aged out of the window (zero during cold start).
+// just aged out of the window (zero during cold start). Both rotations act
+// on values already reduced to Width bits, so a zero rotation needs no
+// special case (the right shift by Width yields zero).
 func (f *Fold) update(pushed, leaving Entry) {
 	if f.Len == 0 {
 		return // zero-length history folds to 0 forever
 	}
-	v := f.val ^ rotl(uint64(leaving), (f.Len-1)%f.Width, f.Width)
-	f.val = rotl(v, 1, f.Width) ^ (uint64(pushed) & (1<<f.Width - 1))
-	f.val &= 1<<f.Width - 1
+	w := uint(f.Width)
+	l := uint64(leaving) & f.mask
+	v := f.val ^ (l<<f.leave|l>>(w-f.leave))&f.mask
+	f.val = (v<<1|v>>(w-1))&f.mask ^ uint64(pushed)&f.mask
 }
 
 // NewFold registers an incrementally maintained fold of the last length
@@ -51,7 +59,10 @@ func (r *Reg) NewFold(length, width int) *Fold {
 	if length < 0 {
 		panic("histutil: negative fold length")
 	}
-	f := &Fold{Len: length, Width: width}
+	f := &Fold{Len: length, Width: width, mask: 1<<width - 1}
+	if length > 0 {
+		f.leave = uint((length - 1) % width)
+	}
 	// Fast-forward over already-pushed history so late registration agrees
 	// with the reference fold.
 	if r.count > 0 {

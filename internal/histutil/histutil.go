@@ -104,16 +104,15 @@ func (r *Reg) Push(e Entry) {
 // divergent-branch counter).
 func (r *Reg) Count() uint64 { return r.count }
 
-// Reset returns the register to its just-constructed state: empty history,
-// zero count, no registered folds. Callers that registered folds (predictor
-// Bind) must re-register afterwards; the core's Reset binds a fresh
-// predictor, which does exactly that.
-func (r *Reg) Reset() {
-	for i := range r.buf {
-		r.buf[i] = 0
-	}
-	r.head = 0
-	r.count = 0
+// Reset empties the register: no history, zero count. Registered folds stay
+// registered and are recomputed (an empty history folds to 0), so a
+// predictor bound once keeps seeing the register's history across resets.
+func (r *Reg) Reset() { r.ResetTo(nil, 0) }
+
+// DropFolds unregisters every fold, for rebinding the register to another
+// predictor, which registers its own.
+func (r *Reg) DropFolds() {
+	clear(r.folds)
 	r.folds = r.folds[:0]
 }
 

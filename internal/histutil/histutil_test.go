@@ -136,6 +136,34 @@ func TestResetTo(t *testing.T) {
 	}
 }
 
+// TestResetKeepsFolds: Reset empties the register but leaves registered
+// folds attached, so they track the history pushed after it (a warm-up
+// boundary resets the core's registers without rebinding the predictor);
+// DropFolds detaches them.
+func TestResetKeepsFolds(t *testing.T) {
+	r := NewReg(16)
+	f := r.NewFold(6, 5)
+	for i := 0; i < 30; i++ {
+		r.Push(Entry(i*7 + 1))
+	}
+	r.Reset()
+	if r.Count() != 0 || f.Value() != 0 {
+		t.Fatalf("after Reset: count %d, fold %#x; want 0, 0", r.Count(), f.Value())
+	}
+	for i := 0; i < 10; i++ {
+		r.Push(Entry(i*3 + 2))
+		if want := r.Fold(6, 5); f.Value() != want {
+			t.Fatalf("fold after Reset and %d pushes = %#x, want %#x", i+1, f.Value(), want)
+		}
+	}
+	r.DropFolds()
+	before := f.Value()
+	r.Push(99)
+	if f.Value() != before {
+		t.Error("a dropped fold still moves with the register")
+	}
+}
+
 func TestResetToTruncatesToCapacity(t *testing.T) {
 	r := NewReg(4)
 	entries := []Entry{1, 2, 3, 4, 5, 6}

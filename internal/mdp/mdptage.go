@@ -99,6 +99,9 @@ func NewMDPTAGE(cfg MDPTAGEConfig) *MDPTAGE {
 // Name implements Predictor.
 func (m *MDPTAGE) Name() string { return m.name }
 
+// Tables returns the tagged components, shortest history first.
+func (m *MDPTAGE) Tables() []*AssocTable { return m.tables }
+
 // Bind implements Predictor: prediction folds are incremental on the
 // decode-time register; allocation folds on demand from the register passed
 // to TrainViolation (allocations only happen on violations, so the on-demand

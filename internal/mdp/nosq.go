@@ -53,6 +53,9 @@ func NewNoSQ(cfg NoSQConfig) *NoSQ {
 // Name implements Predictor.
 func (n *NoSQ) Name() string { return "nosq" }
 
+// Tables returns the path-insensitive and path-sensitive tables.
+func (n *NoSQ) Tables() []*AssocTable { return []*AssocTable{n.pi, n.ps} }
+
 // nosqFoldWidth is the folded path-history width.
 const nosqFoldWidth = 24
 

@@ -1,26 +1,37 @@
 package mdp
 
-import "repro/internal/histutil"
+import (
+	"repro/internal/cache"
+	"repro/internal/histutil"
+)
 
 // Entry is one prediction-table entry. Field widths follow Table II: a
 // partial tag, a 7-bit store distance, a saturating confidence/usefulness
-// counter, and 2 LRU bits (maintained by the table).
+// counter, and 2 LRU bits (maintained by the table). The tag comes first so
+// the entry packs into 8 bytes.
 type Entry struct {
-	Valid bool
 	Tag   uint32
+	Valid bool
 	Dist  uint8 // 7-bit store distance
 	Conf  uint8 // confidence (PHAST/NoSQ) or counter payload
 	U     uint8 // usefulness (MDP-TAGE)
-	lru   uint8
 }
 
 // AssocTable is a set-associative prediction table with LRU replacement,
-// shared by PHAST, NoSQ, MDP-TAGE and the budget-sweep variants.
+// shared by PHAST, NoSQ, MDP-TAGE and the budget-sweep variants. Recency is
+// kept as per-way use stamps (cache.Recency), and one occupancy bit per set
+// records whether the set holds a valid entry, so a lookup in an empty set
+// — most lookups, since the predictors train only on violations — reads no
+// entry. Both are host-side bookkeeping: the modelled LRU bits and the
+// predictors' read counts do not depend on them.
 type AssocTable struct {
 	sets    int
 	ways    int
 	tagBits int
 	entries []Entry
+	lru     cache.Recency
+	// occupied has bit s set while set s holds a valid entry.
+	occupied []uint64
 }
 
 // NewAssocTable builds a table with the given geometry. Sets must be a
@@ -32,15 +43,12 @@ func NewAssocTable(sets, ways, tagBits int) *AssocTable {
 	if ways <= 0 || tagBits <= 0 || tagBits > 32 {
 		panic("mdp: bad table geometry")
 	}
-	t := &AssocTable{sets: sets, ways: ways, tagBits: tagBits, entries: make([]Entry, sets*ways)}
-	// Recency counters must start as a permutation per set (0 = MRU …
-	// ways-1 = LRU) or the relative-increment update cannot order ways.
-	for s := 0; s < sets; s++ {
-		for w := 0; w < ways; w++ {
-			t.entries[s*ways+w].lru = uint8(w)
-		}
+	return &AssocTable{
+		sets: sets, ways: ways, tagBits: tagBits,
+		entries:  make([]Entry, sets*ways),
+		lru:      cache.NewRecency(sets, ways),
+		occupied: make([]uint64, (sets+63)/64),
 	}
-	return t
 }
 
 // Sets returns the number of sets.
@@ -63,8 +71,17 @@ func (t *AssocTable) TagOf(hash uint64) uint32 {
 	return uint32(hash>>16) & (1<<t.tagBits - 1)
 }
 
-// Lookup returns the matching entry and its way, or (nil, -1).
+// Occupied reports whether the set holds a valid entry.
+func (t *AssocTable) Occupied(set uint32) bool {
+	return t.occupied[set>>6]&(1<<(set&63)) != 0
+}
+
+// Lookup returns the matching entry and its way, or (nil, -1). An empty set
+// returns without reading its entries.
 func (t *AssocTable) Lookup(set uint32, tag uint32) (*Entry, int) {
+	if !t.Occupied(set) {
+		return nil, -1
+	}
 	base := int(set) * t.ways
 	for w := 0; w < t.ways; w++ {
 		e := &t.entries[base+w]
@@ -81,58 +98,53 @@ func (t *AssocTable) At(set uint32, way int) *Entry {
 }
 
 // Touch marks the way most recently used.
-func (t *AssocTable) Touch(set uint32, way int) {
-	base := int(set) * t.ways
-	old := t.entries[base+way].lru
-	for w := 0; w < t.ways; w++ {
-		if t.entries[base+w].lru < old {
-			t.entries[base+w].lru++
-		}
-	}
-	t.entries[base+way].lru = 0
-}
+func (t *AssocTable) Touch(set uint32, way int) { t.lru.Touch(int(set), way) }
 
 // Victim returns the way to replace in the set: an invalid way if any,
 // otherwise the LRU way.
 func (t *AssocTable) Victim(set uint32) int {
 	base := int(set) * t.ways
-	victim, worst := 0, uint8(0)
+	stamps := t.lru.Stamps(int(set))
+	victim := 0
 	for w := 0; w < t.ways; w++ {
 		if !t.entries[base+w].Valid {
 			return w
 		}
-		if t.entries[base+w].lru >= worst {
-			worst, victim = t.entries[base+w].lru, w
+		if stamps[w] < stamps[victim] {
+			victim = w
 		}
 	}
 	return victim
 }
 
 // Insert writes a new entry over the victim way and returns (entry, way).
+// The entry must be valid.
 func (t *AssocTable) Insert(set uint32, e Entry) (*Entry, int) {
 	w := t.Victim(set)
 	slot := &t.entries[int(set)*t.ways+w]
-	lru := slot.lru
 	*slot = e
-	slot.lru = lru
 	t.Touch(set, w)
+	t.occupied[set>>6] |= 1 << (set & 63)
 	return slot, w
 }
 
-// Invalidate clears one entry, preserving the set's recency permutation.
+// Invalidate clears one entry; its recency stamp is kept.
 func (t *AssocTable) Invalidate(set uint32, way int) {
-	e := &t.entries[int(set)*t.ways+way]
-	lru := e.lru
-	*e = Entry{lru: lru}
-}
-
-// Reset invalidates every entry, restoring the initial recency permutation.
-func (t *AssocTable) Reset() {
-	for s := 0; s < t.sets; s++ {
-		for w := 0; w < t.ways; w++ {
-			t.entries[s*t.ways+w] = Entry{lru: uint8(w)}
+	base := int(set) * t.ways
+	t.entries[base+way] = Entry{}
+	for _, e := range t.entries[base : base+t.ways] {
+		if e.Valid {
+			return
 		}
 	}
+	t.occupied[set>>6] &^= 1 << (set & 63)
+}
+
+// Reset invalidates every entry and forgets all recency.
+func (t *AssocTable) Reset() {
+	clear(t.entries)
+	t.lru.Reset()
+	clear(t.occupied)
 }
 
 // SizeBits returns the storage cost given payload bits per entry beyond the

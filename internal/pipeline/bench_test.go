@@ -9,13 +9,15 @@ import (
 
 // BenchmarkCoreRun measures the cycle loop alone: one pooled core, reset
 // between iterations as sim's core pool does, re-running a fixed interned
-// trace under PHAST, and under Store Sets on the two apps where its waits
-// behind unissued stores dominate. It reports simulated micro-ops per host
+// trace under PHAST, under Store Sets on the two apps where its waits
+// behind unissued stores dominate, and under MDP-TAGE (the largest tables)
+// on two memory-bound apps. It reports simulated micro-ops per host
 // second, the share of simulated cycles the loop jumped over as dead (see
 // RunContext) and the issue scan's entry evaluations per micro-op (see
 // issueStage).
 func BenchmarkCoreRun(b *testing.B) {
 	storeSets := func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }
+	mdpTAGE := func() mdp.Predictor { return mdp.NewMDPTAGE(mdp.DefaultMDPTAGEConfig()) }
 	cases := []struct {
 		name, app string
 		pred      func() mdp.Predictor
@@ -26,6 +28,8 @@ func BenchmarkCoreRun(b *testing.B) {
 		{"502.gcc_1", "502.gcc_1", corePHAST},
 		{"500.perlbench_3/storesets", "500.perlbench_3", storeSets},
 		{"557.xz_1/storesets", "557.xz_1", storeSets},
+		{"505.mcf/mdptage", "505.mcf", mdpTAGE},
+		{"541.leela/mdptage", "541.leela", mdpTAGE},
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {

@@ -16,36 +16,60 @@ import (
 // All associative searches are gated by the core's per-cache-line occupancy
 // filters (sqLines/sbLines/ldLines): a zero filter response proves no queue
 // entry can overlap the probing footprint, so the common no-conflict case
-// never walks a queue.
+// never walks a queue. A walk that does run reads the queue's own copies of
+// the footprints (sqSlot, execLoad) and touches a ROB entry only for a
+// match.
 
 // oracleDep finds the youngest older in-flight store whose footprint
 // overlaps the dispatching load, using the simulator's exact knowledge of
 // addresses. Only the Ideal predictor consumes the result (see needOracle).
+// Every in-flight store is older than a dispatching load.
 func (c *Core) oracleDep(ld *robEntry) (bool, int) {
-	if !c.sqLines.mayOverlap(ld.inst.Addr, ld.inst.Size) {
+	in := ld.inst
+	if !c.sqLines.mayOverlap(in.Addr, in.Size) {
 		return false, 0
 	}
 	for i := c.sqLen - 1; i >= 0; i-- {
-		st := c.entry(c.sqSeqAt(i))
-		if st.inst.Overlaps(ld.inst) {
-			return true, int(ld.storeCount - 1 - st.storeIndex)
+		if s := c.sqAt(i); isa.Overlap(s.addr, s.size, in.Addr, in.Size) {
+			return true, int(ld.storeCount - 1 - s.storeIndex)
 		}
 	}
 	return false, 0
 }
 
+// sqIndex returns the store-queue index of the in-flight store with global
+// store allocation index idx, or -1 if it has already committed (or was
+// never dispatched). Store queue order makes this a direct offset.
+func (c *Core) sqIndex(idx uint64) int {
+	if c.sqLen == 0 {
+		return -1
+	}
+	first := c.sqAt(0).storeIndex
+	if idx < first || idx >= first+uint64(c.sqLen) {
+		return -1
+	}
+	return int(idx - first)
+}
+
 // storeBySQIndex returns the in-flight store with the given global store
 // allocation index, or nil if it has already committed (or was never
-// dispatched). Store queue order makes this a direct offset.
+// dispatched).
 func (c *Core) storeBySQIndex(idx uint64) *robEntry {
-	if c.sqLen == 0 {
+	i := c.sqIndex(idx)
+	if i < 0 {
 		return nil
 	}
-	first := c.entry(c.sqSeqAt(0)).storeIndex
-	if idx < first || idx >= first+uint64(c.sqLen) {
-		return nil
+	return c.entry(c.sqAt(i).seq)
+}
+
+// olderStores returns the number of leading store-queue slots that hold
+// stores older than a load that followed storeCount stores: the youngest of
+// them is at index olderStores-1.
+func (c *Core) olderStores(storeCount uint64) int {
+	if c.sqLen == 0 || storeCount <= c.sqAt(0).storeIndex {
+		return 0
 	}
-	return c.entry(c.sqSeqAt(int(idx - first)))
+	return int(min(storeCount-c.sqAt(0).storeIndex, uint64(c.sqLen)))
 }
 
 // storeDone reports whether a store micro-op has fully executed.
@@ -93,12 +117,8 @@ func (c *Core) gateBlocked(e *robEntry) bool {
 		c.waitStoreDone(e, st)
 		return true
 	case mdp.WaitAll:
-		for i := c.sqLen - 1; i >= 0; i-- {
-			st := c.entry(c.sqSeqAt(i))
-			if st.seq >= e.seq {
-				continue
-			}
-			if !c.storeDone(st) {
+		for i := c.olderStores(e.storeCount) - 1; i >= 0; i-- {
+			if st := c.entry(c.sqAt(i).seq); !c.storeDone(st) {
 				c.setRetry(e, bound{at: c.storeDoneBound(st).at})
 				return true
 			}
@@ -148,17 +168,16 @@ func (c *Core) gateBlocked(e *robEntry) bool {
 // issued (consuming a load port).
 func (c *Core) tryLoad(e *robEntry) bool {
 	in := e.inst
-	// Youngest overlapping address-resolved store in the SQ.
+	// Youngest overlapping address-resolved store in the SQ, searched from
+	// the youngest store older than the load.
 	if c.sqLines.mayOverlap(in.Addr, in.Size) {
-		for i := c.sqLen - 1; i >= 0; i-- {
-			st := c.entry(c.sqSeqAt(i))
-			if st.seq >= e.seq || !st.addrResolved {
+		for i := c.olderStores(e.storeCount) - 1; i >= 0; i-- {
+			s := c.sqAt(i)
+			if !s.resolved || !isa.Overlap(s.addr, s.size, in.Addr, in.Size) {
 				continue
 			}
-			if !st.inst.Overlaps(in) {
-				continue
-			}
-			if st.inst.Covers(in.Addr, in.Size) {
+			st := c.entry(s.seq)
+			if s.addr <= in.Addr && in.Addr+uint64(in.Size) <= s.addr+uint64(s.size) {
 				if c.storeDone(st) {
 					c.issueLoadForward(e, st.seq, st.traceIdx)
 					c.recordSVW(e, st.storeIndex, true)
@@ -210,22 +229,23 @@ func (c *Core) tryLoad(e *robEntry) bool {
 }
 
 // noteLoadExecuted indexes a just-executed load for the violation search:
-// its footprint enters the load line filter and its seq the executed-load
-// list. The list is compacted in place (dropping committed seqs) when full;
-// executed uncommitted loads never exceed the LQ capacity, so compaction
-// always makes room without reallocating.
+// its footprint enters the load line filter and the executed-load list. The
+// list is compacted in place (dropping committed loads) when full; executed
+// uncommitted loads never exceed the LQ capacity, so compaction always makes
+// room without reallocating.
 func (c *Core) noteLoadExecuted(e *robEntry) {
-	c.ldLines.add(e.inst.Addr, e.inst.Size)
+	in := e.inst
+	c.ldLines.add(in.Addr, in.Size)
 	if len(c.execLoads) == cap(c.execLoads) {
 		live := c.execLoads[:0]
-		for _, seq := range c.execLoads {
-			if seq >= c.headSeq {
-				live = append(live, seq)
+		for _, l := range c.execLoads {
+			if l.seq >= c.headSeq {
+				live = append(live, l)
 			}
 		}
 		c.execLoads = live
 	}
-	c.execLoads = append(c.execLoads, e.seq)
+	c.execLoads = append(c.execLoads, execLoad{seq: e.seq, addr: in.Addr, size: in.Size})
 }
 
 // issueLoadForward completes a load through store-to-load forwarding. The
@@ -264,7 +284,8 @@ func (c *Core) resolveStore(st *robEntry) {
 	if c.opt.Filter == FilterSVW {
 		return // loads verify themselves at commit against the SSBF
 	}
-	if !c.ldLines.mayOverlap(st.inst.Addr, st.inst.Size) {
+	addr, size := st.inst.Addr, st.inst.Size
+	if !c.ldLines.mayOverlap(addr, size) {
 		return
 	}
 	// Collect candidate seqs (younger executed loads), dropping committed
@@ -272,16 +293,16 @@ func (c *Core) resolveStore(st *robEntry) {
 	// squashed loads were purged eagerly, so no live entry is stale).
 	matches := c.matchBuf[:0]
 	for i := 0; i < len(c.execLoads); {
-		seq := c.execLoads[i]
-		if seq < c.headSeq {
+		l := c.execLoads[i]
+		if l.seq < c.headSeq {
 			last := len(c.execLoads) - 1
 			c.execLoads[i] = c.execLoads[last]
 			c.execLoads = c.execLoads[:last]
 			continue
 		}
 		i++
-		if seq > st.seq && c.entry(seq).inst.Overlaps(st.inst) {
-			matches = append(matches, seq)
+		if l.seq > st.seq && isa.Overlap(l.addr, l.size, addr, size) {
+			matches = append(matches, l.seq)
 		}
 	}
 	c.matchBuf = matches

@@ -125,3 +125,33 @@ func TestDistancePredictionForwards(t *testing.T) {
 		t.Errorf("PHAST forwards %d vs ideal %d", ph.res.Forwards, id.res.Forwards)
 	}
 }
+
+// TestLineFiltersDrainToZero runs streams whose loads forward, violate and
+// squash (no dependence prediction at all) and, once the store buffer has
+// drained, requires every hashed line-filter bucket to be back at zero:
+// commit, squash and drain each remove exactly the counts dispatch, execute
+// and commit added.
+func TestLineFiltersDrainToZero(t *testing.T) {
+	for _, app := range []string{"511.povray", "541.leela", "557.xz_1"} {
+		c, err := New(config.AlderLake(), mdp.NewNone(), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(appTrace(t, app, 20_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MemOrderViolations == 0 || res.Forwards == 0 || res.Stores == 0 {
+			t.Fatalf("%s: violations %d, forwards %d, stores %d: the run exercises too little",
+				app, res.MemOrderViolations, res.Forwards, res.Stores)
+		}
+		if err := c.settleStoreBuffer(); err != nil {
+			t.Fatal(err)
+		}
+		var zero lineFilter
+		if c.sqLines != zero || c.sbLines != zero || c.ldLines != zero {
+			t.Errorf("%s: line filters not empty after the run drained (sq %v, sb %v, ld %v)",
+				app, c.sqLines == zero, c.sbLines == zero, c.ldLines == zero)
+		}
+	}
+}

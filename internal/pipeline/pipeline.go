@@ -26,10 +26,12 @@
 // the clock to the next pending event (next non-empty wheel bucket, ROB-head
 // completion, store-buffer drain, fetch unblock) without crossing a watchdog
 // poll; the store-queue, store-buffer and load-queue searches are gated by
-// per-cache-line occupancy filters so non-overlapping accesses never scan;
-// and the steady state performs no heap allocations (fixed rings for SQ/SB,
-// fixed bitsets, wheel and dependents matrix, a bounded executed-load list,
-// reused scratch buffers).
+// hashed per-cache-line occupancy filters so non-overlapping accesses never
+// scan, and a scan that does run reads dense copies of the queued footprints
+// (store-queue slots, from the load's youngest older store; executed-load
+// entries) rather than ROB entries; and the steady state performs no heap
+// allocations (fixed rings for SQ/SB, fixed bitsets, wheel and dependents
+// matrix, a bounded executed-load list, reused scratch buffers).
 package pipeline
 
 import (
@@ -157,16 +159,26 @@ type robEntry struct {
 // that line; a zero bucket proves no entry overlaps an address in it, so the
 // associated queue scan can be skipped entirely. Counting (not set-bit)
 // filters support exact removal at commit/squash/drain.
-const lineBuckets = 256
+const (
+	lineBits    = 10
+	lineBuckets = 1 << lineBits
+)
 
 type lineFilter [lineBuckets]uint16
+
+// lineBucket maps a line to its filter bucket by a multiplicative
+// (Fibonacci) hash: the low line bits alone would put every line of a
+// power-of-two stride into a few buckets.
+func lineBucket(line uint64) uint64 {
+	return line * 0x9e3779b97f4a7c15 >> (64 - lineBits)
+}
 
 func (f *lineFilter) add(addr uint64, size uint8) {
 	if size == 0 {
 		return
 	}
 	for l := addr >> 6; l <= (addr+uint64(size)-1)>>6; l++ {
-		f[l&(lineBuckets-1)]++
+		f[lineBucket(l)]++
 	}
 }
 
@@ -175,7 +187,7 @@ func (f *lineFilter) remove(addr uint64, size uint8) {
 		return
 	}
 	for l := addr >> 6; l <= (addr+uint64(size)-1)>>6; l++ {
-		f[l&(lineBuckets-1)]--
+		f[lineBucket(l)]--
 	}
 }
 
@@ -187,11 +199,30 @@ func (f *lineFilter) mayOverlap(addr uint64, size uint8) bool {
 		return false
 	}
 	for l := addr >> 6; l <= (addr+uint64(size)-1)>>6; l++ {
-		if f[l&(lineBuckets-1)] != 0 {
+		if f[lineBucket(l)] != 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// sqSlot is one store-queue slot: an in-flight store's seq, allocation index
+// and footprint, and whether its address has resolved, mirrored from its
+// robEntry so that queue searches test the slots alone and read a robEntry
+// only for a store that matches.
+type sqSlot struct {
+	seq        uint64
+	storeIndex uint64
+	addr       uint64
+	size       uint8
+	resolved   bool
+}
+
+// execLoad is one executed-load list entry: the load's seq and footprint.
+type execLoad struct {
+	seq  uint64
+	addr uint64
+	size uint8
 }
 
 // Core is a single simulated out-of-order core.
@@ -243,9 +274,10 @@ type Core struct {
 
 	iqCount, lqCount, sqCount int
 
-	// sq is a fixed-capacity ring of the ROB seqs of in-flight stores,
-	// oldest first.
-	sq     []uint64
+	// sq is a fixed-capacity ring of the in-flight stores, oldest first.
+	// Slot i holds store allocation index sq[sqHead].storeIndex+i, since
+	// stores dispatch, commit and squash in order.
+	sq     []sqSlot
 	sqHead int
 	sqLen  int
 	sqMask int
@@ -265,11 +297,12 @@ type Core struct {
 	sbLines lineFilter
 	ldLines lineFilter
 
-	// execLoads lists the seqs of executed, uncommitted loads — the only
-	// candidates a resolving store must check. Entries of committed loads
-	// are removed lazily (swap-delete during scans or compaction); squashed
-	// entries are purged eagerly (their seqs get reused).
-	execLoads []uint64
+	// execLoads lists the executed, uncommitted loads with their footprints
+	// — the only candidates a resolving store must check. Entries of
+	// committed loads are removed lazily (swap-delete during scans or
+	// compaction); squashed entries are purged eagerly (their seqs get
+	// reused).
+	execLoads []execLoad
 	// matchBuf is resolveStore's reusable candidate buffer.
 	matchBuf []uint64
 
@@ -406,9 +439,9 @@ func New(cfg config.Machine, pred mdp.Predictor, opt Options) (*Core, error) {
 		scratchHist: histutil.NewReg(opt.HistCap),
 		rob:         make([]robEntry, pow2ceil(cfg.ROB)),
 		robCap:      uint64(cfg.ROB),
-		sq:          make([]uint64, pow2ceil(cfg.SQ)),
+		sq:          make([]sqSlot, pow2ceil(cfg.SQ)),
 		sb:          make([]sbEntry, pow2ceil(cfg.SQ)),
-		execLoads:   make([]uint64, 0, 2*cfg.LQ+8),
+		execLoads:   make([]execLoad, 0, 2*cfg.LQ+8),
 		matchBuf:    make([]uint64, 0, cfg.LQ),
 	}
 	c.readyAt = make([]uint64, len(c.rob))
@@ -442,7 +475,7 @@ func New(cfg config.Machine, pred mdp.Predictor, opt Options) (*Core, error) {
 // bindFrontEnd (re)binds the per-run front-end state shared by New and
 // Reset: it checks the direction predictor's name and drops any held branch
 // unit, so the next run takes its outcomes from the trace's memo, and binds
-// the MDP.
+// the MDP to the history registers in place of the previous one's folds.
 func (c *Core) bindFrontEnd(pred mdp.Predictor) error {
 	if err := bpred.CheckDir(c.opt.BranchPredictor); err != nil {
 		return err
@@ -451,6 +484,8 @@ func (c *Core) bindFrontEnd(pred mdp.Predictor) error {
 	c.pred = pred
 	no, ok := pred.(interface{ NeedsOracle() bool })
 	c.needOracle = ok && no.NeedsOracle()
+	c.decodeHist.DropFolds()
+	c.commitHist.DropFolds()
 	pred.Bind(c.decodeHist, c.commitHist)
 	return nil
 }
@@ -521,10 +556,10 @@ func (c *Core) robFull() bool { return c.tailSeq-c.headSeq >= c.robCap }
 func (c *Core) robEmpty() bool { return c.tailSeq == c.headSeq }
 
 // Store-queue ring accessors. Index 0 is the oldest in-flight store.
-func (c *Core) sqSeqAt(i int) uint64 { return c.sq[(c.sqHead+i)&c.sqMask] }
+func (c *Core) sqAt(i int) *sqSlot { return &c.sq[(c.sqHead+i)&c.sqMask] }
 
-func (c *Core) sqPush(seq uint64) {
-	c.sq[(c.sqHead+c.sqLen)&c.sqMask] = seq
+func (c *Core) sqPush(s sqSlot) {
+	c.sq[(c.sqHead+c.sqLen)&c.sqMask] = s
 	c.sqLen++
 }
 

@@ -122,7 +122,7 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 		e.ssWaitSeq = c.pred.StoreDispatch(mdp.StoreInfo{
 			PC: in.PC, Seq: seq, BranchCount: e.branchCount, StoreIndex: e.storeIndex,
 		})
-		c.sqPush(seq)
+		c.sqPush(sqSlot{seq: seq, storeIndex: e.storeIndex, addr: in.Addr, size: in.Size})
 		c.sqLines.add(in.Addr, in.Size)
 	default:
 		c.iqCount++
@@ -237,6 +237,7 @@ func (c *Core) tryStore(e *robEntry, storesP *int, total *int) {
 			}
 		}
 		e.addrResolved = true
+		c.sqAt(c.sqIndex(e.storeIndex)).resolved = true
 		e.addrDoneAt = c.cycle + 1
 		*storesP++
 		*total++
@@ -290,7 +291,7 @@ func (c *Core) commitStage() {
 			c.pred.StoreCommit(mdp.StoreInfo{
 				PC: in.PC, Seq: e.seq, BranchCount: e.branchCount, StoreIndex: e.storeIndex,
 			})
-			if c.sqLen == 0 || c.sqSeqAt(0) != e.seq {
+			if c.sqLen == 0 || c.sqAt(0).seq != e.seq {
 				panic("pipeline: store queue out of sync at commit")
 			}
 			c.sqPopFront()
@@ -388,11 +389,11 @@ func (c *Core) squash(fromSeq uint64, traceIdx int) {
 	// filter counts (the discarded entries' contents are intact until their
 	// seqs are re-dispatched).
 	for c.sqLen > 0 {
-		last := c.entry(c.sqSeqAt(c.sqLen - 1))
+		last := c.sqAt(c.sqLen - 1)
 		if last.seq < fromSeq {
 			break
 		}
-		c.sqLines.remove(last.inst.Addr, last.inst.Size)
+		c.sqLines.remove(last.addr, last.size)
 		c.sqLen--
 	}
 	// Purge squashed loads from the executed-load list eagerly: their seqs
@@ -400,13 +401,12 @@ func (c *Core) squash(fromSeq uint64, traceIdx int) {
 	// (seq < headSeq ≤ fromSeq) stay for lazy removal and were already
 	// removed from the line filter at commit.
 	live := c.execLoads[:0]
-	for _, seq := range c.execLoads {
-		if seq >= fromSeq {
-			ld := c.entry(seq)
-			c.ldLines.remove(ld.inst.Addr, ld.inst.Size)
+	for _, l := range c.execLoads {
+		if l.seq >= fromSeq {
+			c.ldLines.remove(l.addr, l.size)
 			continue
 		}
-		live = append(live, seq)
+		live = append(live, l)
 	}
 	c.execLoads = live
 	// Conservatively wake every memory-bound survivor: squashes are rare.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/mdp"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -110,13 +111,90 @@ func wakeChecker(t *testing.T, c *Core) func() {
 	}
 }
 
+// mirrorChecker returns a check, run at the end of a cycle, that the copies
+// the memory-side searches read instead of ROB entries agree with the
+// entries: every store-queue slot mirrors its store (seq, allocation index,
+// footprint, address resolution) and the slots hold exactly the in-flight
+// stores in order; every live executed-load entry mirrors its executed load,
+// once per such load; each line filter counts exactly the footprints of its
+// queue; and every occupancy bit of the predictor's tables (if it has any)
+// says whether its set holds a valid entry.
+func mirrorChecker(t *testing.T, c *Core) func() {
+	var tables []*mdp.AssocTable
+	if o, ok := c.pred.(interface{ Tables() []*mdp.AssocTable }); ok {
+		tables = o.Tables()
+	}
+	return func() {
+		t.Helper()
+		var sq, sb, ld lineFilter
+		stores, executed := 0, 0
+		for seq := c.headSeq; seq < c.tailSeq; seq++ {
+			switch e := c.entry(seq); {
+			case e.kind == isa.Store:
+				stores++
+			case e.kind == isa.Load && e.executed:
+				executed++
+			}
+		}
+		if stores != c.sqLen {
+			t.Fatalf("cycle %d: %d in-flight stores, %d store-queue slots", c.cycle, stores, c.sqLen)
+		}
+		for i := 0; i < c.sqLen; i++ {
+			s, first := c.sqAt(i), c.sqAt(0)
+			e := c.entry(s.seq)
+			want := sqSlot{seq: e.seq, storeIndex: e.storeIndex, addr: e.inst.Addr, size: e.inst.Size, resolved: e.addrResolved}
+			if e.kind != isa.Store || *s != want || s.storeIndex != first.storeIndex+uint64(i) || s.seq < c.headSeq {
+				t.Fatalf("cycle %d: store-queue slot %d is %+v, its entry holds %+v", c.cycle, i, *s, want)
+			}
+			sq.add(s.addr, s.size)
+		}
+		for i := 0; i < c.sbLen; i++ {
+			sb.add(c.sbAt(i).addr, c.sbAt(i).size)
+		}
+		live := 0
+		for _, l := range c.execLoads {
+			if l.seq < c.headSeq {
+				continue // committed: removed lazily
+			}
+			live++
+			e := c.entry(l.seq)
+			if e.kind != isa.Load || !e.executed || l.addr != e.inst.Addr || l.size != e.inst.Size {
+				t.Fatalf("cycle %d: executed-load entry %+v does not mirror its load (%s, executed %v)",
+					c.cycle, l, kindName(e.kind), e.executed)
+			}
+			ld.add(l.addr, l.size)
+		}
+		if live != executed {
+			t.Fatalf("cycle %d: %d executed in-flight loads, %d live executed-load entries", c.cycle, executed, live)
+		}
+		if sq != c.sqLines || sb != c.sbLines || ld != c.ldLines {
+			t.Fatalf("cycle %d: a line filter differs from its queue's footprints (sq %v, sb %v, ld %v)",
+				c.cycle, sq == c.sqLines, sb == c.sbLines, ld == c.ldLines)
+		}
+		for i, tb := range tables {
+			for set := uint32(0); set < uint32(tb.Sets()); set++ {
+				valid := false
+				for w := 0; w < tb.Ways(); w++ {
+					valid = valid || tb.At(set, w).Valid
+				}
+				if tb.Occupied(set) != valid {
+					t.Fatalf("cycle %d: table %d set %d occupancy bit %v, holds a valid entry %v",
+						c.cycle, i, set, tb.Occupied(set), valid)
+				}
+			}
+		}
+	}
+}
+
 // TestWakeInvariant steps the stages cycle by cycle, without dead-cycle
-// jumps, and checks the wake invariant after every cycle: on a memory-bound
-// and a core-bound app, on the two apps whose Store Sets waits register with
-// stores most, and on a random stream with register-writing stores on the
-// ROB-20 machine (a ring narrower than one bitset word, wake bounds beyond
-// the wheel horizon) under predictors producing every gate kind. The stepped
-// row must also equal RunContext's, skipped cycles included.
+// jumps, and checks the wake invariant and the memory-side mirrors after
+// every cycle: on a memory-bound and a core-bound app, on the two apps whose
+// Store Sets waits register with stores most, under MDP-TAGE and NoSQ (whose
+// tables fill and empty), and on a random stream with register-writing
+// stores on the ROB-20 machine (a ring narrower than one bitset word, wake
+// bounds beyond the wheel horizon) under predictors producing every gate
+// kind. The stepped row must also equal RunContext's, skipped cycles
+// included.
 func TestWakeInvariant(t *testing.T) {
 	random := withStoreDsts(randomTrace(3, 3000), 3)
 	storeSets := func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }
@@ -130,6 +208,8 @@ func TestWakeInvariant(t *testing.T) {
 		{"511.povray/storesets", config.AlderLake(), appTrace(t, "511.povray", 4000), storeSets},
 		{"557.xz_1/storesets", config.AlderLake(), appTrace(t, "557.xz_1", 4000), storeSets},
 		{"500.perlbench_3/storesets", config.AlderLake(), appTrace(t, "500.perlbench_3", 4000), storeSets},
+		{"541.leela/mdptage", config.AlderLake(), appTrace(t, "541.leela", 4000), func() mdp.Predictor { return mdp.NewMDPTAGE(mdp.DefaultMDPTAGEConfig()) }},
+		{"511.povray/nosq", config.AlderLake(), appTrace(t, "511.povray", 4000), func() mdp.Predictor { return mdp.NewNoSQ(mdp.DefaultNoSQConfig()) }},
 		{"random/phast", goldenMachines()[1], random, corePHAST},
 		{"random/storesets", goldenMachines()[1], random, storeSets},
 		{"random/vector", goldenMachines()[1], random, func() mdp.Predictor { return mdp.DefaultStoreVector() }},
@@ -141,7 +221,8 @@ func TestWakeInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stepped := stepRun(t, c, tc.tr, 10_000_000, wakeChecker(t, c))
+			wake, mirror := wakeChecker(t, c), mirrorChecker(t, c)
+			stepped := stepRun(t, c, tc.tr, 10_000_000, func() { wake(); mirror() })
 			ref, err := New(tc.m, tc.pred(), DefaultOptions())
 			if err != nil {
 				t.Fatal(err)

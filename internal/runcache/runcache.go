@@ -29,14 +29,22 @@ import (
 )
 
 // Key returns the content address of a simulation: hex SHA-256 over the
-// normalised Config and sim.BehaviorVersion. Configs that Run would treat
-// identically (defaulted machine/predictor/instruction-count spelled out or
-// left zero) hash identically.
+// normalised Config and sim.BehaviorVersion, plus sim.IntervalVersion for an
+// interval run (the field is omitted otherwise, keeping sequential keys
+// unchanged). Configs that Run would treat identically (defaulted
+// machine/predictor/instruction-count spelled out or left zero) hash
+// identically.
 func Key(cfg sim.Config) string {
+	cfg = cfg.Normalized()
+	interval := 0
+	if cfg.Intervals > 1 {
+		interval = sim.IntervalVersion
+	}
 	payload, err := json.Marshal(struct {
-		Version int        `json:"version"`
-		Config  sim.Config `json:"config"`
-	}{sim.BehaviorVersion, cfg.Normalized()})
+		Version  int        `json:"version"`
+		Config   sim.Config `json:"config"`
+		Interval int        `json:"interval_version,omitempty"`
+	}{sim.BehaviorVersion, cfg, interval})
 	if err != nil {
 		// Config is a plain struct of scalars; Marshal cannot fail on it.
 		panic("runcache: marshal config: " + err.Error())

@@ -291,3 +291,18 @@ func TestSingleFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestKeySaltsOnlyIntervalRuns pins the key of a sequential config, recorded
+// before interval keys gained sim.IntervalVersion, and requires the interval
+// spelling of the same config to have moved off its earlier key.
+func TestKeySaltsOnlyIntervalRuns(t *testing.T) {
+	seq := sim.Config{App: "511.povray", Predictor: "phast", Instructions: 20000}
+	if got, want := Key(seq), "16770b66b275cd92bf096a57fc123502810cae97c9c8538e19aa1e1fb86d8c46"; got != want {
+		t.Errorf("sequential key changed:\n got  %s\n want %s", got, want)
+	}
+	par := seq
+	par.Intervals = 4
+	if got, old := Key(par), "10abe7e8b673aafb465a107e7544908d0e502b7755ff90e9dae5c1d6760d4548"; got == old {
+		t.Errorf("interval key %s is still the unsalted one", got)
+	}
+}

@@ -117,3 +117,33 @@ func TestIntervalBadConfig(t *testing.T) {
 		t.Errorf("got %v, want an ErrConfig SimError", err)
 	}
 }
+
+// TestIntervalIPCTracksSequential: a warmed interval run must keep the
+// history-based predictors working, so its stitched IPC stays close to the
+// sequential run's for every predictor family. 511.povray has a few hot
+// store-load conflicts that every family learns within the warm-up; an
+// interval whose predictor cannot see the branch history (its folds frozen)
+// mispredicts them on every instance and loses half its IPC.
+func TestIntervalIPCTracksSequential(t *testing.T) {
+	const n, bound = 100_000, 0.04
+	for _, pred := range append(PredictorNames(), "storevector") {
+		t.Run(pred, func(t *testing.T) {
+			seq, err := Run(Config{App: "511.povray", Predictor: pred, Instructions: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := Run(Config{App: "511.povray", Predictor: pred, Instructions: n, Intervals: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqIPC := float64(seq.Committed) / float64(seq.Cycles)
+			parIPC := float64(par.Committed) / float64(par.Cycles)
+			t.Logf("IPC sequential %.4f, 4 intervals %.4f (%+.1f%%); violations %d / %d",
+				seqIPC, parIPC, 100*(parIPC/seqIPC-1), seq.MemOrderViolations, par.MemOrderViolations)
+			if d := parIPC/seqIPC - 1; d < -bound || d > bound {
+				t.Errorf("stitched IPC %.4f is %+.1f%% off the sequential %.4f (bound ±%.0f%%)",
+					parIPC, 100*d, seqIPC, 100*bound)
+			}
+		})
+	}
+}

@@ -88,6 +88,15 @@ const DefaultIntervalWarmup = 10_000
 // map-iteration eviction nondeterminism).
 const BehaviorVersion = 2
 
+// IntervalVersion stamps persisted results of interval runs (Intervals > 1)
+// on top of BehaviorVersion; the run cache salts only their keys with it, so
+// a change confined to interval runs leaves every sequential key untouched.
+//
+// Version 1: a warmed interval's history registers kept the predictor's
+// registered folds across the warm-up boundary; before, the boundary reset
+// dropped them, which froze PHAST's, MDP-TAGE's and NoSQ's history.
+const IntervalVersion = 1
+
 // Normalized returns cfg with every defaultable field filled in with the
 // value Run would use, so that two Configs describing the same simulation
 // compare (and hash) equal. SVWFilter overriding FwdFilterOff is also
