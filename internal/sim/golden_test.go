@@ -42,8 +42,41 @@ func goldenConfigs() []Config {
 // TestGoldenRows hashes the JSON rows of the pinned matrix and compares the
 // digest with the one recorded when the matrix was introduced.
 func TestGoldenRows(t *testing.T) {
+	if got := rowsDigest(t, goldenConfigs()); got != goldenRowsSHA256 {
+		t.Errorf("stats.Run rows of the golden matrix changed:\n got  %s\n want %s", got, goldenRowsSHA256)
+	}
+}
+
+// goldenUnlimitedRowsSHA256 pins the rows of goldenUnlimitedConfigs, kept
+// apart from goldenRowsSHA256 so that the older matrix's digest stays as
+// recorded.
+const goldenUnlimitedRowsSHA256 = "732e2d5d007d45d7b62818255df4ff88c4505e5a4f40fe790fee143c5e1b2a6f"
+
+// goldenUnlimitedConfigs runs the map-backed unlimited predictors of Figs.
+// 6–8 over the golden matrix's apps: the only rows that exercise their
+// exact history keys.
+func goldenUnlimitedConfigs() []Config {
+	var cfgs []Config
+	for _, app := range []string{"505.mcf", "520.omnetpp", "511.povray", "557.xz_1"} {
+		for _, pred := range []string{"unlimited-phast", "unlimited-nosq:8", "unlimited-mdptage"} {
+			cfgs = append(cfgs, Config{App: app, Predictor: pred, Instructions: 20_000})
+		}
+	}
+	return cfgs
+}
+
+// TestGoldenUnlimitedRows hashes the JSON rows of goldenUnlimitedConfigs.
+func TestGoldenUnlimitedRows(t *testing.T) {
+	if got := rowsDigest(t, goldenUnlimitedConfigs()); got != goldenUnlimitedRowsSHA256 {
+		t.Errorf("stats.Run rows of the unlimited golden matrix changed:\n got  %s\n want %s", got, goldenUnlimitedRowsSHA256)
+	}
+}
+
+// rowsDigest runs cfgs in order and hashes their JSON rows, one per line.
+func rowsDigest(t *testing.T, cfgs []Config) string {
+	t.Helper()
 	h := sha256.New()
-	for _, cfg := range goldenConfigs() {
+	for _, cfg := range cfgs {
 		run, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
@@ -54,7 +87,5 @@ func TestGoldenRows(t *testing.T) {
 		}
 		h.Write(append(row, '\n'))
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenRowsSHA256 {
-		t.Errorf("stats.Run rows of the golden matrix changed:\n got  %s\n want %s", got, goldenRowsSHA256)
-	}
+	return hex.EncodeToString(h.Sum(nil))
 }
