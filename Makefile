@@ -5,7 +5,8 @@
 all: build test
 
 # Full pre-merge gate: gofmt-clean sources + vet + build + race-enabled tests
-# + the fault-injection suite under -race + a 10-second pipeline fuzz + a
+# (the one-batch figure tests three more times, to shake out ordering races
+# in the batch slicing) + the fault-injection suite under -race + a 10-second pipeline fuzz + a
 # cached-vs-uncached paperfigs smoke proving the persistent run cache
 # reproduces byte-identical tables with zero re-simulations, a one-iteration
 # pass over every benchmark, the phastbench self-test, and a throughput
@@ -16,6 +17,7 @@ check:
 	go vet ./...
 	go build ./...
 	go test -race ./...
+	go test -race -count=3 -run 'FigureTables|Batch' ./internal/experiments
 	$(MAKE) chaos
 	$(MAKE) fuzz-smoke
 	$(MAKE) examples

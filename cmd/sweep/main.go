@@ -177,16 +177,20 @@ func runOn(ctx context.Context, r *experiments.Runner, m config.Machine, app, pr
 func machineSweep(r *experiments.Runner, predictor string) error {
 	t := stats.NewTable(fmt.Sprintf("machine sweep — %s", predictor),
 		"machine", "year", "IPC/ideal", "MPKI(FN)", "MPKI(FP)")
-	for _, m := range config.Generations() {
-		geo, err := r.GeoIPCvsIdeal(m.Name, predictor, false)
-		if err != nil {
-			return err
-		}
-		fn, fp, err := r.MeanMPKI(m.Name, predictor)
-		if err != nil {
-			return err
-		}
-		t.AddRowf(m.Name, m.Year, geo, fn, fp)
+	gens := config.Generations()
+	var variants []sim.Config
+	for _, m := range gens {
+		variants = append(variants,
+			sim.Config{Machine: m.Name, Predictor: "ideal"},
+			sim.Config{Machine: m.Name, Predictor: predictor})
+	}
+	grid, err := r.RunGrid(variants)
+	if err != nil {
+		return err
+	}
+	for i, m := range gens {
+		fn, fp := experiments.MeanMPKI(grid[2*i+1])
+		t.AddRowf(m.Name, m.Year, experiments.GeoIPCvsIdeal(grid[2*i+1], grid[2*i]), fn, fp)
 	}
 	fmt.Fprintln(r.Opt().Out, t)
 	return nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"sort"
 
 	"repro/internal/histutil"
@@ -17,7 +16,8 @@ type UnlimitedPHAST struct {
 	maxHist int
 	confMax int
 
-	entries map[string]*uEntry
+	entries map[string]*mdp.PathEntry
+	key     []byte
 	// lengths tracks, per load PC, the ascending history lengths with live
 	// entries — bounding the probe set exactly as "performing a set of
 	// searches" (§IV-A3) with a per-PC set of lengths.
@@ -30,11 +30,6 @@ type UnlimitedPHAST struct {
 	reads, writes uint64
 }
 
-type uEntry struct {
-	dist int
-	conf int
-}
-
 var _ mdp.Predictor = (*UnlimitedPHAST)(nil)
 
 // NewUnlimitedPHAST builds the study predictor. maxHist caps the tracked
@@ -44,7 +39,7 @@ func NewUnlimitedPHAST(maxHist int) *UnlimitedPHAST {
 	return &UnlimitedPHAST{
 		maxHist:     maxHist,
 		confMax:     15,
-		entries:     map[string]*uEntry{},
+		entries:     map[string]*mdp.PathEntry{},
 		lengths:     map[uint64][]int{},
 		conflictLen: make([]uint64, 513),
 	}
@@ -56,21 +51,15 @@ func (u *UnlimitedPHAST) Name() string { return "unlimited-phast" }
 // Bind implements mdp.Predictor (exact histories need no folds).
 func (u *UnlimitedPHAST) Bind(decode, commit *histutil.Reg) {}
 
-func key(pc uint64, hist *histutil.Reg, n int) string {
-	var pcb [8]byte
-	binary.LittleEndian.PutUint64(pcb[:], pc)
-	return string(pcb[:]) + hist.Key(n)
-}
-
 // Predict implements mdp.Predictor: probe every length this PC has trained
 // at, longest first; first confident match wins.
 func (u *UnlimitedPHAST) Predict(ld mdp.LoadInfo, hist *histutil.Reg) mdp.Prediction {
 	lens := u.lengths[ld.PC]
 	u.reads += uint64(len(lens))
 	for i := len(lens) - 1; i >= 0; i-- {
-		k := key(ld.PC, hist, lens[i])
-		if e, ok := u.entries[k]; ok && e.conf > 0 {
-			return mdp.Prediction{Kind: mdp.Distance, Dist: e.dist, ProviderKey: k}
+		u.key = mdp.AppendPathKey(u.key[:0], ld.PC, hist, lens[i])
+		if e, ok := u.entries[string(u.key)]; ok && e.Conf > 0 {
+			return mdp.Prediction{Kind: mdp.Distance, Dist: e.Dist, Path: e}
 		}
 	}
 	return mdp.Prediction{Kind: mdp.NoDep}
@@ -98,13 +87,14 @@ func (u *UnlimitedPHAST) TrainViolation(ld mdp.LoadInfo, st mdp.StoreInfo, dist 
 		return
 	}
 	histLen := u.capLen(int(ld.BranchCount-st.BranchCount)+1, hist)
-	k := key(ld.PC, hist, histLen)
+	u.key = mdp.AppendPathKey(u.key[:0], ld.PC, hist, histLen)
 	u.writes++
-	if e, ok := u.entries[k]; ok {
-		e.dist, e.conf = dist, u.confMax
+	if e, ok := u.entries[string(u.key)]; ok {
+		e.Dist, e.Conf = dist, u.confMax
 		return
 	}
-	u.entries[k] = &uEntry{dist: dist, conf: u.confMax}
+	k := string(u.key)
+	u.entries[k] = &mdp.PathEntry{Key: k, Dist: dist, Conf: u.confMax}
 	if histLen < len(u.conflictLen)-1 {
 		u.conflictLen[histLen]++
 	} else {
@@ -120,20 +110,18 @@ func (u *UnlimitedPHAST) TrainViolation(ld mdp.LoadInfo, st mdp.StoreInfo, dist 
 	}
 }
 
-// TrainCommit implements mdp.Predictor.
+// TrainCommit implements mdp.Predictor. Entries are updated in place and
+// never removed, so the providing entry is still the one stored.
 func (u *UnlimitedPHAST) TrainCommit(_ mdp.LoadInfo, out mdp.Outcome, _ *histutil.Reg) {
-	if out.Pred.ProviderKey == "" || !out.Waited {
-		return
-	}
-	e := u.entries[out.Pred.ProviderKey]
-	if e == nil {
+	e := out.Pred.Path
+	if e == nil || !out.Waited {
 		return
 	}
 	u.writes++
 	if out.TrueDep {
-		e.conf = u.confMax
-	} else if e.conf > 0 {
-		e.conf--
+		e.Conf = u.confMax
+	} else if e.Conf > 0 {
+		e.Conf--
 	}
 }
 

@@ -7,27 +7,6 @@ import (
 	"repro/internal/stats"
 )
 
-// geoVsIdeal runs one config variant per app on the runner's shared worker
-// pool (and through its cache) and returns the geometric-mean speedup over
-// the supplied ideal runs. variant receives the app name and returns the
-// per-app Config.
-func geoVsIdeal(r *Runner, ideal []*stats.Run, variant func(app string) sim.Config) (float64, error) {
-	apps := r.Opt().Apps
-	cfgs := make([]sim.Config, len(apps))
-	for i, app := range apps {
-		cfgs[i] = variant(app)
-	}
-	runs, err := r.RunConfigs(cfgs)
-	if err != nil {
-		return 0, err
-	}
-	ratios := make([]float64, len(runs))
-	for i := range runs {
-		ratios[i] = runs[i].Speedup(ideal[i])
-	}
-	return stats.GeoMean(ratios), nil
-}
-
 // AblationTrainPoint reproduces the §IV-A1 update-point analysis: every
 // predictor run with training at mispeculation detection versus at commit.
 // The paper found detection-time updates better for all the baselines (fast
@@ -37,28 +16,17 @@ func AblationTrainPoint(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Ablation — predictor update point (IPC vs ideal)",
 		"predictor", "at detection", "at commit")
-	ideal, err := r.RunApps("alderlake", "ideal", false)
+	preds := sim.PredictorNames()
+	var variants []sim.Config
+	for _, pred := range preds {
+		variants = append(variants, sim.Config{Predictor: pred, TrainAtDetect: true}, sim.Config{Predictor: pred})
+	}
+	ideal, grid, err := r.vsIdeal(variants)
 	if err != nil {
 		return err
 	}
-	geoWith := func(pred string, atDetect bool) (float64, error) {
-		return geoVsIdeal(r, ideal, func(app string) sim.Config {
-			return sim.Config{
-				App: app, Predictor: pred, Instructions: o.Instructions,
-				TrainAtDetect: atDetect,
-			}
-		})
-	}
-	for _, pred := range sim.PredictorNames() {
-		detect, err := geoWith(pred, true)
-		if err != nil {
-			return err
-		}
-		commit, err := r.GeoIPCvsIdeal("alderlake", pred, false)
-		if err != nil {
-			return err
-		}
-		t.AddRowf(pred, detect, commit)
+	for i, pred := range preds {
+		t.AddRowf(pred, GeoIPCvsIdeal(grid[2*i], ideal), GeoIPCvsIdeal(grid[2*i+1], ideal))
 	}
 	fmt.Fprintln(o.Out, t)
 	return nil
@@ -68,37 +36,36 @@ func AblationTrainPoint(r *Runner) error {
 // silences aliased or data-dependent entries (§IV-A2). ConfMax 0 disables
 // predictions entirely; 1 gives one strike; 15 is the paper's 4-bit counter.
 func AblationConfidence(r *Runner) error {
-	o := r.Opt()
 	t := stats.NewTable("Ablation — PHAST confidence ceiling (IPC vs ideal)",
 		"conf max", "IPC/ideal")
-	for _, conf := range []int{1, 3, 7, 15} {
-		spec := fmt.Sprintf("phast-conf:%d", conf)
-		geo, err := r.GeoIPCvsIdeal("alderlake", spec, false)
-		if err != nil {
-			return err
-		}
-		t.AddRowf(conf, geo)
-	}
-	fmt.Fprintln(o.Out, t)
-	return nil
+	return sweepVsIdeal(r, t, "phast-conf:%d", []int{1, 3, 7, 15})
 }
 
 // AblationHistoryTables sweeps the number of PHAST tables (prefixes of the
 // geometric length sequence), quantifying what each extra history length
 // buys — the design-choice study behind the (0..32) sequence of §IV-B.
 func AblationHistoryTables(r *Runner) error {
-	o := r.Opt()
 	t := stats.NewTable("Ablation — PHAST history length set (IPC vs ideal)",
 		"lengths", "IPC/ideal")
-	for _, n := range []int{1, 2, 4, 6, 8} {
-		spec := fmt.Sprintf("phast-tables:%d", n)
-		geo, err := r.GeoIPCvsIdeal("alderlake", spec, false)
-		if err != nil {
-			return err
-		}
-		t.AddRowf(n, geo)
+	return sweepVsIdeal(r, t, "phast-tables:%d", []int{1, 2, 4, 6, 8})
+}
+
+// sweepVsIdeal adds one row per value v to t: v and the geometric-mean IPC
+// versus ideal of the predictor spec fmt.Sprintf(format, v), all run as one
+// batch; it then prints t.
+func sweepVsIdeal(r *Runner, t *stats.Table, format string, values []int) error {
+	specs := make([]string, len(values))
+	for i, v := range values {
+		specs[i] = fmt.Sprintf(format, v)
 	}
-	fmt.Fprintln(o.Out, t)
+	ideal, grid, err := r.vsIdeal(predVariants("alderlake", specs...))
+	if err != nil {
+		return err
+	}
+	for i, v := range values {
+		t.AddRowf(v, GeoIPCvsIdeal(grid[i], ideal))
+	}
+	fmt.Fprintln(r.Opt().Out, t)
 	return nil
 }
 
@@ -110,32 +77,20 @@ func AblationFilter(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Ablation — mis-speculation filtering (IPC vs ideal)",
 		"predictor", "none", "svw", "fwd")
-	ideal, err := r.RunApps("alderlake", "ideal", false)
+	preds := sim.PredictorNames()
+	var variants []sim.Config
+	for _, pred := range preds {
+		variants = append(variants,
+			sim.Config{Predictor: pred, FwdFilterOff: true},
+			sim.Config{Predictor: pred, SVWFilter: true},
+			sim.Config{Predictor: pred})
+	}
+	ideal, grid, err := r.vsIdeal(variants)
 	if err != nil {
 		return err
 	}
-	geoWith := func(pred string, svw, fwdOff bool) (float64, error) {
-		return geoVsIdeal(r, ideal, func(app string) sim.Config {
-			return sim.Config{
-				App: app, Predictor: pred, Instructions: o.Instructions,
-				SVWFilter: svw, FwdFilterOff: fwdOff,
-			}
-		})
-	}
-	for _, pred := range sim.PredictorNames() {
-		none, err := geoWith(pred, false, true)
-		if err != nil {
-			return err
-		}
-		svw, err := geoWith(pred, true, false)
-		if err != nil {
-			return err
-		}
-		fwd, err := r.GeoIPCvsIdeal("alderlake", pred, false)
-		if err != nil {
-			return err
-		}
-		t.AddRowf(pred, none, svw, fwd)
+	for i, pred := range preds {
+		t.AddRowf(pred, GeoIPCvsIdeal(grid[3*i], ideal), GeoIPCvsIdeal(grid[3*i+1], ideal), GeoIPCvsIdeal(grid[3*i+2], ideal))
 	}
 	fmt.Fprintln(o.Out, t)
 	return nil

@@ -22,15 +22,19 @@ func Fig12(r *Runner) error {
 		Title: "Fig. 12 (chart) — IPC vs ideal, No FWD vs FWD", Width: 50,
 		Baseline: 1.0, Min: 0.8, Max: 1.01,
 	}
-	for _, pred := range sim.PredictorNames() {
-		noFwd, err := r.GeoIPCvsIdeal("alderlake", pred, true)
-		if err != nil {
-			return err
-		}
-		fwd, err := r.GeoIPCvsIdeal("alderlake", pred, false)
-		if err != nil {
-			return err
-		}
+	preds := sim.PredictorNames()
+	var variants []sim.Config
+	for _, pred := range preds {
+		variants = append(variants,
+			sim.Config{Machine: "alderlake", Predictor: pred, FwdFilterOff: true},
+			sim.Config{Machine: "alderlake", Predictor: pred})
+	}
+	ideal, grid, err := r.vsIdeal(variants)
+	if err != nil {
+		return err
+	}
+	for i, pred := range preds {
+		noFwd, fwd := GeoIPCvsIdeal(grid[2*i], ideal), GeoIPCvsIdeal(grid[2*i+1], ideal)
 		t.AddRowf(pred, noFwd, fwd)
 		chart.Add(pred+" no-fwd", noFwd)
 		chart.Add(pred+" fwd", fwd)
@@ -54,19 +58,24 @@ func Fig13(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Fig. 13 — performance vs storage", "predictor", "size KB", "IPC/ideal")
 	sc := viz.Scatter{Title: "Fig. 13 (chart) — IPC/ideal by storage budget", XLabel: "KB", Width: 44}
+	var families, specs []string
 	for _, family := range []string{"storesets", "nosq", "mdptage", "mdptage-s", "phast"} {
 		for _, spec := range fig13Budgets[family] {
-			pred, err := sim.NewPredictor(spec)
-			if err != nil {
-				return err
-			}
-			geo, err := r.GeoIPCvsIdeal("alderlake", spec, false)
-			if err != nil {
-				return err
-			}
-			t.AddRowf(spec, float64(pred.SizeBits())/8192, geo)
-			sc.Add(family, float64(pred.SizeBits())/8192, geo)
+			families, specs = append(families, family), append(specs, spec)
 		}
+	}
+	ideal, grid, err := r.vsIdeal(predVariants("alderlake", specs...))
+	if err != nil {
+		return err
+	}
+	for i, spec := range specs {
+		pred, err := sim.NewPredictor(spec)
+		if err != nil {
+			return err
+		}
+		geo := GeoIPCvsIdeal(grid[i], ideal)
+		t.AddRowf(spec, float64(pred.SizeBits())/8192, geo)
+		sc.Add(families[i], float64(pred.SizeBits())/8192, geo)
 	}
 	fmt.Fprintln(o.Out, t)
 	fmt.Fprintln(o.Out, sc.String())
@@ -83,29 +92,21 @@ func Fig14(r *Runner) error {
 		header = append(header, p+" FN", p+" FP")
 	}
 	t := stats.NewTable("Fig. 14 — MPKI of the evaluated predictors", header...)
-	all := map[string][]*stats.Run{}
-	for _, p := range preds {
-		runs, err := r.RunApps("alderlake", p, false)
-		if err != nil {
-			return err
-		}
-		all[p] = runs
+	grid, err := r.RunGrid(predVariants("alderlake", preds...))
+	if err != nil {
+		return err
 	}
 	for i, app := range o.Apps {
 		row := []interface{}{app}
-		for _, p := range preds {
-			row = append(row, all[p][i].ViolationMPKI(), all[p][i].FalseDepMPKI())
+		for _, runs := range grid {
+			row = append(row, runs[i].ViolationMPKI(), runs[i].FalseDepMPKI())
 		}
 		t.AddRowf(row...)
 	}
 	avg := []interface{}{"average"}
-	for _, p := range preds {
-		fns, fps := []float64{}, []float64{}
-		for _, run := range all[p] {
-			fns = append(fns, run.ViolationMPKI())
-			fps = append(fps, run.FalseDepMPKI())
-		}
-		avg = append(avg, stats.Mean(fns), stats.Mean(fps))
+	for _, runs := range grid {
+		fn, fp := MeanMPKI(runs)
+		avg = append(avg, fn, fp)
 	}
 	t.AddRowf(avg...)
 	fmt.Fprintln(o.Out, t)
@@ -117,21 +118,17 @@ func Fig14(r *Runner) error {
 func Fig15(r *Runner) error {
 	o := r.Opt()
 	preds := sim.PredictorNames()
-	ideal, err := r.RunApps("alderlake", "ideal", false)
+	ideal, grid, err := r.vsIdeal(predVariants("alderlake", preds...))
 	if err != nil {
 		return err
 	}
 	t := stats.NewTable("Fig. 15 — IPC normalised to ideal MDP", append([]string{"app"}, preds...)...)
 	ratios := map[string][]float64{}
 	perApp := map[string][]*stats.Run{}
-	for _, p := range preds {
-		runs, err := r.RunApps("alderlake", p, false)
-		if err != nil {
-			return err
-		}
-		perApp[p] = runs
-		for i := range runs {
-			ratios[p] = append(ratios[p], runs[i].Speedup(ideal[i]))
+	for i, p := range preds {
+		perApp[p] = grid[i]
+		for j := range grid[i] {
+			ratios[p] = append(ratios[p], grid[i][j].Speedup(ideal[j]))
 		}
 	}
 	for i, app := range o.Apps {
@@ -181,11 +178,13 @@ func Fig16(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Fig. 16 — predictor energy (nJ, suite total)",
 		"predictor", "pJ/access", "reads nJ", "writes nJ", "total nJ")
-	for _, p := range sim.PredictorNames() {
-		runs, err := r.RunApps("alderlake", p, false)
-		if err != nil {
-			return err
-		}
+	preds := sim.PredictorNames()
+	grid, err := r.RunGrid(predVariants("alderlake", preds...))
+	if err != nil {
+		return err
+	}
+	for i, p := range preds {
+		runs := grid[i]
 		var reads, writes uint64
 		for _, run := range runs {
 			reads += run.PredictorReads

@@ -49,20 +49,21 @@ func Fig01(r *Runner) error {
 		}
 		t.AddRowf(name, "branch", bpred.DirYear(name), stats.Mean(vals), 0.0)
 	}
-	for _, m := range mdpTimeline {
-		fn, fp, err := NewSubRunner(r, "nehalem").MeanMPKI("nehalem", m.spec)
-		if err != nil {
-			return err
-		}
+	specs := make([]string, len(mdpTimeline))
+	for i, m := range mdpTimeline {
+		specs[i] = m.spec
+	}
+	grid, err := r.RunGrid(predVariants("nehalem", specs...))
+	if err != nil {
+		return err
+	}
+	for i, m := range mdpTimeline {
+		fn, fp := MeanMPKI(grid[i])
 		t.AddRowf(m.spec, "mdp", m.year, fn, fp)
 	}
 	fmt.Fprintln(o.Out, t)
 	return nil
 }
-
-// NewSubRunner shares the cache of an existing runner (machine choice is
-// already part of the cache key, so this is just the same runner).
-func NewSubRunner(r *Runner, _ string) *Runner { return r }
 
 // fig2Predictors are the predictors of the generational study.
 var fig2Predictors = []string{"storesets", "storevector", "nosq", "mdptage", "phast"}
@@ -73,13 +74,19 @@ func Fig02a(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Fig. 2a — average total MDP MPKI across processor generations",
 		append([]string{"machine", "year"}, fig2Predictors...)...)
-	for _, m := range config.Generations() {
+	gens := config.Generations()
+	var variants []sim.Config
+	for _, m := range gens {
+		variants = append(variants, predVariants(m.Name, fig2Predictors...)...)
+	}
+	grid, err := r.RunGrid(variants)
+	if err != nil {
+		return err
+	}
+	for i, m := range gens {
 		row := []interface{}{m.Name, m.Year}
-		for _, pred := range fig2Predictors {
-			fn, fp, err := r.MeanMPKI(m.Name, pred)
-			if err != nil {
-				return err
-			}
+		for _, runs := range grid[i*len(fig2Predictors) : (i+1)*len(fig2Predictors)] {
+			fn, fp := MeanMPKI(runs)
 			row = append(row, fn+fp)
 		}
 		t.AddRowf(row...)
@@ -94,14 +101,21 @@ func Fig02b(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Fig. 2b — performance gap to ideal MDP (%) across processor generations",
 		append([]string{"machine", "year"}, fig2Predictors...)...)
-	for _, m := range config.Generations() {
+	gens := config.Generations()
+	preds := append([]string{"ideal"}, fig2Predictors...)
+	var variants []sim.Config
+	for _, m := range gens {
+		variants = append(variants, predVariants(m.Name, preds...)...)
+	}
+	grid, err := r.RunGrid(variants)
+	if err != nil {
+		return err
+	}
+	for i, m := range gens {
 		row := []interface{}{m.Name, m.Year}
-		for _, pred := range fig2Predictors {
-			geo, err := r.GeoIPCvsIdeal(m.Name, pred, false)
-			if err != nil {
-				return err
-			}
-			row = append(row, (1-geo)*100)
+		ideal := grid[i*len(preds)]
+		for _, runs := range grid[i*len(preds)+1 : (i+1)*len(preds)] {
+			row = append(row, (1-GeoIPCvsIdeal(runs, ideal))*100)
 		}
 		t.AddRowf(row...)
 	}

@@ -335,7 +335,8 @@ func (r *Runner) RunConfigsDetailedContext(ctx context.Context, cfgs []sim.Confi
 	tenant := TenantFrom(ctx)
 	ctx, cancel := r.batchContextFrom(ctx)
 	defer cancel()
-	r.prewarmTraces(ctx, tenant, cfgs)
+	waitPrewarm := r.prewarmTraces(ctx, tenant, cfgs)
+	defer waitPrewarm()
 	results := make([]Result, len(cfgs))
 	var wg sync.WaitGroup
 	for i, cfg := range cfgs {
@@ -379,26 +380,34 @@ func (r *Runner) RunConfigsDetailedContext(ctx context.Context, cfgs []sim.Confi
 // are left to their run — prewarming them would do the same work with an
 // extra pool round-trip. Errors are deliberately dropped: the runs
 // themselves surface them per config, with proper failure accounting.
-func (r *Runner) prewarmTraces(ctx context.Context, tenant string, cfgs []sim.Config) {
+//
+// It returns once the pool has taken every prewarm job, in the order the
+// streams first appear in cfgs, and does not wait for them to finish: the
+// batch's runs queue right behind, so the pool never idles at a prewarm
+// barrier, and a run that reaches a stream still being built waits for it in
+// sim's single-flight. The returned func waits for the prewarm jobs.
+func (r *Runner) prewarmTraces(ctx context.Context, tenant string, cfgs []sim.Config) (wait func()) {
 	type key struct {
 		app  string
 		n    int
 		seed int64
 	}
+	keys := make([]key, len(cfgs))
 	counts := make(map[key]int, len(cfgs))
-	for _, cfg := range cfgs {
+	for i, cfg := range cfgs {
 		n := cfg.Instructions
 		if n == 0 {
 			n = r.opt.Instructions
 		}
-		counts[key{cfg.App, n, cfg.Seed}]++
+		keys[i] = key{cfg.App, n, cfg.Seed}
+		counts[keys[i]]++
 	}
 	var wg sync.WaitGroup
-	for k, n := range counts {
-		if n < 2 {
+	for _, k := range keys {
+		if counts[k] < 2 {
 			continue
 		}
-		k := k
+		counts[k] = 0 // submitted
 		wg.Add(1)
 		err := r.sched.submitCtx(ctx, tenant, func() {
 			defer wg.Done()
@@ -411,7 +420,7 @@ func (r *Runner) prewarmTraces(ctx context.Context, tenant string, cfgs []sim.Co
 			wg.Done()
 		}
 	}
-	wg.Wait()
+	return wg.Wait
 }
 
 // batchContext derives one batch's context from the runner's base: with
@@ -484,51 +493,79 @@ func protect(fn func() error) (err error) {
 	return fn()
 }
 
+// RunGrid runs every variant — a config with its App left blank — over the
+// runner's apps as one batch, and returns each variant's runs in app order.
+// The batch is variant-major: the pool never drains between variants, and
+// the runs that share an app's trace sit len(apps) positions apart.
+func (r *Runner) RunGrid(variants []sim.Config) ([][]*stats.Run, error) {
+	apps := r.opt.Apps
+	cfgs := make([]sim.Config, 0, len(variants)*len(apps))
+	for _, v := range variants {
+		for _, app := range apps {
+			v.App = app
+			cfgs = append(cfgs, v)
+		}
+	}
+	runs, err := r.RunConfigs(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	grid := make([][]*stats.Run, len(variants))
+	for i := range grid {
+		grid[i] = runs[i*len(apps) : (i+1)*len(apps)]
+	}
+	return grid, nil
+}
+
+// vsIdeal runs the ideal oracle on alderlake and then every variant as one
+// RunGrid batch, and returns the ideal runs and each variant's runs.
+func (r *Runner) vsIdeal(variants []sim.Config) (ideal []*stats.Run, runs [][]*stats.Run, err error) {
+	grid, err := r.RunGrid(append(predVariants("alderlake", "ideal"), variants...))
+	if err != nil {
+		return nil, nil, err
+	}
+	return grid[0], grid[1:], nil
+}
+
+// predVariants returns one grid variant per predictor spec on machine.
+func predVariants(machine string, preds ...string) []sim.Config {
+	variants := make([]sim.Config, len(preds))
+	for i, p := range preds {
+		variants[i] = sim.Config{Machine: machine, Predictor: p}
+	}
+	return variants
+}
+
 // RunApps executes one (machine, predictor) combination over every app in
 // parallel and returns runs in app order.
 func (r *Runner) RunApps(machine, pred string, fwdOff bool) ([]*stats.Run, error) {
-	cfgs := make([]sim.Config, len(r.opt.Apps))
-	for i, app := range r.opt.Apps {
-		cfgs[i] = sim.Config{
-			App: app, Machine: machine, Predictor: pred,
-			Instructions: r.opt.Instructions, FwdFilterOff: fwdOff,
-		}
+	grid, err := r.RunGrid([]sim.Config{{Machine: machine, Predictor: pred, FwdFilterOff: fwdOff}})
+	if err != nil {
+		return nil, err
 	}
-	return r.RunConfigs(cfgs)
+	return grid[0], nil
 }
 
-// GeoIPCvsIdeal returns the geometric-mean IPC of a predictor normalised to
-// the ideal oracle over the runner's apps on the given machine.
-func (r *Runner) GeoIPCvsIdeal(machine, pred string, fwdOff bool) (float64, error) {
-	ideal, err := r.RunApps(machine, "ideal", false)
-	if err != nil {
-		return 0, err
-	}
-	runs, err := r.RunApps(machine, pred, fwdOff)
-	if err != nil {
-		return 0, err
-	}
+// GeoIPCvsIdeal returns the geometric-mean IPC of runs normalised to the
+// ideal oracle's runs of the same apps.
+func GeoIPCvsIdeal(runs, ideal []*stats.Run) float64 {
 	ratios := make([]float64, len(runs))
 	for i := range runs {
 		ratios[i] = runs[i].Speedup(ideal[i])
 	}
-	return stats.GeoMean(ratios), nil
+	return stats.GeoMean(ratios)
 }
 
 // MeanMPKI returns the arithmetic-mean violation and false-dependence MPKI
-// of a predictor over the runner's apps.
-func (r *Runner) MeanMPKI(machine, pred string) (fn, fp float64, err error) {
-	runs, err := r.RunApps(machine, pred, false)
-	if err != nil {
-		return 0, 0, err
-	}
+// of runs.
+func MeanMPKI(runs []*stats.Run) (fn, fp float64) {
 	fns := make([]float64, len(runs))
 	fps := make([]float64, len(runs))
 	for i, run := range runs {
 		fns[i] = run.ViolationMPKI()
 		fps[i] = run.FalseDepMPKI()
 	}
-	return stats.Mean(fns), stats.Mean(fps), nil
+	return stats.Mean(fns), stats.Mean(fps)
 }
 
 // WriteMetrics renders the runner's counters plus derived simulator

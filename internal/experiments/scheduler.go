@@ -16,7 +16,7 @@ var errSchedulerClosed = errors.New("experiments: runner is closed")
 
 // scheduler is the fixed-size worker pool shared by every figure a Runner
 // regenerates and every request the serving layer admits. All fan-out
-// (RunApps, RunConfigs, the ablation sweeps, HTTP batches) feeds one pool,
+// (RunGrid, RunConfigs, ForEachApp, HTTP batches) feeds one pool,
 // so app-level parallelism is bounded globally rather than per call site.
 //
 // Scheduling is weighted-fair across tenants. Each waiting job carries a

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sim"
@@ -22,15 +23,18 @@ func internDelta(fn func()) (misses, hits uint64) {
 		a[sim.CounterTraceInternHits] - b[sim.CounterTraceInternHits]
 }
 
+var batchShareRuns atomic.Int64
+
 // TestBatchSharesOneTrace: a multi-config batch over one workload decodes
 // its stream exactly once — the prewarm pass interns it and every run is a
 // hit on the shared trace, regardless of scheduling order.
 func TestBatchSharesOneTrace(t *testing.T) {
 	r := NewRunner(Options{Workers: 4})
 	defer r.Close()
-	// An instruction count no other test uses, so the interned stream
-	// cannot pre-exist in sim's process-wide cache.
-	const n = 23456
+	// An instruction count no other test (and no earlier -count repetition
+	// of this one) uses, so the interned stream cannot pre-exist in sim's
+	// process-wide cache.
+	n := 23456 + int(batchShareRuns.Add(1))
 	preds := []string{"phast", "storesets", "nosq", "mdptage", "storevector", "cht", "none", "ideal"}
 	cfgs := make([]sim.Config, len(preds))
 	for i, p := range preds {

@@ -230,22 +230,34 @@ func FoldEntries(entries []Entry, width int) uint64 {
 }
 
 // Key builds an exact (uncompressed) history key from the n youngest
-// entries, for the unlimited predictors where no aliasing is allowed. The
-// key is the entry stream packed 7 bits per entry into a string, prefixed
-// with the length so distinct lengths never collide.
-func (r *Reg) Key(n int) string {
-	entries := r.Last(n)
-	return KeyEntries(entries)
-}
+// entries, for the unlimited predictors where no aliasing is allowed: the
+// length in two bytes, so distinct lengths never collide, then one byte per
+// entry, oldest first (as Last(n)).
+func (r *Reg) Key(n int) string { return string(r.AppendKey(nil, n)) }
 
-// KeyEntries packs an explicit entry slice (oldest first) into an exact key.
-func KeyEntries(entries []Entry) string {
-	b := make([]byte, 0, len(entries)+2)
-	b = append(b, byte(len(entries)), byte(len(entries)>>8))
-	for _, e := range entries {
-		b = append(b, byte(e))
+// AppendKey appends Key(n) to b. Built into a reused buffer, a key probes a
+// map (m[string(b)]) without allocating.
+func (r *Reg) AppendKey(b []byte, n int) []byte {
+	if n > len(r.buf) {
+		panic("histutil: history request exceeds register capacity")
 	}
-	return string(b)
+	b = append(b, byte(n), byte(n>>8))
+	b = append(b, make([]byte, n)...) // missing leading entries stay zero
+	avail := int(min(r.count, uint64(n)))
+	dst := b[len(b)-avail:]
+	pos := r.head - avail
+	if pos < 0 {
+		// The entries wrap: the older part ends the ring.
+		pos += len(r.buf)
+		for i, e := range r.buf[pos:] {
+			dst[i] = byte(e)
+		}
+		dst, pos = dst[len(r.buf)-pos:], 0
+	}
+	for i := range dst {
+		dst[i] = byte(r.buf[pos+i])
+	}
+	return b
 }
 
 // HashPC computes the index hash of §IV-B: PC ⊕ (PC>>2) ⊕ (PC>>5). All

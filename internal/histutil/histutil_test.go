@@ -191,6 +191,24 @@ func TestKeyDistinguishesLengthAndContent(t *testing.T) {
 	}
 }
 
+// TestAppendKeyMatchesLast: a key is the length in two bytes, then the
+// entries of Last(n), at every length, before and after the ring wraps.
+func TestAppendKeyMatchesLast(t *testing.T) {
+	r := NewReg(8)
+	for i := 0; i < 20; i++ {
+		for n := 0; n <= r.Cap(); n++ {
+			want := []byte{byte(n), byte(n >> 8)}
+			for _, e := range r.Last(n) {
+				want = append(want, byte(e))
+			}
+			if got := r.AppendKey([]byte("pc"), n); string(got) != "pc"+string(want) {
+				t.Fatalf("after %d pushes, AppendKey(%d) = %v, want pc+%v", i, n, got, want)
+			}
+		}
+		r.Push(Entry(i + 1))
+	}
+}
+
 func TestHashPC(t *testing.T) {
 	if HashPC(0) != 0 {
 		t.Error("HashPC(0) should be 0")

@@ -43,9 +43,18 @@ type Prediction struct {
 	// Provider identifies the table entry that supplied the prediction so
 	// the predictor can audit it at commit (opaque to the pipeline).
 	Provider ProviderRef
-	// ProviderKey is the map key of the providing entry for unlimited
-	// (map-backed) predictors (opaque to the pipeline).
-	ProviderKey string
+	// Path is the providing entry of an unlimited (map-backed) predictor
+	// (opaque to the pipeline).
+	Path *PathEntry
+}
+
+// PathEntry is one entry of an unlimited (map-backed, alias-free)
+// predictor: the map key it is stored under and its prediction state.
+type PathEntry struct {
+	Key  string
+	Dist int
+	Conf int
+	U    bool
 }
 
 // ProviderRef locates a predicting entry for commit-time auditing.

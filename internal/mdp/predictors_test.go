@@ -264,7 +264,7 @@ func TestUnlimitedNoSQExactHistories(t *testing.T) {
 	// design's behaviour, not aliasing.
 	d.Push(histutil.NewEntry(true, true, 7))
 	p := u.Predict(ld, d)
-	if p.Kind != Distance || p.ProviderKey != "pi" {
+	if p.Kind != Distance || p.Path == nil || p.Path.Key != "" {
 		t.Errorf("changed history should fall back to the path-insensitive table, got %+v", p)
 	}
 }

@@ -11,18 +11,12 @@ import (
 // the training policy, never to table capacity or tag aliasing. Paths()
 // reports how many distinct (history, PC) contexts each tracks — Fig. 6b.
 
-// uEntry is one unlimited-table entry.
-type uEntry struct {
-	dist int
-	conf int
-	u    bool
-}
-
-// exactKey packs a load PC and an exact history into a map key.
-func exactKey(pc uint64, hist *histutil.Reg, n int) string {
-	var pcb [8]byte
-	binary.LittleEndian.PutUint64(pcb[:], pc)
-	return string(pcb[:]) + hist.Key(n)
+// AppendPathKey appends the exact map key of a load PC and its n youngest
+// history entries to b: the PC in eight bytes, then hist.Key(n). Built into
+// a reused buffer, a key probes a map without allocating; only an inserted
+// key is copied into a string.
+func AppendPathKey(b []byte, pc uint64, hist *histutil.Reg, n int) []byte {
+	return hist.AppendKey(binary.LittleEndian.AppendUint64(b, pc), n)
 }
 
 // UnlimitedNoSQ is the NoSQ predictor with unbounded, alias-free tables and
@@ -33,8 +27,9 @@ type UnlimitedNoSQ struct {
 	noStoreHooks
 
 	histLen int
-	pi      map[uint64]*uEntry
-	ps      map[string]*uEntry
+	pi      map[uint64]*PathEntry // Key "" marks a PC-only entry
+	ps      map[string]*PathEntry
+	key     []byte
 
 	confMax, confThres, confStep int
 }
@@ -43,8 +38,8 @@ type UnlimitedNoSQ struct {
 func NewUnlimitedNoSQ(histLen int) *UnlimitedNoSQ {
 	return &UnlimitedNoSQ{
 		histLen: histLen,
-		pi:      map[uint64]*uEntry{},
-		ps:      map[string]*uEntry{},
+		pi:      map[uint64]*PathEntry{},
+		ps:      map[string]*PathEntry{},
 		confMax: 127, confThres: 64, confStep: 16,
 	}
 }
@@ -58,12 +53,12 @@ func (n *UnlimitedNoSQ) HistLen() int { return n.histLen }
 // Predict implements Predictor.
 func (n *UnlimitedNoSQ) Predict(ld LoadInfo, hist *histutil.Reg) Prediction {
 	n.reads += 2
-	key := exactKey(ld.PC, hist, n.histLen)
-	if e, ok := n.ps[key]; ok && e.conf >= n.confThres {
-		return Prediction{Kind: Distance, Dist: e.dist, ProviderKey: key}
+	n.key = AppendPathKey(n.key[:0], ld.PC, hist, n.histLen)
+	if e, ok := n.ps[string(n.key)]; ok && e.Conf >= n.confThres {
+		return Prediction{Kind: Distance, Dist: e.Dist, Path: e}
 	}
-	if e, ok := n.pi[ld.PC]; ok && e.conf >= n.confThres {
-		return Prediction{Kind: Distance, Dist: e.dist, ProviderKey: "pi"}
+	if e, ok := n.pi[ld.PC]; ok && e.Conf >= n.confThres {
+		return Prediction{Kind: Distance, Dist: e.Dist, Path: e}
 	}
 	return Prediction{Kind: NoDep}
 }
@@ -74,33 +69,35 @@ func (n *UnlimitedNoSQ) TrainViolation(ld LoadInfo, st StoreInfo, dist int, _ Ou
 		return
 	}
 	n.writes += 2
-	key := exactKey(ld.PC, hist, n.histLen)
-	n.ps[key] = &uEntry{dist: dist, conf: n.confMax}
-	n.pi[ld.PC] = &uEntry{dist: dist, conf: n.confMax}
+	key := string(AppendPathKey(n.key[:0], ld.PC, hist, n.histLen))
+	n.ps[key] = &PathEntry{Key: key, Dist: dist, Conf: n.confMax}
+	n.pi[ld.PC] = &PathEntry{Dist: dist, Conf: n.confMax}
 }
 
-// TrainCommit implements Predictor.
+// TrainCommit implements Predictor: it trains the entry now stored where
+// the providing one was (training since the prediction may have replaced
+// it).
 func (n *UnlimitedNoSQ) TrainCommit(ld LoadInfo, out Outcome, hist *histutil.Reg) {
-	if out.Pred.ProviderKey == "" || !out.Waited {
+	if out.Pred.Path == nil || !out.Waited {
 		return
 	}
-	var e *uEntry
-	if out.Pred.ProviderKey == "pi" {
-		e = n.pi[ld.PC]
+	var e *PathEntry
+	if k := out.Pred.Path.Key; k != "" {
+		e = n.ps[k]
 	} else {
-		e = n.ps[out.Pred.ProviderKey]
+		e = n.pi[ld.PC]
 	}
 	if e == nil {
 		return
 	}
 	n.writes++
 	if out.TrueDep {
-		e.conf += n.confStep
-		if e.conf > n.confMax {
-			e.conf = n.confMax
+		e.Conf += n.confStep
+		if e.Conf > n.confMax {
+			e.Conf = n.confMax
 		}
 	} else {
-		e.conf /= 2
+		e.Conf /= 2
 	}
 }
 
@@ -121,7 +118,8 @@ type UnlimitedMDPTAGE struct {
 	noStoreHooks
 
 	hists  []int
-	tables []map[string]*uEntry
+	tables []map[string]*PathEntry
+	key    []byte
 	rng    uint64
 }
 
@@ -130,7 +128,7 @@ func NewUnlimitedMDPTAGE() *UnlimitedMDPTAGE {
 	hists := []int{6, 10, 17, 29, 50, 85, 146, 250, 428, 733, 1255, 2000}
 	u := &UnlimitedMDPTAGE{hists: hists, rng: 0x9e3779b97f4a7c15}
 	for range hists {
-		u.tables = append(u.tables, map[string]*uEntry{})
+		u.tables = append(u.tables, map[string]*PathEntry{})
 	}
 	return u
 }
@@ -138,20 +136,23 @@ func NewUnlimitedMDPTAGE() *UnlimitedMDPTAGE {
 // Name implements Predictor.
 func (u *UnlimitedMDPTAGE) Name() string { return "unlimited-mdptage" }
 
-// Predict implements Predictor: longest-history exact match with u set.
+// Predict implements Predictor: longest-history exact match with u set. The
+// longest key is built once; each shorter one, probed after it, is its tail
+// with the PC and length written over the older entries in front.
 func (u *UnlimitedMDPTAGE) Predict(ld LoadInfo, hist *histutil.Reg) Prediction {
 	u.reads += uint64(len(u.tables))
+	longest := min(u.hists[len(u.hists)-1], hist.Cap())
+	u.key = AppendPathKey(u.key[:0], ld.PC, hist, longest)
 	for c := len(u.tables) - 1; c >= 0; c-- {
-		n := u.hists[c]
-		if n > hist.Cap() {
-			n = hist.Cap()
-		}
-		key := exactKey(ld.PC, hist, n)
-		if e, ok := u.tables[c][key]; ok && e.u {
+		n := min(u.hists[c], hist.Cap())
+		key := u.key[longest-n:]
+		binary.LittleEndian.PutUint64(key, ld.PC)
+		key[8], key[9] = byte(n), byte(n>>8)
+		if e, ok := u.tables[c][string(key)]; ok && e.U {
 			return Prediction{
-				Kind: Distance, Dist: e.dist,
-				Provider:    ProviderRef{Valid: true, Table: c},
-				ProviderKey: key,
+				Kind: Distance, Dist: e.Dist,
+				Provider: ProviderRef{Valid: true, Table: c},
+				Path:     e,
 			}
 		}
 	}
@@ -167,22 +168,20 @@ func (u *UnlimitedMDPTAGE) TrainViolation(ld LoadInfo, st StoreInfo, dist int, o
 	if p := out.Pred.Provider; p.Valid && p.Table+1 < len(u.tables) {
 		from = p.Table + 1
 	}
-	n := u.hists[from]
-	if n > hist.Cap() {
-		n = hist.Cap()
-	}
-	u.tables[from][exactKey(ld.PC, hist, n)] = &uEntry{dist: dist, u: true}
+	key := string(AppendPathKey(u.key[:0], ld.PC, hist, min(u.hists[from], hist.Cap())))
+	u.tables[from][key] = &PathEntry{Key: key, Dist: dist, U: true}
 	u.writes++
 }
 
-// TrainCommit implements Predictor: false dependencies reset the providing
-// entry with probability 1/256, MDP-TAGE's forgetting rate.
+// TrainCommit implements Predictor: false dependencies reset the entry now
+// stored where the providing one was with probability 1/256, MDP-TAGE's
+// forgetting rate.
 func (u *UnlimitedMDPTAGE) TrainCommit(ld LoadInfo, out Outcome, hist *histutil.Reg) {
 	p := out.Pred.Provider
-	if !p.Valid || out.Pred.ProviderKey == "" {
+	if !p.Valid || out.Pred.Path == nil {
 		return
 	}
-	e := u.tables[p.Table][out.Pred.ProviderKey]
+	e := u.tables[p.Table][out.Pred.Path.Key]
 	if e == nil {
 		return
 	}
@@ -191,7 +190,7 @@ func (u *UnlimitedMDPTAGE) TrainCommit(ld LoadInfo, out Outcome, hist *histutil.
 		u.rng ^= u.rng >> 7
 		u.rng ^= u.rng << 17
 		if u.rng&255 == 0 {
-			delete(u.tables[p.Table], out.Pred.ProviderKey)
+			delete(u.tables[p.Table], out.Pred.Path.Key)
 			u.writes++
 		}
 	}

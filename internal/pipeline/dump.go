@@ -39,8 +39,8 @@ func (c *Core) stateDump() string {
 	fmt.Fprintf(&b, "-- pipeline state (cycle %d) --\n", c.cycle)
 	fmt.Fprintf(&b, "commit: next trace index %d/%d, headSeq %d, tailSeq %d (ROB %d/%d)\n",
 		c.nextCommitIdx, c.tr.Len(), c.headSeq, c.tailSeq, c.tailSeq-c.headSeq, c.robCap)
-	fmt.Fprintf(&b, "queues: IQ %d, LQ %d, SQ %d (ring %d), SB %d (started %d)\n",
-		c.iqCount, c.lqCount, c.sqCount, c.sqLen, c.sbLen, c.sbStarted)
+	fmt.Fprintf(&b, "queues: IQ %d, LQ %d, SQ %d, SB %d (started %d)\n",
+		c.iqCount, c.lqLen, c.sqLen, c.sbLen, c.sbStarted)
 	fmt.Fprintf(&b, "fetch:  next index %d, blocked until cycle %d, stalled on branch seq %d\n",
 		c.nextFetch, c.fetchBlockedTil, c.fetchStallSeq)
 	awake, memParked, filed, waiting := c.wakeCounts()

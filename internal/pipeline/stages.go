@@ -13,21 +13,24 @@ import (
 // entries, renaming sources, predicting branches (first fetch only — a
 // squash restores checkpointed front-end state rather than re-training; the
 // outcome is read from the run's branch outcomes, see bindTrace), and asking
-// the MDP for a decision on every load.
-func (c *Core) fetchStage() {
+// the MDP for a decision on every load. It reports whether it acted: a
+// dispatch, or a change of the stall or redirect state.
+func (c *Core) fetchStage() bool {
 	if c.cycle < c.fetchBlockedTil {
-		return
+		return false
 	}
+	acted := false
 	if c.fetchStallSeq != 0 {
 		// Waiting on an unresolved mispredicted branch.
 		if c.fetchStallSeq < c.headSeq {
 			c.fetchStallSeq = 0 // resolved and committed while we waited
+			acted = true
 		} else if e := c.entry(c.fetchStallSeq); e.state == stIssued {
 			c.fetchBlockedTil = e.doneAt + uint64(c.cfg.RedirectPenalty)
 			c.fetchStallSeq = 0
-			return
+			return true
 		} else {
-			return
+			return false
 		}
 	}
 	width := c.cfg.FetchWidth
@@ -36,21 +39,22 @@ func (c *Core) fetchStage() {
 		if c.robFull() || c.iqCount >= c.cfg.IQ {
 			break
 		}
-		if in.IsLoad() && c.lqCount >= c.cfg.LQ {
+		if in.IsLoad() && c.lqLen >= c.cfg.LQ {
 			break
 		}
-		if in.IsStore() && c.sqCount >= c.cfg.SQ {
+		if in.IsStore() && c.sqLen >= c.cfg.SQ {
 			break
 		}
 		if i == 0 {
 			// One instruction-cache access per fetch group.
 			if done := c.mem.Fetch(c.cycle, in.PC); done > c.cycle+uint64(c.cfg.L1I.HitLatency) {
 				c.fetchBlockedTil = done
-				return
+				return true
 			}
 		}
 		idx := c.nextFetch
 		c.dispatch(in, idx)
+		acted = true
 		firstFetch := idx > c.maxFetched
 		if firstFetch {
 			c.maxFetched = idx
@@ -65,10 +69,11 @@ func (c *Core) fetchStage() {
 			// than re-training (and correct-path refetches redirect cheaply).
 			if firstFetch && c.br.Missed(idx) {
 				c.fetchStallSeq = c.tailSeq - 1 // the branch just dispatched
-				return
+				return true
 			}
 		}
 	}
+	return acted
 }
 
 // dispatch allocates and renames one micro-op.
@@ -76,12 +81,9 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 	seq := c.tailSeq
 	c.tailSeq++
 	e := c.entry(seq)
-	*e = robEntry{
-		inst:     in,
-		seq:      seq,
-		traceIdx: traceIdx,
-		kind:     in.Kind,
-	}
+	*e = robEntry{}
+	e.inst, e.seq, e.traceIdx, e.kind = in, seq, traceIdx, in.Kind
+	e.loadIndex = c.lqFirst + uint64(c.lqLen)
 	if in.SrcA != 0 {
 		e.srcASeq = c.lastWriter[in.SrcA]
 	}
@@ -101,7 +103,8 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 		c.readyAt[seq&c.robMask] = e.doneAt + 1
 	case isa.Load:
 		c.iqCount++
-		c.lqCount++
+		c.lq[e.loadIndex&c.lqMask] = lqSlot{seq: seq, addr: in.Addr, size: in.Size}
+		c.lqLen++
 		e.branchCount = uint64(c.pre.Div[traceIdx])
 		e.storeCount = uint64(c.pre.St[traceIdx])
 		ld := mdp.LoadInfo{
@@ -116,13 +119,13 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 		e.pred = c.pred.Predict(ld, c.decodeHist)
 	case isa.Store:
 		c.iqCount++
-		c.sqCount++
 		e.branchCount = uint64(c.pre.Div[traceIdx])
 		e.storeIndex = uint64(c.pre.St[traceIdx])
 		e.ssWaitSeq = c.pred.StoreDispatch(mdp.StoreInfo{
 			PC: in.PC, Seq: seq, BranchCount: e.branchCount, StoreIndex: e.storeIndex,
 		})
-		c.sqPush(sqSlot{seq: seq, storeIndex: e.storeIndex, addr: in.Addr, size: in.Size})
+		*c.sqAt(c.sqLen) = sqSlot{seq: seq, storeIndex: e.storeIndex, addr: in.Addr, size: in.Size}
+		c.sqLen++
 		c.sqLines.add(in.Addr, in.Size)
 	default:
 		c.iqCount++
@@ -151,10 +154,14 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 // found an entry. (Where a register-writing store makes timing depend on
 // the evaluation schedule itself, the wait stays memory-bound with the plain
 // bound; see srcReadyAt.)
-func (c *Core) issueStage() {
+//
+// It reports whether it acted: an issue, or a store address resolution
+// (which takes a port and advances memEpoch).
+func (c *Core) issueStage() bool {
 	c.fireWheel()
 	aluPorts := c.cfg.IssuePorts - c.cfg.LoadPorts - c.cfg.StorePorts
 	loads, storesP, alu, total := 0, 0, 0, 0
+	issued := false
 	n := c.tailSeq - c.headSeq
 	for off := c.nextAwake(0, n); off < n; off = c.nextAwake(off+1, n) {
 		if total >= c.cfg.IssuePorts {
@@ -207,10 +214,13 @@ func (c *Core) issueStage() {
 				total++
 			}
 		}
-		if e.state != stIssued && !c.parked(e) {
+		if e.state == stIssued {
+			issued = true
+		} else if !c.parked(e) {
 			c.awake[word] |= bit // port-limited
 		}
 	}
+	return issued || total > 0
 }
 
 // tryStore advances a store through its two phases: address generation
@@ -262,12 +272,14 @@ func (c *Core) tryStore(e *robEntry, storesP *int, total *int) {
 
 // commitStage retires up to the commit width in order. A load flagged with a
 // memory order violation squashes here (lazy squash) after training the
-// predictor with the true youngest conflicting store.
-func (c *Core) commitStage() {
-	for n := 0; n < c.cfg.CommitWidth && !c.robEmpty(); n++ {
+// predictor with the true youngest conflicting store. It reports whether it
+// acted: a commit or a squash.
+func (c *Core) commitStage() bool {
+	n := 0
+	for ; n < c.cfg.CommitWidth && !c.robEmpty(); n++ {
 		e := c.entry(c.headSeq)
 		if e.state != stIssued || c.cycle < e.doneAt {
-			return
+			break
 		}
 		if e.traceIdx != c.nextCommitIdx {
 			panic(fmt.Sprintf("pipeline: commit order broken: committing trace index %d, expected %d",
@@ -279,13 +291,14 @@ func (c *Core) commitStage() {
 		}
 		if e.kind == isa.Load && e.violated {
 			c.commitViolation(e)
-			return
+			return true
 		}
 		if e.kind == isa.Store {
 			if c.sbLen >= c.cfg.SQ {
-				return // store buffer full: commit stalls
+				break // store buffer full: commit stalls
 			}
-			c.sbPush(sbEntry{seq: e.seq, storeIndex: e.storeIndex, traceIdx: e.traceIdx, addr: in.Addr, size: in.Size})
+			*c.sbAt(c.sbLen) = sbEntry{seq: e.seq, storeIndex: e.storeIndex, traceIdx: e.traceIdx, addr: in.Addr, size: in.Size}
+			c.sbLen++
 			c.sbLines.add(in.Addr, in.Size)
 			c.noteCommittedStore(e)
 			c.pred.StoreCommit(mdp.StoreInfo{
@@ -294,9 +307,9 @@ func (c *Core) commitStage() {
 			if c.sqLen == 0 || c.sqAt(0).seq != e.seq {
 				panic("pipeline: store queue out of sync at commit")
 			}
-			c.sqPopFront()
+			c.sqHead = (c.sqHead + 1) & c.sqMask
+			c.sqLen--
 			c.sqLines.remove(in.Addr, in.Size)
-			c.sqCount--
 			c.run.Stores++
 		}
 		if e.kind == isa.Load {
@@ -308,18 +321,23 @@ func (c *Core) commitStage() {
 		if c.opt.Verify != nil {
 			if err := c.verifyCommit(e); err != nil {
 				c.verifyErr = err
-				return
+				return true
 			}
 		}
 		c.run.Committed++
 		c.nextCommitIdx++
 		c.headSeq++
 	}
+	return n > 0
 }
 
-// commitLoad audits a successfully committing load's prediction.
+// commitLoad pops a successfully committing load from the load queue and
+// audits its prediction.
 func (c *Core) commitLoad(e *robEntry) {
-	c.lqCount--
+	pos := c.lqFirst & c.lqMask
+	c.lqExec[pos>>6] &^= 1 << (pos & 63)
+	c.lqFirst++
+	c.lqLen--
 	c.ldLines.remove(e.inst.Addr, e.inst.Size)
 	c.run.Loads++
 	if e.fwdFrom != 0 {
@@ -396,29 +414,28 @@ func (c *Core) squash(fromSeq uint64, traceIdx int) {
 		c.sqLines.remove(last.addr, last.size)
 		c.sqLen--
 	}
-	// Purge squashed loads from the executed-load list eagerly: their seqs
-	// are about to be reused. Stale entries of already-committed loads
-	// (seq < headSeq ≤ fromSeq) stay for lazy removal and were already
-	// removed from the line filter at commit.
-	live := c.execLoads[:0]
-	for _, l := range c.execLoads {
-		if l.seq >= fromSeq {
-			c.ldLines.remove(l.addr, l.size)
-			continue
+	// Likewise the load queue, releasing the counts of executed loads.
+	for c.lqLen > 0 {
+		pos := (c.lqFirst + uint64(c.lqLen) - 1) & c.lqMask
+		if c.lq[pos].seq < fromSeq {
+			break
 		}
-		live = append(live, l)
+		if c.lqExec[pos>>6]&(1<<(pos&63)) != 0 {
+			c.lqExec[pos>>6] &^= 1 << (pos & 63)
+			c.ldLines.remove(c.lq[pos].addr, c.lq[pos].size)
+		}
+		c.lqLen--
 	}
-	c.execLoads = live
 	// Conservatively wake every memory-bound survivor: squashes are rare.
 	// Time-bound parks need no wake — a survivor's bound rests on older
 	// entries only, and those survive too. Squashed slots keep stale wake
 	// bits, which the scan's park check absorbs.
 	c.memEvent()
-	// Rebuild rename table and occupancy counters from survivors.
+	// Rebuild the rename table and IQ occupancy from survivors.
 	for r := range c.lastWriter {
 		c.lastWriter[r] = 0
 	}
-	c.iqCount, c.lqCount, c.sqCount = 0, 0, 0
+	c.iqCount = 0
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		e := c.entry(seq)
 		if e.inst.Dst != 0 {
@@ -426,12 +443,6 @@ func (c *Core) squash(fromSeq uint64, traceIdx int) {
 		}
 		if e.state != stIssued {
 			c.iqCount++
-		}
-		switch e.kind {
-		case isa.Load:
-			c.lqCount++
-		case isa.Store:
-			c.sqCount++
 		}
 	}
 	c.nextFetch = traceIdx
@@ -451,9 +462,11 @@ func (c *Core) squash(fromSeq uint64, traceIdx int) {
 
 // drainStoreBuffer writes committed stores to the cache and frees their
 // store buffer entries. Drains start in order from the front, so the
-// started entries always form a prefix tracked by sbStarted — no scan.
-func (c *Core) drainStoreBuffer() {
-	for started := 0; c.sbStarted < c.sbLen && started < c.cfg.SBDrainPerCycle; started++ {
+// started entries always form a prefix tracked by sbStarted — no scan. It
+// reports whether it acted: a drain start or a free.
+func (c *Core) drainStoreBuffer() bool {
+	started := 0
+	for ; c.sbStarted < c.sbLen && started < c.cfg.SBDrainPerCycle; started++ {
 		e := c.sbAt(c.sbStarted)
 		e.drainStart = true
 		e.drainedAt = c.mem.StoreDrain(c.cycle, e.addr)
@@ -479,4 +492,5 @@ func (c *Core) drainStoreBuffer() {
 		// A freed entry can unblock loads partially covered by it.
 		c.memEvent()
 	}
+	return started > 0 || freed
 }

@@ -14,9 +14,30 @@ import (
 	"repro/internal/trace"
 )
 
+// activity is the state some stage changes whenever a cycle does any work:
+// a commit, an issue, a dispatch (tailSeq), a store-buffer drain start, a
+// store-buffer free, store address resolution or squash (all three advance
+// memEpoch), or a fetch redirect or stall change. A cycle that leaves it
+// unchanged did nothing but re-park blocked entries.
+type activity struct {
+	committed, issued, tailSeq, memEpoch uint64
+	fetchBlockedTil, fetchStallSeq       uint64
+	sbStarted                            int
+}
+
+func activityOf(c *Core) activity {
+	return activity{
+		committed: c.run.Committed, issued: c.run.IssuedUops, tailSeq: c.tailSeq, memEpoch: c.memEpoch,
+		fetchBlockedTil: c.fetchBlockedTil, fetchStallSeq: c.fetchStallSeq,
+		sbStarted: c.sbStarted,
+	}
+}
+
 // stepRun simulates tr on a fresh core like RunContext does, but steps every
 // cycle (no dead-cycle jumps) and calls check after each one. It stops when
-// the stream has retired or after limit cycles, and returns the row.
+// the stream has retired or after limit cycles, and returns the row. On
+// every cycle the stages' reports of whether they acted, ORed, must agree
+// with a change of the cycle's activity snapshot.
 func stepRun(t *testing.T, c *Core, tr *trace.Trace, limit uint64, check func()) stats.Run {
 	t.Helper()
 	if err := c.bindTrace(tr); err != nil {
@@ -24,10 +45,15 @@ func stepRun(t *testing.T, c *Core, tr *trace.Trace, limit uint64, check func())
 	}
 	for c.nextCommitIdx < tr.Len() && c.cycle < limit {
 		c.cycle++
-		c.commitStage()
-		c.drainStoreBuffer()
-		c.issueStage()
-		c.fetchStage()
+		before := activityOf(c)
+		acted := c.commitStage()
+		acted = c.drainStoreBuffer() || acted
+		acted = c.issueStage() || acted
+		acted = c.fetchStage() || acted
+		if changed := activityOf(c) != before; acted != changed {
+			t.Fatalf("cycle %d: the stages report acted %v, the activity snapshot changed %v (%+v → %+v)",
+				c.cycle, acted, changed, before, activityOf(c))
+		}
 		if c.verifyErr != nil {
 			t.Fatal(c.verifyErr)
 		}
@@ -90,8 +116,8 @@ func wakeChecker(t *testing.T, c *Core) func() {
 			switch {
 			case c.depProducer(e) != 0:
 				p := c.depProducer(e) & c.robMask
-				if c.depRows[p>>6]&(1<<(p&63)) == 0 {
-					fail("waits in a dependents row not marked non-empty")
+				if c.depSum[p]&(1<<(pos>>6>>c.sumShift)) == 0 {
+					fail("waits in a dependents-row word its row summary does not mark")
 				}
 			case !c.parked(e):
 				fail("is neither awake nor parked")
@@ -115,10 +141,14 @@ func wakeChecker(t *testing.T, c *Core) func() {
 // the memory-side searches read instead of ROB entries agree with the
 // entries: every store-queue slot mirrors its store (seq, allocation index,
 // footprint, address resolution) and the slots hold exactly the in-flight
-// stores in order; every live executed-load entry mirrors its executed load,
-// once per such load; each line filter counts exactly the footprints of its
-// queue; and every occupancy bit of the predictor's tables (if it has any)
-// says whether its set holds a valid entry.
+// stores in order; the load-queue slots hold exactly the in-flight loads in
+// order, with their footprints, and the executed bitmap marks exactly the
+// executed ones; every op's loadIndex is the LQ index of the first load
+// younger than it (its own, for a load); each line filter counts exactly the
+// footprints of its queue (the load filter: of the executed loads); every
+// non-zero dependents-row word has its row-summary bit; and every occupancy
+// bit of the predictor's tables (if it has any) says whether its set holds a
+// valid entry.
 func mirrorChecker(t *testing.T, c *Core) func() {
 	var tables []*mdp.AssocTable
 	if o, ok := c.pred.(interface{ Tables() []*mdp.AssocTable }); ok {
@@ -127,14 +157,37 @@ func mirrorChecker(t *testing.T, c *Core) func() {
 	return func() {
 		t.Helper()
 		var sq, sb, ld lineFilter
-		stores, executed := 0, 0
+		stores, loads, executed := 0, uint64(0), 0
 		for seq := c.headSeq; seq < c.tailSeq; seq++ {
-			switch e := c.entry(seq); {
-			case e.kind == isa.Store:
-				stores++
-			case e.kind == isa.Load && e.executed:
-				executed++
+			e := c.entry(seq)
+			if e.loadIndex != c.lqFirst+loads {
+				t.Fatalf("cycle %d: seq %d (%s) has load index %d, want %d",
+					c.cycle, seq, kindName(e.kind), e.loadIndex, c.lqFirst+loads)
 			}
+			switch e.kind {
+			case isa.Store:
+				stores++
+			case isa.Load:
+				pos := e.loadIndex & c.lqMask
+				want := lqSlot{seq: seq, addr: e.inst.Addr, size: e.inst.Size}
+				if c.lq[pos] != want || (c.lqExec[pos>>6]>>(pos&63))&1 == 1 != e.executed {
+					t.Fatalf("cycle %d: load-queue slot %d is %+v (executed bit %v), its load holds %+v (executed %v)",
+						c.cycle, loads, c.lq[pos], (c.lqExec[pos>>6]>>(pos&63))&1 == 1, want, e.executed)
+				}
+				if e.executed {
+					executed++
+					ld.add(e.inst.Addr, e.inst.Size)
+				}
+				loads++
+			}
+		}
+		marked := 0
+		for _, w := range c.lqExec {
+			marked += bits.OnesCount64(w)
+		}
+		if loads != uint64(c.lqLen) || marked != executed {
+			t.Fatalf("cycle %d: %d in-flight loads (%d executed), %d load-queue slots (%d marked executed)",
+				c.cycle, loads, executed, c.lqLen, marked)
 		}
 		if stores != c.sqLen {
 			t.Fatalf("cycle %d: %d in-flight stores, %d store-queue slots", c.cycle, stores, c.sqLen)
@@ -151,21 +204,13 @@ func mirrorChecker(t *testing.T, c *Core) func() {
 		for i := 0; i < c.sbLen; i++ {
 			sb.add(c.sbAt(i).addr, c.sbAt(i).size)
 		}
-		live := 0
-		for _, l := range c.execLoads {
-			if l.seq < c.headSeq {
-				continue // committed: removed lazily
+		words := uint64(len(c.awake))
+		for p, sum := range c.depSum {
+			for w := uint64(0); w < words; w++ {
+				if c.deps[uint64(p)*words+w] != 0 && sum&(1<<(w>>c.sumShift)) == 0 {
+					t.Fatalf("cycle %d: dependents row %d word %d is not zero but its summary bit is clear", c.cycle, p, w)
+				}
 			}
-			live++
-			e := c.entry(l.seq)
-			if e.kind != isa.Load || !e.executed || l.addr != e.inst.Addr || l.size != e.inst.Size {
-				t.Fatalf("cycle %d: executed-load entry %+v does not mirror its load (%s, executed %v)",
-					c.cycle, l, kindName(e.kind), e.executed)
-			}
-			ld.add(l.addr, l.size)
-		}
-		if live != executed {
-			t.Fatalf("cycle %d: %d executed in-flight loads, %d live executed-load entries", c.cycle, executed, live)
 		}
 		if sq != c.sqLines || sb != c.sbLines || ld != c.ldLines {
 			t.Fatalf("cycle %d: a line filter differs from its queue's footprints (sq %v, sb %v, ld %v)",

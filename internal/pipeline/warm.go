@@ -102,7 +102,7 @@ func (c *Core) settleStoreBuffer() error {
 // run retired completely and the store buffer is settled, so all queues are
 // empty — this only clears cursors, histories and scratch state.
 func (c *Core) resetTraceState() {
-	if c.tailSeq != c.headSeq || c.sqLen != 0 || c.sbLen != 0 || c.iqCount+c.lqCount+c.sqCount != 0 {
+	if c.tailSeq != c.headSeq || c.sqLen != 0 || c.sbLen != 0 || c.lqLen != 0 || c.iqCount != 0 {
 		panic("pipeline: warm-up ended with in-flight state")
 	}
 	c.tr, c.pre = nil, nil
@@ -111,8 +111,6 @@ func (c *Core) resetTraceState() {
 	c.scratchHist.Reset()
 	c.scratchK = 0
 	c.lastWriter = [isa.NumRegs]uint64{}
-	c.execLoads = c.execLoads[:0]
-	c.matchBuf = c.matchBuf[:0]
 	clear(c.readyAt)
 	c.clearWake()
 	c.wheelAt = c.cycle
