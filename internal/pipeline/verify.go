@@ -7,7 +7,8 @@ import "repro/internal/isa"
 // every committed micro-op, where the architectural value of each loaded
 // byte came from. The tap is nil by default and every capture site is
 // gated on a single pointer test, so the default hot path pays nothing
-// (held by the BENCH.json regression gate).
+// (TestSteadyStateZeroAlloc and TestWorkCounts hold its allocations; its
+// time shows in BenchmarkCoreRun).
 //
 // The contract with the checker: the pipeline records, at the cycle a load
 // actually executes, the *architectural source* of each loaded byte as the

@@ -1,6 +1,6 @@
 // Package sim is the one-call facade tying workloads, machine
 // configurations, predictors and the pipeline together. Experiment drivers
-// (cmd/, bench_test.go, examples/) go through this package.
+// (cmd/, examples/) go through this package.
 package sim
 
 import (
