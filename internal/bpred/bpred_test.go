@@ -172,8 +172,8 @@ func TestTargetCachePeriodicIndirect(t *testing.T) {
 func TestUnitRAS(t *testing.T) {
 	d, _ := NewDir("bimodal")
 	u := NewUnit(d)
-	call := isa.Inst{PC: 0x100, Kind: isa.Branch, Class: isa.Call, Taken: true, Target: 0x1000}
-	ret := isa.Inst{PC: 0x1040, Kind: isa.Branch, Class: isa.Return, Taken: true, Target: 0x104}
+	call := isa.Inst{PC: 0x100, Kind: isa.Branch, Class: isa.Call, Taken: true, Addr: 0x1000}
+	ret := isa.Inst{PC: 0x1040, Kind: isa.Branch, Class: isa.Return, Taken: true, Addr: 0x104}
 	if u.PredictAndTrain(&call) {
 		t.Error("direct call must never mispredict")
 	}
@@ -194,12 +194,12 @@ func TestUnitRASOverflowKeepsYoungest(t *testing.T) {
 	u := NewUnit(d)
 	for i := 0; i < 80; i++ { // deeper than the 64-entry RAS
 		call := isa.Inst{PC: uint64(0x100 + i*8), Kind: isa.Branch, Class: isa.Call,
-			Taken: true, Target: 0x1000}
+			Taken: true, Addr: 0x1000}
 		u.PredictAndTrain(&call)
 	}
 	// The youngest return address must still be correct.
 	ret := isa.Inst{PC: 0x2000, Kind: isa.Branch, Class: isa.Return, Taken: true,
-		Target: uint64(0x100 + 79*8 + 4)}
+		Addr: uint64(0x100 + 79*8 + 4)}
 	if u.PredictAndTrain(&ret) {
 		t.Error("youngest return must survive RAS overflow")
 	}
@@ -208,7 +208,7 @@ func TestUnitRASOverflowKeepsYoungest(t *testing.T) {
 func TestUnitDirectNeverMispredicts(t *testing.T) {
 	d, _ := NewDir("bimodal")
 	u := NewUnit(d)
-	j := isa.Inst{PC: 0x50, Kind: isa.Branch, Class: isa.Direct, Taken: true, Target: 0x90}
+	j := isa.Inst{PC: 0x50, Kind: isa.Branch, Class: isa.Direct, Taken: true, Addr: 0x90}
 	for i := 0; i < 5; i++ {
 		if u.PredictAndTrain(&j) {
 			t.Fatal("direct jumps have static targets")

@@ -43,14 +43,14 @@ func (u *Unit) PredictAndTrain(in *isa.Inst) (mispredicted bool) {
 		u.push(in.PC + 4)
 	case isa.Indirect, isa.IndirectCall:
 		target, ok := u.itc.Predict(in.PC)
-		mispredicted = !ok || target != in.Target
-		u.itc.Update(in.PC, in.Target)
+		mispredicted = !ok || target != in.Target()
+		u.itc.Update(in.PC, in.Target())
 		if in.Class == isa.IndirectCall {
 			u.push(in.PC + 4)
 		}
 	case isa.Return:
 		target, ok := u.pop()
-		mispredicted = !ok || target != in.Target
+		mispredicted = !ok || target != in.Target()
 	}
 	if mispredicted {
 		u.Mispredicts++

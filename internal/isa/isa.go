@@ -125,10 +125,20 @@ func (c BranchClass) IndirectTarget() bool {
 // architectural values (memory address, branch outcome and target) when the
 // instance is emitted; the timing model decides *when* those values become
 // visible to the pipeline.
+//
+// The layout is 24 bytes with no padding: traces hold every micro-op
+// resident, so each byte here costs one byte per simulated µop. Kind makes
+// memory ops and branches disjoint, so one word carries a load's or store's
+// address and a branch's destination.
 type Inst struct {
 	// PC is the address of the micro-op. Distinct static micro-ops must use
 	// distinct PCs: every predictor in this repository indexes by PC.
 	PC uint64
+	// Addr is the first byte a load or store accesses, or the destination a
+	// branch actually takes (its target if taken, the fall-through
+	// otherwise; see Target). Other kinds leave it zero.
+	Addr uint64
+
 	// Kind classifies the op.
 	Kind Kind
 	// Class refines branches; NotBranch otherwise.
@@ -143,17 +153,16 @@ type Inst struct {
 	// Lat is the execution latency in cycles for ALU ops (minimum 1).
 	// Loads/stores derive latency from the memory system instead.
 	Lat uint8
-
-	// Addr and Size describe the memory access of loads and stores.
-	Addr uint64
+	// Size is the width in bytes of a load's or store's access.
 	Size uint8
 
 	// Taken is the resolved direction of conditional branches. Unconditional
 	// transfers always have Taken == true.
 	Taken bool
-	// Target is the resolved destination of taken branches.
-	Target uint64
 }
+
+// Target returns a branch's resolved destination, which Addr carries.
+func (in *Inst) Target() uint64 { return in.Addr }
 
 // IsLoad reports whether the micro-op is a load.
 func (in *Inst) IsLoad() bool { return in.Kind == Load }
@@ -196,7 +205,7 @@ func (in *Inst) String() string {
 	case Store:
 		return fmt.Sprintf("%#x: store [%#x,%d) <- r%d", in.PC, in.Addr, in.Size, in.SrcB)
 	case Branch:
-		return fmt.Sprintf("%#x: %s taken=%t -> %#x", in.PC, in.Class, in.Taken, in.Target)
+		return fmt.Sprintf("%#x: %s taken=%t -> %#x", in.PC, in.Class, in.Taken, in.Target())
 	case ALU:
 		return fmt.Sprintf("%#x: alu   r%d <- r%d, r%d (lat %d)", in.PC, in.Dst, in.SrcA, in.SrcB, in.Lat)
 	default:

@@ -4,7 +4,17 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestInstSize pins the 24-byte, padding-free layout: traces keep every
+// micro-op resident, so a field added to Inst grows every simulation's
+// memory by its size per µop.
+func TestInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Inst{}) = %d, want 24", got)
+	}
+}
 
 func TestKindStrings(t *testing.T) {
 	cases := map[Kind]string{
@@ -132,7 +142,7 @@ func TestInstString(t *testing.T) {
 	insts := []Inst{
 		{PC: 0x10, Kind: Load, Dst: 3, Addr: 0x100, Size: 8},
 		{PC: 0x14, Kind: Store, SrcB: 4, Addr: 0x200, Size: 4},
-		{PC: 0x18, Kind: Branch, Class: Cond, Taken: true, Target: 0x40},
+		{PC: 0x18, Kind: Branch, Class: Cond, Taken: true, Addr: 0x40},
 		{PC: 0x1c, Kind: ALU, Dst: 1, SrcA: 2, SrcB: 3, Lat: 4},
 		{PC: 0x20, Kind: Nop},
 	}

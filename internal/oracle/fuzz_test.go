@@ -49,22 +49,22 @@ func traceFromBytes(data []byte) *trace.Trace {
 			case a%4 == 0:
 				insts = append(insts, isa.Inst{
 					PC: pc, Kind: isa.Branch, Class: isa.Cond, SrcA: reg(b),
-					Taken: c&1 == 0, Target: pc + uint64(c%64)*4,
+					Taken: c&1 == 0, Addr: pc + uint64(c%64)*4,
 				})
 			case a%4 == 1:
 				insts = append(insts, isa.Inst{
 					PC: pc, Kind: isa.Branch, Class: isa.Indirect, SrcA: reg(b),
-					Taken: true, Target: uint64(0x1000 + int(c)*4),
+					Taken: true, Addr: uint64(0x1000 + int(c)*4),
 				})
 			case a%4 == 2 && callDepth < 32:
 				callDepth++
 				insts = append(insts, isa.Inst{
-					PC: pc, Kind: isa.Branch, Class: isa.Call, Taken: true, Target: pc + 4,
+					PC: pc, Kind: isa.Branch, Class: isa.Call, Taken: true, Addr: pc + 4,
 				})
 			case callDepth > 0:
 				callDepth--
 				insts = append(insts, isa.Inst{
-					PC: pc, Kind: isa.Branch, Class: isa.Return, Taken: true, Target: pc + 4,
+					PC: pc, Kind: isa.Branch, Class: isa.Return, Taken: true, Addr: pc + 4,
 				})
 			default:
 				insts = append(insts, isa.Inst{PC: pc, Kind: isa.Nop})

@@ -45,7 +45,7 @@ func checkLive(t *testing.T, what string, u *bpred.Unit, insts []isa.Inst, got *
 // and a measured slice after WarmContext, which must continue the unit the
 // warm stream advanced. The rows' branch counts are the outcomes' counts.
 func TestBranchOutcomes(t *testing.T) {
-	first := isa.Inst{PC: 0xffc, Kind: isa.Branch, Class: isa.Cond, Taken: false, Target: 0x2000}
+	first := isa.Inst{PC: 0xffc, Kind: isa.Branch, Class: isa.Cond, Taken: false, Addr: 0x2000}
 	tr := &trace.Trace{Name: "branch-first", Insts: append([]isa.Inst{first}, randomTrace(5, 4000).Insts...)}
 	// Split where the measured slice, too, starts with a branch.
 	k := 2000

@@ -48,27 +48,27 @@ func randomTrace(seed int64, n int) *trace.Trace {
 		case r < 90:
 			insts = append(insts, isa.Inst{
 				PC: pc, Kind: isa.Branch, Class: isa.Cond,
-				SrcA:   isa.Reg(rng.Intn(isa.NumRegs)),
-				Taken:  rng.Intn(2) == 0,
-				Target: pc + uint64(rng.Intn(64))*4,
+				SrcA:  isa.Reg(rng.Intn(isa.NumRegs)),
+				Taken: rng.Intn(2) == 0,
+				Addr:  pc + uint64(rng.Intn(64))*4,
 			})
 		case r < 94:
 			insts = append(insts, isa.Inst{
 				PC: pc, Kind: isa.Branch, Class: isa.Indirect,
 				SrcA: isa.Reg(rng.Intn(isa.NumRegs)), Taken: true,
-				Target: uint64(0x1000 + rng.Intn(4096)*4),
+				Addr: uint64(0x1000 + rng.Intn(4096)*4),
 			})
 		case r < 97 && callDepth < 32:
 			callDepth++
 			insts = append(insts, isa.Inst{
 				PC: pc, Kind: isa.Branch, Class: isa.Call, Taken: true,
-				Target: pc + 4,
+				Addr: pc + 4,
 			})
 		case r < 99 && callDepth > 0:
 			callDepth--
 			insts = append(insts, isa.Inst{
 				PC: pc, Kind: isa.Branch, Class: isa.Return, Taken: true,
-				Target: pc + 4,
+				Addr: pc + 4,
 			})
 		default:
 			insts = append(insts, isa.Inst{PC: pc, Kind: isa.Nop})

@@ -316,7 +316,7 @@ func (c *Core) resolveStore(st *robEntry) {
 			ld.trainedAtDetect = true
 			ldInfo := c.loadInfoOf(ld)
 			dist := mdp.DistanceOf(ldInfo, ld.violStore)
-			c.pred.TrainViolation(ldInfo, ld.violStore, dist, c.outcomeOf(ld, true), c.histAt(ld.traceIdx))
+			c.pred.TrainViolation(ldInfo, ld.violStore, dist, c.outcomeOf(ld, true), c.histAt(ld.branchCount))
 		}
 	}
 }

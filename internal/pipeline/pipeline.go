@@ -255,11 +255,11 @@ type Core struct {
 	// consecutive training events replay only the delta instead of
 	// rebuilding all HistCap entries.
 	scratchHist *histutil.Reg
-	scratchK    int
+	scratchK    uint64
 
 	tr *trace.Trace
-	// pre holds the trace's precomputed divergent-branch/store prefix
-	// counts and history entries, shared across every run of the trace.
+	// pre holds the trace's divergent-branch history entries, shared
+	// across every run of the trace.
 	pre *trace.Prefixes
 	// storeWaits enables store-ordering waits in a store's dependents row
 	// (see waitStoreDone): set for traces without register-writing stores.
@@ -379,6 +379,11 @@ type Core struct {
 	maxFetched      int // highest trace index ever fetched (history dedup)
 	fetchBlockedTil uint64
 	fetchStallSeq   uint64 // unresolved mispredicted branch (0 = none)
+
+	// fetchStores counts the stores before nextFetch, as decodeHist.Count()
+	// does the divergent branches; a squash rewinds both to the violating
+	// load's copies.
+	fetchStores uint64
 
 	nextCommitIdx int // invariant: commits follow trace order
 
@@ -555,7 +560,7 @@ func (c *Core) Reset(pred mdp.Predictor) error {
 	c.cycle = 0
 	c.wheelAt = 0
 	c.memEpoch = 0
-	c.nextFetch, c.maxFetched = 0, 0
+	c.nextFetch, c.maxFetched, c.fetchStores = 0, 0, 0
 	c.fetchBlockedTil, c.fetchStallSeq = 0, 0
 	c.nextCommitIdx = 0
 	c.base = warmBase{}
@@ -1198,28 +1203,30 @@ func (c *Core) finalizeStats() {
 // e.g. PHAST's conflict-length histogram).
 func (c *Core) Predictor() mdp.Predictor { return c.pred }
 
-// histAt rebuilds, in the scratch register, the divergent-branch history as
-// it stood just before the instruction at traceIdx was decoded. The scratch
-// register is memoised on the divergent-branch count: repeat queries are
-// free, forward movement replays only the delta entries (the scratch has no
-// registered folds, so each push is O(1)), and only rewinds or long jumps
-// pay the full rebuild.
-func (c *Core) histAt(traceIdx int) *histutil.Reg {
-	k := int(c.pre.Div[traceIdx])
+// histAt rebuilds, in the scratch register, the divergent-branch history of
+// a micro-op that k divergent branches precede (its branchCount). The
+// scratch register is memoised on k: repeat queries are free, forward
+// movement replays only the delta entries (the scratch has no registered
+// folds, so each push is O(1)), and only rewinds or long jumps pay the full
+// rebuild.
+func (c *Core) histAt(k uint64) *histutil.Reg {
 	switch {
 	case k == c.scratchK:
 		// Memoised: already holds exactly this history.
-	case k > c.scratchK && k-c.scratchK <= c.scratchHist.Cap():
+	case k > c.scratchK && k-c.scratchK <= uint64(c.scratchHist.Cap()):
 		for _, e := range c.pre.DivEntries[c.scratchK:k] {
 			c.scratchHist.Push(e)
 		}
 	default:
-		lo := k - c.scratchHist.Cap()
-		if lo < 0 {
-			lo = 0
-		}
-		c.scratchHist.ResetTo(c.pre.DivEntries[lo:k], uint64(k))
+		c.rewindHist(c.scratchHist, k)
 	}
 	c.scratchK = k
 	return c.scratchHist
+}
+
+// rewindHist resets r to the history of a micro-op that k divergent
+// branches precede: the youngest entries up to r's capacity, count k.
+func (c *Core) rewindHist(r *histutil.Reg, k uint64) {
+	lo := k - min(k, uint64(r.Cap()))
+	r.ResetTo(c.pre.DivEntries[lo:k], k)
 }

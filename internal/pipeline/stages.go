@@ -105,8 +105,8 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 		c.iqCount++
 		c.lq[e.loadIndex&c.lqMask] = lqSlot{seq: seq, addr: in.Addr, size: in.Size}
 		c.lqLen++
-		e.branchCount = uint64(c.pre.Div[traceIdx])
-		e.storeCount = uint64(c.pre.St[traceIdx])
+		e.branchCount = c.decodeHist.Count()
+		e.storeCount = c.fetchStores
 		ld := mdp.LoadInfo{
 			PC:          in.PC,
 			Seq:         seq,
@@ -119,8 +119,9 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 		e.pred = c.pred.Predict(ld, c.decodeHist)
 	case isa.Store:
 		c.iqCount++
-		e.branchCount = uint64(c.pre.Div[traceIdx])
-		e.storeIndex = uint64(c.pre.St[traceIdx])
+		e.branchCount = c.decodeHist.Count()
+		e.storeIndex = c.fetchStores
+		c.fetchStores++
 		e.ssWaitSeq = c.pred.StoreDispatch(mdp.StoreInfo{
 			PC: in.PC, Seq: seq, BranchCount: e.branchCount, StoreIndex: e.storeIndex,
 		})
@@ -363,7 +364,7 @@ func (c *Core) commitViolation(e *robEntry) {
 		dist := mdp.DistanceOf(c.loadInfoOf(e), e.violStore)
 		c.pred.TrainViolation(c.loadInfoOf(e), e.violStore, dist, out, c.commitHist)
 	}
-	c.squash(e.seq, e.traceIdx)
+	c.squash(e)
 }
 
 func (c *Core) loadInfoOf(e *robEntry) mdp.LoadInfo {
@@ -398,9 +399,11 @@ func (c *Core) outcomeOf(e *robEntry, violated bool) mdp.Outcome {
 	return out
 }
 
-// squash discards the violating load and all younger micro-ops, restores the
-// rename state from the surviving entries, and redirects fetch to the load.
-func (c *Core) squash(fromSeq uint64, traceIdx int) {
+// squash discards the violating load ld and all younger micro-ops, restores
+// the rename state from the surviving entries, and redirects fetch to the
+// load.
+func (c *Core) squash(ld *robEntry) {
+	fromSeq := ld.seq
 	c.run.SquashedUops += c.tailSeq - fromSeq
 	c.tailSeq = fromSeq
 	// Truncate the store queue to surviving stores, releasing their line
@@ -445,19 +448,15 @@ func (c *Core) squash(fromSeq uint64, traceIdx int) {
 			c.iqCount++
 		}
 	}
-	c.nextFetch = traceIdx
+	c.nextFetch = ld.traceIdx
 	c.fetchStallSeq = 0
 	c.fetchBlockedTil = c.cycle + uint64(c.cfg.RedirectPenalty)
-	// Rewind the decode-time history to the squash point (checkpoint
-	// restore): it must hold exactly the divergent branches older than the
-	// re-fetched instruction, or re-dispatched loads predict with future
-	// branches in their context.
-	k := int(c.pre.Div[traceIdx])
-	lo := k - c.decodeHist.Cap()
-	if lo < 0 {
-		lo = 0
-	}
-	c.decodeHist.ResetTo(c.pre.DivEntries[lo:k], uint64(k))
+	// Rewind the decode-time counters and history to the squash point
+	// (checkpoint restore): they must count exactly the stores and divergent
+	// branches older than the re-fetched load, or re-dispatched loads predict
+	// with future branches in their context.
+	c.fetchStores = ld.storeCount
+	c.rewindHist(c.decodeHist, ld.branchCount)
 }
 
 // drainStoreBuffer writes committed stores to the cache and frees their

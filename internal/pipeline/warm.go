@@ -38,10 +38,11 @@ type warmBase struct {
 //     absolute completion cycles stay meaningful), SVW filter state, and the
 //     monotonic sequence numbers (committed producers must stay readable
 //     as "ready" — producerReady treats seq < headSeq as architectural).
-//   - Reset: the trace binding and its prefix structures (divergent-branch
-//     and store prefix counts are slice-local — squash rebuilds history
-//     from them, so histories must restart with the measured slice), the
-//     rename table, fetch/commit cursors, and the verification drain map
+//   - Reset: the trace binding and its prefix structures (the
+//     divergent-branch and store counts are slice-local — squash rebuilds
+//     history from the slice's entries, so histories and counts must
+//     restart with the measured slice), the rename table, fetch/commit
+//     cursors, and the verification drain map
 //     (a following verified run must see warm-written bytes as initial
 //     memory, matching oracle.NewIntervalChecker's provider translation).
 //   - Snapshotted: cumulative component counters, so finalizeStats reports
@@ -114,7 +115,7 @@ func (c *Core) resetTraceState() {
 	clear(c.readyAt)
 	c.clearWake()
 	c.wheelAt = c.cycle
-	c.nextFetch, c.maxFetched = 0, 0
+	c.nextFetch, c.maxFetched, c.fetchStores = 0, 0, 0
 	c.fetchBlockedTil, c.fetchStallSeq = 0, 0
 	c.nextCommitIdx = 0
 	if c.vdrained != nil {

@@ -24,7 +24,9 @@ import (
 //	  addr delta, size       varint + 1 byte (memory ops only)
 //	  target delta           varint   (branches only)
 //
-// PC/address/target deltas make hot loops nearly free to encode.
+// PC/address/target deltas make hot loops nearly free to encode. Addr
+// carries both a memory op's address and a branch's destination (see
+// isa.Inst), but each use keeps its own delta base.
 
 const codecMagic = "MDPT"
 const codecVersion = 1
@@ -90,17 +92,33 @@ func (t *Trace) Encode(w io.Writer) error {
 			}
 		}
 		if in.IsBranch() {
-			if err := putVarint(int64(in.Target - prevTarget)); err != nil {
+			if err := putVarint(int64(in.Target() - prevTarget)); err != nil {
 				return err
 			}
-			prevTarget = in.Target
+			prevTarget = in.Target()
 		}
 	}
 	return bw.Flush()
 }
 
-// Decode reads a trace previously written by Encode.
+// minEncodedInst is the fewest bytes one encoded micro-op takes: the head
+// byte, a one-byte pc delta and the three register bytes.
+const minEncodedInst = 5
+
+// decodeChunk caps the micro-ops Decode reserves up front when the reader
+// does not report its length; the slice grows by append beyond it.
+const decodeChunk = 1 << 12
+
+// Decode reads a trace previously written by Encode. The header's
+// instruction count is a claim, not a size: Decode never reserves more
+// micro-ops than the rest of the payload can encode (when r reports its
+// length, as bytes.Reader does) or than decodeChunk, so a short payload that
+// claims billions of micro-ops fails at its end instead of allocating them.
 func Decode(r io.Reader) (*Trace, error) {
+	reserve := uint64(decodeChunk)
+	if l, ok := r.(interface{ Len() int }); ok {
+		reserve = uint64(l.Len()) / minEncodedInst
+	}
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -134,10 +152,12 @@ func Decode(r io.Reader) (*Trace, error) {
 	if count > 1<<32 {
 		return nil, fmt.Errorf("trace: unreasonable instruction count %d", count)
 	}
-	t := &Trace{Name: string(nameBytes), Insts: make([]isa.Inst, count)}
+	insts := make([]isa.Inst, 0, min(count, reserve))
+	regs := make([]byte, 3)
 	var prevPC, prevAddr, prevTarget uint64
 	for i := uint64(0); i < count; i++ {
-		in := &t.Insts[i]
+		insts = append(insts, isa.Inst{})
+		in := &insts[i]
 		head, err := br.ReadByte()
 		if err != nil {
 			return nil, fmt.Errorf("trace: inst %d: %w", i, err)
@@ -151,7 +171,6 @@ func Decode(r io.Reader) (*Trace, error) {
 		}
 		in.PC = prevPC + uint64(d)
 		prevPC = in.PC
-		regs := make([]byte, 3)
 		if _, err := io.ReadFull(br, regs); err != nil {
 			return nil, err
 		}
@@ -177,9 +196,9 @@ func Decode(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, err
 			}
-			in.Target = prevTarget + uint64(d)
-			prevTarget = in.Target
+			in.Addr = prevTarget + uint64(d)
+			prevTarget = in.Addr
 		}
 	}
-	return t, nil
+	return &Trace{Name: string(nameBytes), Insts: insts}, nil
 }

@@ -9,18 +9,15 @@ import (
 )
 
 // Prefixes holds the per-trace precomputed structures the timing model
-// needs at dispatch and squash time: prefix counts of divergent branches and
-// stores, and the history entries of all divergent branches in stream order.
-// A Trace is immutable, so its prefixes are computed once and shared by
-// every core that replays it (trace interning makes one Trace serve many
-// predictor/machine configurations).
+// needs at squash time: the history entries of all divergent branches in
+// stream order. A Trace is immutable, so its prefixes are computed once and
+// shared by every core that replays it (trace interning makes one Trace
+// serve many predictor/machine configurations). Nothing here is per-µop: the
+// core counts divergent branches and stores as it dispatches.
 type Prefixes struct {
-	// Div[i] is the number of divergent branches before trace index i.
-	Div []uint32
-	// St[i] is the number of stores before trace index i.
-	St []uint32
 	// DivEntries holds the history entries of all divergent branches, in
-	// stream order; DivEntries[:Div[i]] is the history before index i.
+	// stream order; DivEntries[:k] is the history of a micro-op that k
+	// divergent branches precede.
 	DivEntries []histutil.Entry
 	// RegStores reports whether some store also writes a register — a shape
 	// only decoded streams have, and one the timing model's store-ordering
@@ -32,29 +29,21 @@ type Prefixes struct {
 // Safe for concurrent use; the result must be treated as read-only.
 func (t *Trace) Pre() *Prefixes {
 	t.preOnce.Do(func() {
-		n := len(t.Insts)
-		p := &Prefixes{
-			Div: make([]uint32, n+1),
-			St:  make([]uint32, n+1),
-		}
+		p := &Prefixes{}
 		divs := 0
 		for i := range t.Insts {
-			if t.Insts[i].Divergent() {
+			in := &t.Insts[i]
+			if in.Divergent() {
 				divs++
+			}
+			if in.IsStore() && in.Dst != 0 {
+				p.RegStores = true
 			}
 		}
 		p.DivEntries = make([]histutil.Entry, 0, divs)
 		for i := range t.Insts {
-			p.Div[i+1] = p.Div[i]
-			p.St[i+1] = p.St[i]
-			in := &t.Insts[i]
-			if in.Divergent() {
-				p.Div[i+1]++
+			if in := &t.Insts[i]; in.Divergent() {
 				p.DivEntries = append(p.DivEntries, EntryOf(in))
-			}
-			if in.IsStore() {
-				p.St[i+1]++
-				p.RegStores = p.RegStores || in.Dst != 0
 			}
 		}
 		t.pre = p
@@ -66,7 +55,7 @@ func (t *Trace) Pre() *Prefixes {
 // branch micro-op: type bit, outcome bit, and the low bits of the
 // destination actually taken (target if taken, fall-through otherwise).
 func EntryOf(in *isa.Inst) histutil.Entry {
-	dest := in.Target
+	dest := in.Target()
 	if !in.Taken {
 		dest = in.PC + 4
 	}

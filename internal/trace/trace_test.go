@@ -13,7 +13,7 @@ import (
 	"repro/internal/workload"
 )
 
-func testTrace(t *testing.T, app string, n int) *Trace {
+func testTrace(t testing.TB, app string, n int) *Trace {
 	t.Helper()
 	p, err := workload.ByName(app)
 	if err != nil {
@@ -82,7 +82,7 @@ func TestCodecRoundTripRandom(t *testing.T) {
 			case isa.Branch:
 				in.Class = isa.BranchClass(1 + rng.Intn(6))
 				in.Taken = rng.Intn(2) == 0
-				in.Target = rng.Uint64() >> 16
+				in.Addr = rng.Uint64() >> 16
 			}
 			tr.Insts = append(tr.Insts, in)
 		}
@@ -368,11 +368,8 @@ func TestPrefixesMatchStream(t *testing.T) {
 	if p != tr.Pre() {
 		t.Fatal("Pre must return the same shared structure")
 	}
-	divs, sts := uint32(0), uint32(0)
+	divs := 0
 	for i := range tr.Insts {
-		if p.Div[i] != divs || p.St[i] != sts {
-			t.Fatalf("prefix mismatch at %d: div %d/%d st %d/%d", i, p.Div[i], divs, p.St[i], sts)
-		}
 		in := &tr.Insts[i]
 		if in.Divergent() {
 			if got := p.DivEntries[divs]; got != EntryOf(in) {
@@ -380,14 +377,8 @@ func TestPrefixesMatchStream(t *testing.T) {
 			}
 			divs++
 		}
-		if in.IsStore() {
-			sts++
-		}
 	}
-	if p.Div[len(tr.Insts)] != divs || p.St[len(tr.Insts)] != sts {
-		t.Fatal("final prefix counts wrong")
-	}
-	if uint32(len(p.DivEntries)) != divs {
+	if len(p.DivEntries) != divs {
 		t.Fatalf("divEntries length %d, want %d", len(p.DivEntries), divs)
 	}
 	if p.RegStores {

@@ -77,29 +77,29 @@ func (e *Emitter) Cond(pc uint64, src isa.Reg, taken bool, target uint64) {
 	if !taken {
 		dest = pc + 4
 	}
-	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.Cond, SrcA: src, Taken: taken, Target: dest})
+	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.Cond, SrcA: src, Taken: taken, Addr: dest})
 }
 
 // Jmp emits an unconditional direct jump (not divergent).
 func (e *Emitter) Jmp(pc, target uint64) {
-	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.Direct, Taken: true, Target: target})
+	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.Direct, Taken: true, Addr: target})
 }
 
 // IndJmp emits an indirect jump through src to the resolved target.
 func (e *Emitter) IndJmp(pc uint64, src isa.Reg, target uint64) {
-	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.Indirect, SrcA: src, Taken: true, Target: target})
+	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.Indirect, SrcA: src, Taken: true, Addr: target})
 }
 
 // Call emits a direct call and pushes the return address.
 func (e *Emitter) Call(pc, target uint64) {
 	e.callStack = append(e.callStack, pc+4)
-	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.Call, Taken: true, Target: target})
+	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.Call, Taken: true, Addr: target})
 }
 
 // IndCall emits an indirect call through src and pushes the return address.
 func (e *Emitter) IndCall(pc uint64, src isa.Reg, target uint64) {
 	e.callStack = append(e.callStack, pc+4)
-	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.IndirectCall, SrcA: src, Taken: true, Target: target})
+	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.IndirectCall, SrcA: src, Taken: true, Addr: target})
 }
 
 // Ret emits a return to the most recent pushed return address.
@@ -109,7 +109,7 @@ func (e *Emitter) Ret(pc uint64) {
 	}
 	target := e.callStack[len(e.callStack)-1]
 	e.callStack = e.callStack[:len(e.callStack)-1]
-	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.Return, Taken: true, Target: target})
+	e.emit(isa.Inst{PC: pc, Kind: isa.Branch, Class: isa.Return, Taken: true, Addr: target})
 }
 
 // SP returns the current simulated stack pointer.

@@ -88,8 +88,8 @@ func TestEmitterCallStack(t *testing.T) {
 		t.Error("Ret should pop")
 	}
 	ret := e.out[len(e.out)-1]
-	if ret.Target != 0x104 {
-		t.Errorf("return target = %#x, want %#x", ret.Target, 0x104)
+	if ret.Target() != 0x104 {
+		t.Errorf("return target = %#x, want %#x", ret.Target(), 0x104)
 	}
 	defer func() {
 		if recover() == nil {
@@ -102,12 +102,12 @@ func TestEmitterCallStack(t *testing.T) {
 func TestEmitterCondFallthrough(t *testing.T) {
 	e := newEmitter(10, 1)
 	e.Cond(0x100, 1, false, 0x200)
-	if in := e.out[0]; in.Taken || in.Target != 0x104 {
-		t.Errorf("not-taken branch destination = %#x, want fall-through", in.Target)
+	if in := e.out[0]; in.Taken || in.Target() != 0x104 {
+		t.Errorf("not-taken branch destination = %#x, want fall-through", in.Target())
 	}
 	e.Cond(0x108, 1, true, 0x200)
-	if in := e.out[1]; !in.Taken || in.Target != 0x200 {
-		t.Errorf("taken branch destination = %#x, want %#x", in.Target, 0x200)
+	if in := e.out[1]; !in.Taken || in.Target() != 0x200 {
+		t.Errorf("taken branch destination = %#x, want %#x", in.Target(), 0x200)
 	}
 }
 
