@@ -38,7 +38,7 @@ func fatal(v ...any) {
 func main() {
 	var (
 		app          = flag.String("app", "511.povray", "workload name (see -list)")
-		predictor    = flag.String("predictor", "phast", "predictor spec (phast, storesets, nosq, mdptage, mdptage-s, ideal, none, unlimited-phast, ...)")
+		predictor    = flag.String("predictor", "phast", "predictor spec (-list names the families)")
 		machine      = flag.String("machine", "alderlake", "machine configuration")
 		n            = flag.Int("n", sim.DefaultInstructions, "instructions to simulate")
 		seed         = flag.Int64("seed", 0, "stream seed override (0 = app default)")
@@ -109,8 +109,11 @@ func main() {
 			fmt.Println("  " + a)
 		}
 		fmt.Println("machines:", config.Names())
-		fmt.Println("predictors:", sim.PredictorNames(),
-			"(plus ideal, none, alwayswait, cht, storevector, unlimited-*, and :<size> budget specs)")
+		var preds []string
+		for _, f := range sim.Families() {
+			preds = append(preds, f.Name)
+		}
+		fmt.Println("predictors:", preds, "(argument rules: README, Predictor specs)")
 		return
 	}
 

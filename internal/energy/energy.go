@@ -88,6 +88,16 @@ func PerAccessPJ(structs []Structure) float64 {
 	return total * scale
 }
 
+// ParallelFor returns the number of structures one access probes (the
+// divisor for write energy in OfRun), at least 1.
+func ParallelFor(structs []Structure) int {
+	total := 0
+	for _, s := range structs {
+		total += max(1, s.Parallel)
+	}
+	return max(1, total)
+}
+
 // RunEnergy summarises a predictor's energy over a simulation.
 type RunEnergy struct {
 	ReadsNJ  float64

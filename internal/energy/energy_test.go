@@ -5,49 +5,6 @@ import (
 	"testing"
 )
 
-// TestAnchorsNearTableII: the calibrated model must land near every
-// Table II per-access value it was fitted to (single-scale least squares,
-// so individual points deviate, but each must stay within 2.5×).
-func TestAnchorsNearTableII(t *testing.T) {
-	cases := []struct {
-		spec string
-		want float64
-	}{
-		{"storesets", 0.2403 + 0.1026}, // SSIT + LFST per full access
-		{"nosq", 0.3721},
-		{"mdptage", 1.3103},
-		{"mdptage-s", 0.4421},
-		{"phast", 0.4856},
-	}
-	for _, c := range cases {
-		got := PerAccessPJ(StructuresFor(c.spec))
-		ratio := got / c.want
-		if ratio < 0.6 || ratio > 1.6 {
-			t.Errorf("%s: per-access %.4f pJ, Table II %.4f (ratio %.2f)", c.spec, got, c.want, ratio)
-		}
-	}
-}
-
-func TestEnergyOrderingMatchesPaper(t *testing.T) {
-	// Fig. 16's main observation: the 12-component TAGE-like structure
-	// costs far more per access than the others.
-	tage := PerAccessPJ(StructuresFor("mdptage"))
-	for _, spec := range []string{"storesets", "nosq", "mdptage-s", "phast"} {
-		if got := PerAccessPJ(StructuresFor(spec)); got >= tage {
-			t.Errorf("%s (%.3f pJ) should cost less per access than mdptage (%.3f pJ)",
-				spec, got, tage)
-		}
-	}
-}
-
-func TestEnergyMonotonicInSize(t *testing.T) {
-	small := PerAccessPJ(StructuresFor("phast:32"))
-	big := PerAccessPJ(StructuresFor("phast:512"))
-	if small >= big {
-		t.Errorf("larger tables must cost more per access: %.4f vs %.4f", small, big)
-	}
-}
-
 func TestOfRun(t *testing.T) {
 	e := OfRun(1.0, 4, 1000, 100)
 	if math.Abs(e.ReadsNJ-1.0) > 1e-9 {
@@ -63,34 +20,6 @@ func TestOfRun(t *testing.T) {
 	// Degenerate parallel values must not divide by zero.
 	if OfRun(1, 0, 1, 1).TotalNJ() <= 0 {
 		t.Error("parallel=0 should clamp to 1")
-	}
-}
-
-func TestStructuresForUnknown(t *testing.T) {
-	if StructuresFor("ideal") != nil {
-		t.Error("storage-free predictors have no structures")
-	}
-	if ParallelFor("ideal") != 1 {
-		t.Error("ParallelFor must clamp to 1")
-	}
-	if ParallelFor("phast") != 8 {
-		t.Errorf("PHAST probes 8 tables, got %d", ParallelFor("phast"))
-	}
-}
-
-func TestStructuresBudgetArg(t *testing.T) {
-	s := StructuresFor("phast:256")
-	if len(s) != 1 || s[0].Entries != 256*4 {
-		t.Errorf("phast:256 structures = %+v", s)
-	}
-	s = StructuresFor("storesets:4096")
-	if len(s) != 2 || s[0].Entries != 4096 || s[1].Entries != 2048 {
-		t.Errorf("storesets:4096 structures = %+v", s)
-	}
-	// Malformed arg falls back to the default.
-	s = StructuresFor("phast:bogus")
-	if len(s) != 1 || s[0].Entries != 512 {
-		t.Errorf("malformed arg should use defaults, got %+v", s)
 	}
 }
 

@@ -44,24 +44,18 @@ func Fig12(r *Runner) error {
 	return nil
 }
 
-// fig13Budgets lists the storage sweep of Fig. 13 per predictor family.
-var fig13Budgets = map[string][]string{
-	"phast":     {"phast:32", "phast:64", "phast:128", "phast:256", "phast:512"},
-	"storesets": {"storesets:2048", "storesets:4096", "storesets:8192", "storesets:16384"},
-	"nosq":      {"nosq:512", "nosq:1024", "nosq:2048", "nosq:4096"},
-	"mdptage":   {"mdptage"},
-	"mdptage-s": {"mdptage-s"},
-}
-
 // Fig13 reproduces the performance-versus-storage trade-off sweep.
 func Fig13(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Fig. 13 — performance vs storage", "predictor", "size KB", "IPC/ideal")
 	sc := viz.Scatter{Title: "Fig. 13 (chart) — IPC/ideal by storage budget", XLabel: "KB", Width: 44}
 	var families, specs []string
-	for _, family := range []string{"storesets", "nosq", "mdptage", "mdptage-s", "phast"} {
-		for _, spec := range fig13Budgets[family] {
-			families, specs = append(families, family), append(specs, spec)
+	for _, f := range sim.Families() {
+		if !f.Headline {
+			continue
+		}
+		for _, spec := range f.BudgetSpecs() {
+			families, specs = append(families, f.Name), append(specs, spec)
 		}
 	}
 	ideal, grid, err := r.vsIdeal(predVariants("alderlake", specs...))
@@ -190,10 +184,14 @@ func Fig16(r *Runner) error {
 			reads += run.PredictorReads
 			writes += run.PredictorWrites
 		}
-		per := energy.PerAccessPJ(energy.StructuresFor(p))
+		structs, err := sim.Structures(p)
+		if err != nil {
+			return err
+		}
+		per := energy.PerAccessPJ(structs)
 		// Reads counted per structure probe: normalise to whole-predictor
 		// accesses.
-		parallel := energy.ParallelFor(p)
+		parallel := energy.ParallelFor(structs)
 		e := energy.OfRun(per, parallel, reads/uint64(parallel), writes)
 		t.AddRowf(p, per, e.ReadsNJ, e.WritesNJ, e.TotalNJ())
 	}
@@ -232,7 +230,11 @@ func Table2(r *Runner) error {
 		if err != nil {
 			return err
 		}
-		t.AddRowf(spec, float64(pred.SizeBits())/8192, energy.PerAccessPJ(energy.StructuresFor(spec)))
+		structs, err := sim.Structures(spec)
+		if err != nil {
+			return err
+		}
+		t.AddRowf(spec, float64(pred.SizeBits())/8192, energy.PerAccessPJ(structs))
 	}
 	fmt.Fprintln(o.Out, t)
 	return nil

@@ -11,20 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// mdpTimeline lists the memory dependence predictors of the Fig. 1 timeline
-// with their publication years.
-var mdpTimeline = []struct {
-	spec string
-	year int
-}{
-	{"storesets", 1998},
-	{"cht", 1999},
-	{"storevector", 2006},
-	{"nosq", 2006},
-	{"mdptage", 2018},
-	{"phast", 2024},
-}
-
 // Fig01 reproduces the 30-year MPKI timeline: branch predictor MPKI (gray
 // circles) and memory dependence predictor MPKI split into memory order
 // violations (false negatives) and false dependencies (false positives),
@@ -49,17 +35,20 @@ func Fig01(r *Runner) error {
 		}
 		t.AddRowf(name, "branch", bpred.DirYear(name), stats.Mean(vals), 0.0)
 	}
-	specs := make([]string, len(mdpTimeline))
-	for i, m := range mdpTimeline {
-		specs[i] = m.spec
+	var timeline []sim.Family
+	var specs []string
+	for _, f := range sim.Families() {
+		if f.Year > 0 {
+			timeline, specs = append(timeline, f), append(specs, f.Name)
+		}
 	}
 	grid, err := r.RunGrid(predVariants("nehalem", specs...))
 	if err != nil {
 		return err
 	}
-	for i, m := range mdpTimeline {
+	for i, f := range timeline {
 		fn, fp := MeanMPKI(grid[i])
-		t.AddRowf(m.spec, "mdp", m.year, fn, fp)
+		t.AddRowf(f.Name, "mdp", f.Year, fn, fp)
 	}
 	fmt.Fprintln(o.Out, t)
 	return nil

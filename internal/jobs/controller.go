@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/experiments"
 	"repro/internal/runcache"
 	"repro/internal/sim"
@@ -548,9 +549,8 @@ func bestTrial(trials []Trial) *Trial {
 	return best
 }
 
-// persist writes cp atomically: temp file in the checkpoint directory,
-// fsync-free rename over <id>.json (the same protocol as the run cache —
-// a torn write can never be observed under the final name). Best-effort:
+// persist writes cp to <id>.json through atomicfile.Write, so a torn write
+// can never be observed under the final name. Best-effort:
 // checkpointing must not fail the job the work already succeeded for; a
 // full disk costs resumability, not results.
 func (c *Controller) persist(cp *checkpoint) {
@@ -558,23 +558,7 @@ func (c *Controller) persist(cp *checkpoint) {
 	if err != nil {
 		return
 	}
-	f, err := os.CreateTemp(c.opt.Dir, ".tmp-*")
-	if err != nil {
-		return
-	}
-	tmp := f.Name()
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, filepath.Join(c.opt.Dir, cp.ID+".json")); err != nil {
-		os.Remove(tmp)
-	}
+	_ = atomicfile.Write(filepath.Join(c.opt.Dir, cp.ID+".json"), append(data, '\n'))
 }
 
 // run executes j's deterministic schedule from its checkpoint: one batch

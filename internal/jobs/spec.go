@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -40,9 +39,6 @@ const (
 	MaxAxis = 64
 	// MaxApps bounds a job's workload list.
 	MaxApps = 16
-	// MaxPredictorArg bounds the numeric argument of a predictor spec
-	// ("phast:<sets>"), keeping validation-time construction cheap.
-	MaxPredictorArg = 65536
 	// MaxInstructions bounds per-trial stream length at full fidelity.
 	MaxInstructions = 50_000_000
 	// MaxRungs bounds a halving schedule's depth.
@@ -222,32 +218,19 @@ func (s Spec) Validate() error {
 }
 
 func (sp Space) validate() error {
-	for _, axis := range [][]int{sp.PhastSets, sp.PhastTables, sp.PhastConf} {
-		if len(axis) > MaxAxis {
-			return specErrf("space axis of %d values (max %d)", len(axis), MaxAxis)
+	for _, vals := range [][]int{sp.PhastSets, sp.PhastTables, sp.PhastConf} {
+		if len(vals) > MaxAxis {
+			return specErrf("space axis of %d values (max %d)", len(vals), MaxAxis)
 		}
 	}
 	if len(sp.Predictors) > MaxAxis {
 		return specErrf("%d explicit predictors (max %d)", len(sp.Predictors), MaxAxis)
 	}
-	for _, v := range sp.PhastSets {
-		if v < 16 || v > MaxPredictorArg {
-			return specErrf("phast_sets value %d out of range [16, %d]", v, MaxPredictorArg)
-		}
-	}
-	for _, v := range sp.PhastTables {
-		if v < 1 || v > 8 {
-			return specErrf("phast_tables value %d out of range [1, 8]", v)
-		}
-	}
-	for _, v := range sp.PhastConf {
-		if v < 1 || v > 255 {
-			return specErrf("phast_conf value %d out of range [1, 255]", v)
-		}
-	}
-	for _, spec := range sp.Predictors {
-		if err := validatePredictorSpec(spec); err != nil {
-			return err
+	for _, ax := range sp.axes() {
+		for _, spec := range ax.specs {
+			if err := sim.CheckPredictor(spec); err != nil {
+				return specErrf("%s: %v", ax.name, err)
+			}
 		}
 	}
 	if len(sp.TrainAtDetect) > 2 {
@@ -259,26 +242,28 @@ func (sp Space) validate() error {
 	return nil
 }
 
-// validatePredictorSpec accepts exactly what sim.NewPredictor accepts, after
-// capping the numeric argument so validation-time construction stays cheap
-// on hostile input (a "phast:999999999" must be a 400, not an allocation).
-func validatePredictorSpec(spec string) error {
-	if spec == "" {
-		return specErrf("empty predictor spec")
-	}
-	if _, arg, ok := strings.Cut(spec, ":"); ok {
-		v, err := strconv.Atoi(arg)
-		if err != nil {
-			return specErrf("predictor spec %q: non-integer argument", spec)
+// axis is one predictor axis of a Space, expanded into sim predictor specs
+// and named as in the JSON spec, which is how rejections report it.
+type axis struct {
+	name  string
+	specs []string
+}
+
+// axes expands the space's predictor axes in candidate order.
+func (sp Space) axes() []axis {
+	specs := func(prefix string, vals []int) []string {
+		out := make([]string, len(vals))
+		for i, v := range vals {
+			out[i] = prefix + strconv.Itoa(v)
 		}
-		if v < 0 || v > MaxPredictorArg {
-			return specErrf("predictor spec %q: argument out of range [0, %d]", spec, MaxPredictorArg)
-		}
+		return out
 	}
-	if _, err := sim.NewPredictor(spec); err != nil {
-		return specErrf("%v", err)
+	return []axis{
+		{"predictors", sp.Predictors},
+		{"phast_sets", specs("phast:", sp.PhastSets)},
+		{"phast_tables", specs("phast-tables:", sp.PhastTables)},
+		{"phast_conf", specs("phast-conf:", sp.PhastConf)},
 	}
-	return nil
 }
 
 // Normalized fills every defaultable field with the value the controller
@@ -328,17 +313,9 @@ func (s Spec) Candidates() []Candidate {
 	if len(tads) == 0 {
 		tads = []bool{false}
 	}
-	preds := make([]string, 0,
-		len(s.Space.Predictors)+len(s.Space.PhastSets)+len(s.Space.PhastTables)+len(s.Space.PhastConf))
-	preds = append(preds, s.Space.Predictors...)
-	for _, v := range s.Space.PhastSets {
-		preds = append(preds, "phast:"+strconv.Itoa(v))
-	}
-	for _, v := range s.Space.PhastTables {
-		preds = append(preds, "phast-tables:"+strconv.Itoa(v))
-	}
-	for _, v := range s.Space.PhastConf {
-		preds = append(preds, "phast-conf:"+strconv.Itoa(v))
+	var preds []string
+	for _, ax := range s.Space.axes() {
+		preds = append(preds, ax.specs...)
 	}
 	seen := map[Candidate]bool{}
 	out := make([]Candidate, 0, len(preds)*len(tads))

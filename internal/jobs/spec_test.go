@@ -97,7 +97,9 @@ func TestParseSpecJSONRejects(t *testing.T) {
 		{"bad predictor", `{"space":{"predictors":["quantum"]}}`, "quantum"},
 		{"huge predictor arg", `{"space":{"predictors":["phast:999999999"]}}`, "out of range"},
 		{"non-integer arg", `{"space":{"predictors":["phast:many"]}}`, "non-integer"},
+		{"non-pow2 predictor arg", `{"space":{"predictors":["storesets:3"]}}`, "storesets:3"},
 		{"bad sets", `{"space":{"phast_sets":[4]}}`, "phast_sets"},
+		{"non-pow2 sets", `{"space":{"phast_sets":[17]}}`, "phast_sets"},
 		{"bad tables", `{"space":{"phast_tables":[9]}}`, "phast_tables"},
 		{"bad conf", `{"space":{"phast_conf":[0]}}`, "phast_conf"},
 		{"dup tad", `{"space":{"predictors":["phast"],"train_at_detect":[true,true]}}`, "duplicate"},

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/contentaddr"
 	"repro/internal/faultinject"
 	"repro/internal/sim"
@@ -212,10 +213,6 @@ func (s *Store) put(key string, cfg sim.Config, run *stats.Run) (int64, error) {
 	if p := faultinject.Active(); p != nil && p.Should(faultinject.FaultDiskWrite, key) {
 		return 0, errInjectedWrite
 	}
-	dst := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return 0, err
-	}
 	data, err := json.MarshalIndent(entry{
 		Version: sim.BehaviorVersion,
 		Key:     key,
@@ -225,21 +222,7 @@ func (s *Store) put(key string, cfg sim.Config, run *stats.Run) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), "."+filepath.Base(dst)+".tmp*")
-	if err != nil {
-		return 0, err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(s.path(key), append(data, '\n')); err != nil {
 		return 0, err
 	}
 	return int64(len(data)) + 1, nil

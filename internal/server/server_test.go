@@ -110,8 +110,9 @@ func TestServerRunMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestServerBatch: per-row outcomes in request order, including a typed
-// error row for a bad config, with the good rows matching in-process runs.
+// TestServerBatch: per-row outcomes in request order, including typed
+// error rows for bad configs, with the good rows matching in-process runs.
+// The bad configs alone on /v1/runs are 400 config errors.
 func TestServerBatch(t *testing.T) {
 	r := experiments.NewRunner(experiments.Options{Instructions: 10_000, KeepGoing: true})
 	defer r.Close()
@@ -122,20 +123,28 @@ func TestServerBatch(t *testing.T) {
 		{App: "511.povray", Predictor: "none", Instructions: 10_000},
 		{App: "511.povray", Predictor: "warp-drive", Instructions: 10_000},
 		{App: "519.lbm", Predictor: "none", Instructions: 10_000},
+		{App: "511.povray", Predictor: "storesets:3", Instructions: 10_000},
 	}}
 	var resp BatchResponse
 	status, _ := postJSON(t, ts.Client(), ts.URL+"/v1/batch", req, &resp)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, want 200", status)
 	}
-	if len(resp.Results) != 3 {
-		t.Fatalf("got %d rows, want 3", len(resp.Results))
+	if len(resp.Results) != len(req.Configs) {
+		t.Fatalf("got %d rows, want %d", len(resp.Results), len(req.Configs))
 	}
 	if resp.Results[0].Run == nil || resp.Results[2].Run == nil {
 		t.Error("good configs must carry runs")
 	}
-	if resp.Results[1].Error == nil || resp.Results[1].Error.Kind != string(sim.ErrConfig) {
-		t.Errorf("bad config row = %+v, want a %q error", resp.Results[1], sim.ErrConfig)
+	for _, i := range []int{1, 3} {
+		if resp.Results[i].Error == nil || resp.Results[i].Error.Kind != string(sim.ErrConfig) {
+			t.Errorf("bad config row = %+v, want a %q error", resp.Results[i], sim.ErrConfig)
+		}
+		var er errorResponse
+		status, _ := postJSON(t, ts.Client(), ts.URL+"/v1/runs", RunRequest{Config: req.Configs[i]}, &er)
+		if status != http.StatusBadRequest || er.Error.Kind != string(sim.ErrConfig) {
+			t.Errorf("POST /v1/runs %s = %d/%q, want 400/%q", req.Configs[i].Predictor, status, er.Error.Kind, sim.ErrConfig)
+		}
 	}
 	want, err := sim.Run(req.Configs[0])
 	if err != nil {

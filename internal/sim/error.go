@@ -109,13 +109,25 @@ func wrapError(cfg Config, err error) *SimError {
 	}
 }
 
+// specError is a rejected predictor spec (see NewPredictor).
+type specError struct {
+	spec, msg string
+}
+
+func (e *specError) Error() string { return fmt.Sprintf("sim: predictor spec %q: %s", e.spec, e.msg) }
+
 // KindOf classifies any error an experiment runner sees into an ErrorKind
-// for metrics: SimErrors report their own kind, bare context errors map to
-// timeout/cancelled, everything else is ErrInternal.
+// for metrics: SimErrors report their own kind, rejected predictor specs
+// are ErrConfig, bare context errors map to timeout/cancelled, everything
+// else is ErrInternal.
 func KindOf(err error) ErrorKind {
 	var se *SimError
 	if errors.As(err, &se) {
 		return se.Kind
+	}
+	var spe *specError
+	if errors.As(err, &spe) {
+		return ErrConfig
 	}
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):

@@ -48,6 +48,9 @@ func FuzzSimConfig(f *testing.F) {
 			if se.Kind == "" || strings.TrimSpace(se.Error()) == "" {
 				t.Fatalf("SimError missing kind or message: %+v", se)
 			}
+			if se.Kind == ErrPanic {
+				t.Fatalf("simulator panicked: %v\n%s", se, se.Stack)
+			}
 			return
 		}
 		if want := uint64(cfg.Normalized().Instructions); run.Committed != want {

@@ -7,13 +7,10 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/mdp"
 	"repro/internal/oracle"
 	"repro/internal/parsim"
@@ -131,122 +128,6 @@ func (cfg Config) Normalized() Config {
 		}
 	}
 	return cfg
-}
-
-// NewPredictor builds a predictor from its spec string. Specs:
-//
-//	phast                 paper configuration (14.5KB)
-//	phast:<sets>          budget sweep (sets per table: 32..512)
-//	storesets             Table II Store Sets (18.5KB)
-//	storesets:<ssit>      budget sweep (SSIT entries; LFST = SSIT/2)
-//	nosq                  Table II NoSQ predictor (19KB)
-//	nosq:<entries>        budget sweep (entries per table)
-//	mdptage               Table II standalone MDP-TAGE (38.6KB)
-//	mdptage-s             MDP-TAGE with PHAST's tables/histories (13KB)
-//	storevector | cht     early predictors (Fig. 1/Fig. 2 context)
-//	ideal | none | alwayswait
-//	unlimited-phast[:<maxhist>]
-//	unlimited-nosq:<histlen>
-//	unlimited-mdptage
-func NewPredictor(spec string) (mdp.Predictor, error) {
-	name, arg := spec, ""
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		name, arg = spec[:i], spec[i+1:]
-	}
-	argInt := func(def int) (int, error) {
-		if arg == "" {
-			return def, nil
-		}
-		v, err := strconv.Atoi(arg)
-		if err != nil {
-			return 0, fmt.Errorf("sim: bad argument in predictor spec %q: %v", spec, err)
-		}
-		return v, nil
-	}
-	switch name {
-	case "phast":
-		sets, err := argInt(core.DefaultConfig().Sets)
-		if err != nil {
-			return nil, err
-		}
-		return core.New(core.BudgetConfig(sets)), nil
-	case "storesets":
-		ssit, err := argInt(8192)
-		if err != nil {
-			return nil, err
-		}
-		cfg := mdp.DefaultStoreSetsConfig()
-		cfg.SSITEntries, cfg.LFSTEntries = ssit, ssit/2
-		return mdp.NewStoreSets(cfg), nil
-	case "nosq":
-		entries, err := argInt(2048)
-		if err != nil {
-			return nil, err
-		}
-		cfg := mdp.DefaultNoSQConfig()
-		cfg.EntriesPerTable = entries
-		return mdp.NewNoSQ(cfg), nil
-	case "mdptage":
-		return mdp.NewMDPTAGE(mdp.DefaultMDPTAGEConfig()), nil
-	case "mdptage-s":
-		return mdp.NewMDPTAGE(mdp.ShortMDPTAGEConfig()), nil
-	case "storevector":
-		return mdp.DefaultStoreVector(), nil
-	case "cht":
-		return mdp.DefaultCHT(), nil
-	case "perceptron-mdp":
-		return mdp.DefaultPerceptronMDP(), nil
-	case "phast-conf":
-		conf, err := argInt(15)
-		if err != nil {
-			return nil, err
-		}
-		if conf < 1 || conf > 255 {
-			return nil, fmt.Errorf("sim: phast-conf out of range: %d", conf)
-		}
-		cfg := core.DefaultConfig()
-		cfg.ConfMax = uint8(conf)
-		return core.New(cfg), nil
-	case "phast-tables":
-		n, err := argInt(8)
-		if err != nil {
-			return nil, err
-		}
-		cfg := core.DefaultConfig()
-		if n < 1 || n > len(cfg.Histories) {
-			return nil, fmt.Errorf("sim: phast-tables out of range: %d", n)
-		}
-		cfg.Histories = cfg.Histories[:n]
-		return core.New(cfg), nil
-	case "ideal":
-		return mdp.NewIdeal(), nil
-	case "none":
-		return mdp.NewNone(), nil
-	case "alwayswait":
-		return mdp.NewAlwaysWait(), nil
-	case "unlimited-phast":
-		maxHist, err := argInt(0)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewUnlimitedPHAST(maxHist), nil
-	case "unlimited-nosq":
-		h, err := argInt(8)
-		if err != nil {
-			return nil, err
-		}
-		return mdp.NewUnlimitedNoSQ(h), nil
-	case "unlimited-mdptage":
-		return mdp.NewUnlimitedMDPTAGE(), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown predictor spec %q", spec)
-	}
-}
-
-// PredictorNames lists the finite predictors of the paper's headline
-// comparison (Fig. 13–16 order).
-func PredictorNames() []string {
-	return []string{"storesets", "nosq", "mdptage", "mdptage-s", "phast"}
 }
 
 // traceCache is the trace intern pool: workload generation is deterministic,

@@ -1,13 +1,15 @@
 package sim
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestNewPredictorErrorPaths is the table-driven contract of spec parsing:
-// unknown names and malformed arguments error, and every error names the
-// offending spec so flag typos surface usefully.
+// unknown names, malformed or out-of-range arguments, and arguments to
+// families that take none are ErrConfig errors (never panics), and every
+// error names the offending spec so flag typos surface usefully.
 func TestNewPredictorErrorPaths(t *testing.T) {
 	cases := []struct {
 		name string
@@ -28,6 +30,16 @@ func TestNewPredictorErrorPaths(t *testing.T) {
 		{"phast-conf above range", "phast-conf:256", "out of range"},
 		{"phast-tables below range", "phast-tables:0", "out of range"},
 		{"phast-tables above range", "phast-tables:99", "out of range"},
+		{"storesets not a power of two", "storesets:3", "storesets:3"},
+		{"storesets zero", "storesets:0", "storesets:0"},
+		{"phast zero sets", "phast:0", "phast:0"},
+		{"phast sets not a power of two", "phast:17", "phast:17"},
+		{"phast sets above cap", "phast:131072", "phast:131072"},
+		{"nosq zero entries", "nosq:0", "nosq:0"},
+		{"mdptage takes no arg", "mdptage:5", "mdptage:5"},
+		{"ideal takes no arg", "ideal:7", "ideal:7"},
+		{"unlimited-nosq negative history", "unlimited-nosq:-1", "out of range"},
+		{"unlimited-nosq history above register", "unlimited-nosq:3000", "out of range"},
 	}
 	for _, c := range cases {
 		c := c
@@ -38,6 +50,12 @@ func TestNewPredictorErrorPaths(t *testing.T) {
 			}
 			if c.want != "" && !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q should mention %q", err, c.want)
+			}
+			if !strings.Contains(err.Error(), strconv.Quote(c.spec)) {
+				t.Errorf("error %q should name the spec %q", err, c.spec)
+			}
+			if KindOf(err) != ErrConfig {
+				t.Errorf("KindOf(%v) = %q, want %q", err, KindOf(err), ErrConfig)
 			}
 		})
 	}

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/atomicfile"
 	"repro/internal/contentaddr"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -240,7 +241,7 @@ func (s *Store) Put(tenant string, r io.Reader) (PutResult, error) {
 		return PutResult{}, err
 	}
 	manifest := fmt.Sprintf("{\"digest\":%q,\"bytes\":%d}\n", digest, size)
-	if err := atomicWrite(s.ownerPath(tenant, digest), []byte(manifest)); err != nil {
+	if err := atomicfile.Write(s.ownerPath(tenant, digest), []byte(manifest)); err != nil {
 		return PutResult{}, err
 	}
 	s.usage[tenant] = used + size
@@ -287,33 +288,7 @@ func (s *Store) writeTrace(digest string, data []byte) error {
 	if _, err := os.Stat(dst); err == nil {
 		return nil
 	}
-	return atomicWrite(dst, data)
-}
-
-// atomicWrite writes data to dst via a temp file + rename in dst's
-// directory, creating parents as needed.
-func atomicWrite(dst string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), "."+filepath.Base(dst)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return atomicfile.Write(dst, data)
 }
 
 // Get returns the canonical bytes stored under digest. A missing entry is

@@ -41,8 +41,9 @@ func Apps() []string { return workload.Names() }
 func Machines() []string { return config.Names() }
 
 // Predictors returns the finite predictors of the paper's headline
-// comparison. See sim.NewPredictor's documentation (internal/sim) for the
-// full spec grammar, including budget sweeps and unlimited variants.
+// comparison. The family table in internal/sim (family.go) and README's
+// "Predictor specs" give the full spec grammar, including budget sweeps
+// and unlimited variants.
 func Predictors() []string { return sim.PredictorNames() }
 
 // ExperimentNames lists the reproducible tables and figures in paper order.
