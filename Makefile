@@ -6,10 +6,11 @@ all: build test
 
 # Full pre-merge gate: gofmt-clean sources + vet + build + race-enabled tests
 # (the one-batch figure tests three more times, to shake out ordering races
-# in the batch slicing) + the fault-injection suite under -race + a 10-second pipeline fuzz + a
-# cached-vs-uncached paperfigs smoke proving the persistent run cache
-# reproduces byte-identical tables with zero re-simulations, one iteration
-# of every per-layer benchmark, and the phastbench self-test. Counted work
+# in the batch slicing) + the fault-injection suite under -race + 10 seconds
+# each of the two pipeline fuzz targets + a cached-vs-uncached paperfigs
+# smoke proving the persistent run cache reproduces byte-identical tables
+# with zero re-simulations, one iteration of every per-layer benchmark, and
+# the phastbench self-test. Counted work
 # and output are gated exactly by the tests (TestWorkCounts, the row and
 # table goldens); no step compares wall-clock time against a baseline.
 check:
@@ -105,7 +106,8 @@ bench-smoke:
 bench-selftest:
 	bash phastbench/run.sh --selftest
 
-# Regenerate every figure and table into results/ (~30-45 min on one core).
+# Regenerate every figure and table into results/ (2 min 37 s with two
+# workers on a 2-CPU Intel Xeon virtual machine).
 figures:
 	mkdir -p results
 	go run ./cmd/paperfigs -fig all -n 300000 | tee results/paperfigs_full.txt
@@ -121,13 +123,16 @@ examples:
 
 # Pipeline fuzz smoke: random streams through the core, every retired value
 # checked by the architectural oracle — the forwarding and violation paths
-# the queue searches implement.
+# the queue searches implement — and every row checked against the eager
+# stepper, which evaluates every entry every cycle.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzPipelineTrace$$' -fuzztime 10s ./internal/oracle
-	@echo "fuzz smoke ok: 10s of FuzzPipelineTrace, no crashers"
+	go test -run '^$$' -fuzz '^FuzzEagerSchedule$$' -fuzztime 10s ./internal/pipeline
+	@echo "fuzz smoke ok: 10s each of FuzzPipelineTrace and FuzzEagerSchedule, no crashers"
 
 # Native Go fuzzing over the externally-driven surfaces: arbitrary micro-op
-# streams through the oracle-verified pipeline, arbitrary Configs through
+# streams through the oracle-verified pipeline, random streams through the
+# pipeline against the eager stepper, arbitrary Configs through
 # the sim facade, arbitrary bytes through the HTTP wire decoder, arbitrary
 # job-spec JSON through the autotuner's strict parser.
 # Seed corpora are checked in under internal/*/testdata/fuzz/; crashers that
@@ -137,6 +142,7 @@ FUZZTIME ?= 30s
 
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzPipelineTrace$$' -fuzztime $(FUZZTIME) ./internal/oracle
+	go test -run '^$$' -fuzz '^FuzzEagerSchedule$$' -fuzztime $(FUZZTIME) ./internal/pipeline
 	go test -run '^$$' -fuzz '^FuzzSimConfig$$' -fuzztime $(FUZZTIME) ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/server
 	go test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) ./internal/jobs

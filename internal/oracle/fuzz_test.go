@@ -78,15 +78,16 @@ func traceFromBytes(data []byte) *trace.Trace {
 // with the architectural oracle attached: whatever the dataflow and memory
 // shape, every configuration must commit the whole stream with
 // oracle-identical results — no divergence, no deadlock, no panic. sel
-// rotates the predictor, machine generation and filter mode so one corpus
-// exercises the whole configuration cross product.
+// rotates the predictor family (every row of sim.Families, at its default
+// argument), machine generation and filter mode so one corpus exercises the
+// whole configuration cross product.
 func FuzzPipelineTrace(f *testing.F) {
 	f.Add(uint64(0), []byte("\x03\x01\x10\x02\x05\x02\x10\x02\x03\x03\x10\x03"))
 	f.Add(uint64(4), []byte("store then load then branch \x05\x07\x20\x03\x03\x02\x20\x03\x07\x00\x01\x09"))
 	f.Add(uint64(11), []byte{5, 1, 0x40, 3, 5, 2, 0x42, 1, 3, 3, 0x40, 3, 7, 2, 0, 0, 7, 3, 0, 0})
 
 	machines := []func() config.Machine{config.Nehalem, config.Skylake, config.AlderLake}
-	preds := []string{"phast", "storesets", "none", "perceptron-mdp", "storevector", "nosq"}
+	families := sim.Families()
 	filters := []pipeline.FilterMode{pipeline.FilterFwd, pipeline.FilterNone, pipeline.FilterSVW}
 
 	f.Fuzz(func(t *testing.T, sel uint64, data []byte) {
@@ -94,16 +95,17 @@ func FuzzPipelineTrace(f *testing.F) {
 		if tr.Len() == 0 {
 			t.Skip()
 		}
-		pred, err := sim.NewPredictor(preds[sel%uint64(len(preds))])
+		pred, err := sim.NewPredictor(families[sel%uint64(len(families))].Name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rest := sel / uint64(len(families))
 		opt := pipeline.DefaultOptions()
-		opt.Filter = filters[(sel/8)%uint64(len(filters))]
+		opt.Filter = filters[rest/3%uint64(len(filters))]
 		opt.MaxCycles = 3_000_000
 		ck := oracle.NewChecker(tr)
 		opt.Verify = ck.Check
-		c, err := pipeline.New(machines[(sel/4)%uint64(len(machines))](), pred, opt)
+		c, err := pipeline.New(machines[rest%uint64(len(machines))](), pred, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func TestDispatchCountsMatchRecount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := stepRun(t, c, tc.tr, 10_000_000, countChecker(t, c, tc.tr))
+			res := stepRun(t, c, tc.tr, 10_000_000, false, countChecker(t, c, tc.tr))
 			if res.MemOrderViolations == 0 {
 				t.Fatal("no squash; the test proves nothing")
 			}
@@ -94,14 +94,14 @@ func TestDispatchCountsMatchRecount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stepRun(t, c, tr, 2000, func() {})
+		stepRun(t, c, tr, 2000, false, func() {})
 		if c.fetchStores == 0 || c.decodeHist.Count() == 0 {
 			t.Fatal("the cut run counted nothing; the reset proves nothing")
 		}
 		if err := c.Reset(mdp.NewNone()); err != nil {
 			t.Fatal(err)
 		}
-		if res := stepRun(t, c, tr, 10_000_000, countChecker(t, c, tr)); res.MemOrderViolations == 0 {
+		if res := stepRun(t, c, tr, 10_000_000, false, countChecker(t, c, tr)); res.MemOrderViolations == 0 {
 			t.Fatal("no squash; the test proves nothing")
 		}
 	})
@@ -117,6 +117,6 @@ func TestDispatchCountsMatchRecount(t *testing.T) {
 		if err := c.WarmContext(context.Background(), warm); err != nil {
 			t.Fatal(err)
 		}
-		stepRun(t, c, slice, 10_000_000, countChecker(t, c, slice))
+		stepRun(t, c, slice, 10_000_000, false, countChecker(t, c, slice))
 	})
 }

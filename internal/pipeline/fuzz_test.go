@@ -137,3 +137,20 @@ func TestRandomTraceOnSmallMachines(t *testing.T) {
 		}
 	}
 }
+
+// FuzzEagerSchedule checks that simulated time does not depend on which
+// cycles the scheduler re-evaluates an entry: on a random stream of up to
+// 2,000 µops, optionally with register-writing stores, RunContext's row
+// under any golden predictor on any golden machine must equal the eager
+// stepper's (see stepRun).
+func FuzzEagerSchedule(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, storeDsts bool, pred, machine uint8) {
+		tr := randomTrace(seed, 1+int(n)%2000)
+		if storeDsts {
+			tr = withStoreDsts(tr, seed)
+		}
+		m := goldenMachines()[int(machine)%len(goldenMachines())]
+		p := int(pred) % len(goldenPredictors())
+		eagerMatches(t, m, func() mdp.Predictor { return goldenPredictors()[p] }, tr)
+	})
+}

@@ -20,14 +20,15 @@ import (
 // untouched; unlike it, it reaches the corners the generated workloads never
 // do: WaitAll and Vector gates, register-writing stores, a ROB ring narrower
 // than one bitset word, and wake bounds far beyond any short horizon. A
-// change meant to alter simulation output re-records it (and bumps
-// sim.BehaviorVersion) in the same commit.
-const goldenRandomRowsSHA256 = "4b78fb7a38186c6e99b6d963aa5842a5e65efca8ccd501f9e09d8aeceb17499f"
+// change meant to alter simulation output re-records it in the same commit
+// and bumps sim.BehaviorVersion — or, if only the streams with
+// register-writing stores move (a shape only decoded traces have),
+// sim.TraceVersion, which salts the run-cache keys of trace: apps alone.
+const goldenRandomRowsSHA256 = "79579477e0b0c1e90bab351cb997da67f856127393cf7dad3dbd375a9fc17f39"
 
 // withStoreDsts returns a copy of tr in which every store also writes a
-// register — a shape only decoded traces produce, and the one whose
-// consumer timing depends on which cycles the consumer re-evaluates on (see
-// srcReadyAt). Dropping the store rule in srcReadyAt changes the digest.
+// register — a shape only decoded traces produce, and the one producer
+// whose result can be ready in its own issue cycle (see srcReadyAt).
 func withStoreDsts(tr *trace.Trace, seed int64) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	insts := append([]isa.Inst(nil), tr.Insts...)
@@ -103,9 +104,10 @@ func TestGoldenRandomRows(t *testing.T) {
 	}
 }
 
-// goldenGateRowsSHA256 pins the rows of TestGoldenGateRows, recorded with
-// the oldest-first scan that walked every in-flight entry each cycle.
-const goldenGateRowsSHA256 = "99b7957eb772aa48b2110d12d9b26839e7cd702a0b4cc9520ae8a0e1e2bf1c40"
+// goldenGateRowsSHA256 pins the rows of TestGoldenGateRows; the eager
+// stepper, which evaluates every entry every cycle, reproduces them (see
+// TestEagerScheduleMatchesRun).
+const goldenGateRowsSHA256 = "def617036f48730a3d54331ad6913977e8d2a674f534575519fad93c04af3e64"
 
 // gatePredictor gives every load a single-store or multi-store gate of one
 // kind, spread over store distances 0–2 by PC, so that the gate paths the
@@ -164,9 +166,9 @@ func gateTrace(seed int64, n int) *trace.Trace {
 
 // TestGoldenGateRows hashes the rows of gateTrace streams × every gate kind,
 // with and without Store Sets serialisation, × alderlake, nehalem and a
-// ROB-20 core. It reaches what the other digests do not: a single-store
-// gate on a store whose address is unresolved and whose data comes from an
-// unissued register-writing store (see storeDoneBound).
+// ROB-20 core. It reaches what the other digests do not: single-store gates
+// and Store Sets waits registered with a store whose address and data come
+// from other, unissued register-writing stores (see storeDoneBound).
 func TestGoldenGateRows(t *testing.T) {
 	tiny := config.Nehalem()
 	tiny.Name = "rob20"

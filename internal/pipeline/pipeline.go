@@ -15,13 +15,12 @@
 //
 // Hot-path structure (see DESIGN.md §10): issue is wake-ordered — an entry
 // whose wake-up condition provably cannot clear yet is parked with a lower
-// bound (retryAt) and a wake class, and filed where its wake will come from:
-// a timing wheel, a memory-parked set woken by memory events, or the
-// dependents row of the micro-op whose issue it waits for (a register
-// producer, or — on traces without register-writing stores — the unissued
-// store a Distance/StoreSeq gate or Store Sets serialisation waits on); the
-// issue scan visits only the bits of an awake set, oldest first; fetch reads
-// each branch's misprediction from outcomes computed once per trace and
+// bound (retryAt) and a wake class, and filed where its wake will come from: a
+// timing wheel, a memory-parked set woken by memory events, or the dependents
+// row of the micro-op whose issue it waits for (a register producer, or the
+// unissued store a Distance/StoreSeq gate or Store Sets serialisation waits
+// on); the issue scan visits only the bits of an awake set, oldest first; fetch
+// reads each branch's misprediction from outcomes computed once per trace and
 // direction predictor (see bindTrace); a cycle in which no stage acted jumps
 // the clock to the next pending event (next non-empty wheel bucket, ROB-head
 // completion, store-buffer drain, fetch unblock) without crossing a watchdog
@@ -30,8 +29,8 @@
 // scan, and a scan that does run reads dense copies of the queued footprints
 // (store-queue slots, from the load's youngest older store; the executed
 // load-queue slots, from the store's oldest younger load) rather than ROB
-// entries; and the steady state performs no heap allocations (fixed rings
-// for LQ/SQ/SB, fixed bitsets, wheel and dependents matrix, reused scratch
+// entries; and the steady state performs no heap allocations (fixed rings for
+// LQ/SQ/SB, fixed bitsets, wheel and dependents matrix, reused scratch
 // buffers).
 package pipeline
 
@@ -261,9 +260,6 @@ type Core struct {
 	// pre holds the trace's divergent-branch history entries, shared
 	// across every run of the trace.
 	pre *trace.Prefixes
-	// storeWaits enables store-ordering waits in a store's dependents row
-	// (see waitStoreDone): set for traces without register-writing stores.
-	storeWaits bool
 
 	// ROB ring: entries hold seqs [headSeq, tailSeq). The ring is sized to
 	// the next power of two above the architectural capacity (robCap) so
@@ -607,60 +603,47 @@ type bound struct {
 }
 
 // srcReadyAt bounds the first cycle at which the values of producers a and
-// b (0 = none) can both be available (at 0 = ready now). It serves the waits
-// that do not register with a producer (see waitSources) — register waits
-// whose unready producers have all issued or include an unissued store —
+// b (0 = none) can both be available (at 0 = ready now). It serves the
+// register waits whose unready producers have all issued (see waitSources)
 // and the done bound of a store (storeDoneBound), which also seeds the
 // retryAt of a wait registered with an unissued store (waitStoreDone). For
 // an issued producer the bound is exact (doneAt is immutable). For an
 // unissued one it is a lower bound: producers are older, so this cycle's
 // scan has already evaluated them (or they were parked) and they cannot
-// issue before the next cycle, and the minimum execution latency is one
-// cycle — giving the plain bound cycle+2. A producer that is still parked
-// cannot issue, let alone complete, before its retryAt — or, parked with no
-// time bound (neverRetry), before the epoch advance that wakes it — so the
-// bound extends to it, transitively down a dependence chain.
+// issue before the next cycle. ALU and branch latencies are clamped to ≥1,
+// a load completes no earlier than the L1D hit latency (config.Validate
+// requires it positive) and a store at max(address done, issue cycle) —
+// giving the plain bound cycle+2, and cycle+1 for a store, which can
+// complete in the cycle it issues (Nops issue at dispatch). A producer that
+// is still parked cannot issue, let alone complete, before its retryAt —
+// or, parked with no time bound (neverRetry), before the epoch advance that
+// wakes it — so the bound extends to it, transitively down a dependence
+// chain.
 //
 // The bound is time-bound when it rests only on exact producer bounds, plain
 // bounds and time-bound producer parks; passing through a memory-bound park
 // (one that still holds, and lies past the plain bound) makes it
 // memory-bound, since the epoch advance that wakes the producer early must
 // wake the consumer too.
-//
-// The one-cycle minimum latency behind the plain bound holds for every
-// register-writing op except a store: ALU and branch latencies are clamped
-// to ≥1, a load completes no earlier than the L1D hit latency
-// (config.Validate requires it positive), and Nops issue at dispatch. A
-// store completes at max(address done, issue cycle), so a register-writing
-// store (generated workloads have none; decoded traces may) can complete a
-// cycle before its plain bound, and whether its consumer then issues that
-// cycle or the next depends on which cycles the consumer re-evaluates on.
-// While either producer is an unissued store the parked refinement is
-// therefore dropped for both and the wait stays memory-bound, keeping those
-// cycles exactly where the plain bounds and epoch wakes put them.
 func (c *Core) srcReadyAt(a, b uint64) bound {
-	atA, parkedA, storeA, memA := c.producerWake(a)
-	atB, parkedB, storeB, memB := c.producerWake(b)
-	if storeA || storeB {
-		return bound{at: max(atA, atB)}
-	}
+	atA, parkedA, memA := c.producerWake(a)
+	atB, parkedB, memB := c.producerWake(b)
 	return bound{at: max(atA, atB, parkedA, parkedB), timed: !memA && !memB}
 }
 
 // producerWake returns srcReadyAt's bounds for one producer seq: the plain
-// (or exact) bound, the parked bound (0 if none), whether seq is an
-// unissued store, and whether the parked bound comes from a memory-bound
-// park that lies past the plain bound.
-func (c *Core) producerWake(seq uint64) (at, parked uint64, store, mem bool) {
+// (or exact) bound, the parked bound (0 if none), and whether the parked
+// bound comes from a memory-bound park that lies past the plain bound.
+func (c *Core) producerWake(seq uint64) (at, parked uint64, mem bool) {
 	if seq < c.headSeq {
-		return 0, 0, false, false // none, architectural or committed
+		return 0, 0, false // none, architectural or committed
 	}
 	pos := seq & c.robMask
 	if d := c.readyAt[pos]; d != 0 {
-		return d - 1, 0, false, false
+		return d - 1, 0, false
 	}
 	p := &c.rob[pos]
-	at = c.cycle + 2
+	at = c.plainBound(p)
 	switch {
 	case p.retryTimed:
 		parked = p.retryAt
@@ -668,40 +651,40 @@ func (c *Core) producerWake(seq uint64) (at, parked uint64, store, mem bool) {
 		parked = p.retryAt
 		mem = parked > at
 	}
-	return at, parked, p.kind == isa.Store, mem
+	return at, parked, mem
+}
+
+// plainBound is srcReadyAt's plain bound for the unissued producer p.
+func (c *Core) plainBound(p *robEntry) uint64 {
+	if p.kind == isa.Store {
+		return c.cycle + 1
+	}
+	return c.cycle + 2
 }
 
 // waitSources parks e, whose register sources a and b (0 = none) are not
-// both ready. While one of them is an unissued producer other than a store,
-// e cannot issue before that producer does, so rather than filing e at a
-// bound that the producer's unknown latency keeps loose — which re-wakes a
-// whole pointer chase each time its head completes — e registers in the
-// producer's dependents row, and the producer's issue files it at the exact
-// completion cycle. Its retryAt is then the producer's time-bound lower
-// bound alone, which that completion never precedes. A store producer
-// keeps the plain, memory-bound wait of srcReadyAt.
+// both ready. While one of them is an unissued producer, e cannot issue
+// before that producer does, so rather than filing e at a bound that the
+// producer's unknown latency keeps loose — which re-wakes a whole pointer
+// chase each time its head completes — e registers in the dependents row
+// of the youngest such producer, and the producer's issue files it at the
+// exact completion cycle. Its retryAt is then the producer's time-bound
+// lower bound alone, which that completion never precedes.
 func (c *Core) waitSources(e *robEntry, a, b uint64) {
-	p, at := uint64(0), c.cycle+2
+	p := uint64(0)
 	for _, s := range [2]uint64{a, b} {
-		if s < c.headSeq || c.readyAt[s&c.robMask] != 0 {
-			continue
-		}
-		q := &c.rob[s&c.robMask]
-		if q.kind == isa.Store {
-			p = 0
-			break
-		}
-		if s > p {
+		if s > p && s >= c.headSeq && c.readyAt[s&c.robMask] == 0 {
 			p = s
-			at = c.cycle + 2
-			if q.retryTimed {
-				at = max(at, q.retryAt)
-			}
 		}
 	}
 	if p == 0 {
 		c.setRetry(e, c.srcReadyAt(a, b))
 		return
+	}
+	q := &c.rob[p&c.robMask]
+	at := c.plainBound(q)
+	if q.retryTimed {
+		at = max(at, q.retryAt)
 	}
 	c.register(e, p, at)
 }
@@ -709,16 +692,13 @@ func (c *Core) waitSources(e *robEntry, a, b uint64) {
 // waitStoreDone parks e — a load gated on (Distance, StoreSeq) or a store
 // serialised behind (Store Sets) the older store st, which is not done —
 // until st can be done. An issued st parks e at its exact doneAt. An
-// unissued one, on a storeWaits trace, takes e into its dependents row: its
-// issue (phase 2 of tryStore) files e at its completion, the first cycle
-// the wait can clear, and e's retryAt is st's done bound when that is
-// time-bound, else cycle+1 (st is older, so this scan has passed it). On
-// other traces e parks at the done bound, in its class: where a register-
-// writing store feeds st, the legacy plain bound overshoots (see
-// srcReadyAt), and the exact wake would move e earlier.
+// unissued one takes e into its dependents row: its issue (phase 2 of
+// tryStore) files e at its completion, the first cycle the wait can clear,
+// and e's retryAt is st's done bound when that is time-bound, else cycle+1
+// (st is older, so this scan has passed it).
 func (c *Core) waitStoreDone(e, st *robEntry) {
 	b := c.storeDoneBound(st)
-	if !c.storeWaits || st.state == stIssued {
+	if st.state == stIssued {
 		c.setRetry(e, b)
 		return
 	}
@@ -791,20 +771,13 @@ func needs(e *robEntry, seq uint64) bool {
 	return e.srcASeq == seq || e.srcBSeq == seq || e.waitStore == seq
 }
 
-// unissuedStore reports whether seq is an in-flight store that has not
-// issued.
-func (c *Core) unissuedStore(seq uint64) bool {
-	pos := seq & c.robMask
-	return seq >= c.headSeq && c.readyAt[pos] == 0 && c.rob[pos].kind == isa.Store
-}
-
 // storeDoneBound bounds the first cycle at which storeDone(st) can become
 // true, for an st that is not done now. An issued st's bound is its exact
 // doneAt, at which a single-store gate or Store Sets wait parks. For an
-// unissued st those waits register in st's dependents row on storeWaits
-// traces (waitStoreDone) and take the bound as their retryAt only when it
-// is time-bound; elsewhere they park at it, in its class. WaitAll/Vector
-// gates and tryLoad's forwarding stall take its cycle, memory-bound.
+// unissued st those waits register in st's dependents row (waitStoreDone)
+// and take the bound as their retryAt only when it is time-bound.
+// WaitAll/Vector gates and tryLoad's forwarding stall take its cycle,
+// memory-bound.
 func (c *Core) storeDoneBound(st *robEntry) bound {
 	if st.state == stIssued {
 		return bound{at: st.doneAt, timed: true} // exact
@@ -812,14 +785,10 @@ func (c *Core) storeDoneBound(st *robEntry) bound {
 	if !st.addrResolved {
 		// The address resolves no earlier than the cycle its register is
 		// ready, and the store completes no earlier than the cycle after.
-		// Once resolved, the bound passes through the data producer; if
-		// that is an unissued store the wait must already be memory-bound
-		// so that the resolution's epoch advance wakes it (see srcReadyAt).
 		b := c.srcReadyAt(st.srcASeq, 0)
 		if b.at != neverRetry {
 			b.at = max(c.cycle+1, b.at+1)
 		}
-		b.timed = b.timed && !c.unissuedStore(st.srcBSeq)
 		return b
 	}
 	// Resolved but unissued: phase 2 (data ready → issue) is port-free, so
@@ -844,8 +813,8 @@ func (c *Core) storeDoneBound(st *robEntry) bound {
 // with no other effect. A register wait changes nothing but the park, and a
 // single-store gate (Distance, StoreSeq, Store Sets) finds the same store
 // and rewrites the same wait footprint every time. Waits on an unissued
-// producer — or, on storeWaits traces, an unissued gating store — bypass
-// setRetry and register in its dependents row (see register). Everything
+// producer or an unissued gating store bypass setRetry and register in its
+// dependents row (see register). Everything
 // whose outcome a memory event can change stays memory-bound: tryLoad's
 // store-queue and store-buffer outcomes, WaitAll/Vector gates (the blocking
 // store changes as stores complete), and bounds through a memory-bound
@@ -1093,7 +1062,6 @@ const firstPredicted = 1
 // a WarmContext — from a pass of the held unit, which continues it.
 func (c *Core) bindTrace(tr *trace.Trace) error {
 	c.tr, c.pre = tr, tr.Pre()
-	c.storeWaits = !c.pre.RegStores
 	if c.bp != nil {
 		c.br = c.bp.Pass(tr.Insts, firstPredicted)
 	} else {

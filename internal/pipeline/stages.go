@@ -152,9 +152,8 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 // A park is a lower bound on the first cycle the entry's blocking condition
 // can clear, so an evaluation the scan skips would only have re-parked the
 // entry: issue order and port use do not depend on which wake structure
-// found an entry. (Where a register-writing store makes timing depend on
-// the evaluation schedule itself, the wait stays memory-bound with the plain
-// bound; see srcReadyAt.)
+// found an entry, and a scan that evaluated every entry every cycle would
+// produce the same timing.
 //
 // It reports whether it acted: an issue, or a store address resolution
 // (which takes a port and advances memEpoch).

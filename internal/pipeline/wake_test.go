@@ -38,7 +38,12 @@ func activityOf(c *Core) activity {
 // the stream has retired or after limit cycles, and returns the row. On
 // every cycle the stages' reports of whether they acted, ORed, must agree
 // with a change of the cycle's activity snapshot.
-func stepRun(t *testing.T, c *Core, tr *trace.Trace, limit uint64, check func()) stats.Run {
+//
+// In eager mode every unissued entry is unparked and set awake before each
+// issue scan, so the scan evaluates every entry it reaches every cycle: the
+// timing of a core with no wake scheduling at all. RunContext must match it
+// row for row — a park may only skip evaluations that would have re-parked.
+func stepRun(t *testing.T, c *Core, tr *trace.Trace, limit uint64, eager bool, check func()) stats.Run {
 	t.Helper()
 	if err := c.bindTrace(tr); err != nil {
 		t.Fatal(err)
@@ -48,6 +53,13 @@ func stepRun(t *testing.T, c *Core, tr *trace.Trace, limit uint64, check func())
 		before := activityOf(c)
 		acted := c.commitStage()
 		acted = c.drainStoreBuffer() || acted
+		for seq := c.headSeq; eager && seq < c.tailSeq; seq++ {
+			if e := c.entry(seq); e.state != stIssued {
+				e.retryAt = 0
+				pos := seq & c.robMask
+				c.awake[pos>>6] |= 1 << (pos & 63)
+			}
+		}
 		acted = c.issueStage() || acted
 		acted = c.fetchStage() || acted
 		if changed := activityOf(c) != before; acted != changed {
@@ -63,6 +75,27 @@ func stepRun(t *testing.T, c *Core, tr *trace.Trace, limit uint64, check func())
 	}
 	c.finalizeStats()
 	return c.run
+}
+
+// eagerMatches fails t unless RunContext's row of tr on machine m equals the
+// eager stepper's (see stepRun); mk builds a fresh predictor for each run.
+func eagerMatches(t *testing.T, m config.Machine, mk func() mdp.Predictor, tr *trace.Trace) {
+	t.Helper()
+	c, err := New(m, mk(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err = New(m, mk(), DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if eager := stepRun(t, c, tr, 10_000_000, true, func() {}); !reflect.DeepEqual(eager, *want) {
+		t.Errorf("%s on %s under %s: RunContext's row differs from the eager stepper's:\neager %+v\nrun   %+v",
+			tr.Name, m.Name, want.Predictor, eager, *want)
+	}
 }
 
 // wakeChecker returns a check of the scheduler's wake invariant, run at the
@@ -239,7 +272,7 @@ func mirrorChecker(t *testing.T, c *Core) func() {
 // stores on the ROB-20 machine (a ring narrower than one bitset word, wake
 // bounds beyond the wheel horizon) under predictors producing every gate
 // kind. The stepped row must also equal RunContext's, skipped cycles
-// included.
+// included, and so must the eager stepper's.
 func TestWakeInvariant(t *testing.T) {
 	random := withStoreDsts(randomTrace(3, 3000), 3)
 	storeSets := func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }
@@ -267,7 +300,7 @@ func TestWakeInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			wake, mirror := wakeChecker(t, c), mirrorChecker(t, c)
-			stepped := stepRun(t, c, tc.tr, 10_000_000, func() { wake(); mirror() })
+			stepped := stepRun(t, c, tc.tr, 10_000_000, false, func() { wake(); mirror() })
 			ref, err := New(tc.m, tc.pred(), DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
@@ -279,7 +312,39 @@ func TestWakeInvariant(t *testing.T) {
 			if !reflect.DeepEqual(stepped, *want) {
 				t.Errorf("stepped row differs from RunContext's:\nstepped %+v\nrun     %+v", stepped, *want)
 			}
+			eagerMatches(t, tc.m, tc.pred, tc.tr)
 		})
+	}
+}
+
+// TestEagerScheduleMatchesRun checks that simulated time does not depend on
+// which cycles the scheduler re-evaluates an entry, on the streams where a
+// store also writes a register: RunContext must equal the eager stepper on
+// alderlake and on the ROB-20 machine, for gateTrace seeds under all four
+// gate kinds (with Store Sets serialisation on alternate seeds) and for
+// random streams with register-writing stores under every golden
+// predictor.
+func TestEagerScheduleMatchesRun(t *testing.T) {
+	kinds := []mdp.PredKind{mdp.Distance, mdp.StoreSeq, mdp.Vector, mdp.WaitAll}
+	for _, m := range goldenMachines()[:2] {
+		for seed := int64(1); seed <= 16; seed++ {
+			tr := gateTrace(seed, 500)
+			for _, kind := range kinds {
+				eagerMatches(t, m, func() mdp.Predictor {
+					var p mdp.Predictor = gatePredictor{mdp.NewNone(), kind}
+					if seed%2 == 0 {
+						p = serialisingPredictor{p}
+					}
+					return p
+				}, tr)
+			}
+		}
+		for seed := int64(3); seed <= 6; seed++ {
+			tr := withStoreDsts(randomTrace(seed, 3000), seed)
+			for i := range goldenPredictors() {
+				eagerMatches(t, m, func() mdp.Predictor { return goldenPredictors()[i] }, tr)
+			}
+		}
 	}
 }
 
@@ -339,7 +404,7 @@ func TestDumpNamesParkState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepRun(t, c, appTrace(t, "505.mcf", 20_000), 3000, func() {})
+	stepRun(t, c, appTrace(t, "505.mcf", 20_000), 3000, false, func() {})
 	dump := c.stateDump()
 	if !strings.Contains(dump, "wakeup: memEpoch") || !strings.Contains(dump, "next wheel wake cycle") {
 		t.Errorf("dump lacks the wakeup line or the next wheel wake:\n%s", dump)
@@ -355,7 +420,7 @@ func TestDumpNamesParkState(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stop uint64
-	stepRun(t, probe, tr, 10_000_000, func() {
+	stepRun(t, probe, tr, 10_000_000, false, func() {
 		if stop == 0 && storeWaitAtHead(probe) {
 			stop = probe.cycle
 		}
@@ -367,7 +432,7 @@ func TestDumpNamesParkState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepRun(t, c, tr, stop, func() {})
+	stepRun(t, c, tr, stop, false, func() {})
 	dump = c.stateDump()
 	if !regexp.MustCompile(`; time-bound park until store seq \d+ issues\n`).MatchString(dump) {
 		t.Errorf("no dump line names the store an entry waits for:\n%s", dump)

@@ -18,6 +18,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,21 +32,26 @@ import (
 
 // Key returns the content address of a simulation: hex SHA-256 over the
 // normalised Config and sim.BehaviorVersion, plus sim.IntervalVersion for an
-// interval run (the field is omitted otherwise, keeping sequential keys
+// interval run and sim.TraceVersion for an uploaded-trace app (each field
+// is omitted otherwise, keeping sequential generated-workload keys
 // unchanged). Configs that Run would treat identically (defaulted
 // machine/predictor/instruction-count spelled out or left zero) hash
 // identically.
 func Key(cfg sim.Config) string {
 	cfg = cfg.Normalized()
-	interval := 0
+	interval, trace := 0, 0
 	if cfg.Intervals > 1 {
 		interval = sim.IntervalVersion
+	}
+	if strings.HasPrefix(cfg.App, sim.TraceAppPrefix) {
+		trace = sim.TraceVersion
 	}
 	payload, err := json.Marshal(struct {
 		Version  int        `json:"version"`
 		Config   sim.Config `json:"config"`
 		Interval int        `json:"interval_version,omitempty"`
-	}{sim.BehaviorVersion, cfg, interval})
+		Trace    int        `json:"trace_version,omitempty"`
+	}{sim.BehaviorVersion, cfg, interval, trace})
 	if err != nil {
 		// Config is a plain struct of scalars; Marshal cannot fail on it.
 		panic("runcache: marshal config: " + err.Error())

@@ -50,6 +50,25 @@ func TestKeyNormalization(t *testing.T) {
 		}
 		seen[k] = i
 	}
+	// A valid predictor spec keys under its canonical spelling: the bare
+	// name for the default argument, else name:<decimal>. An invalid spec
+	// keeps its own key, so its error still surfaces when it runs.
+	for _, row := range []struct{ spec, canon string }{
+		{"phast:0128", "phast"},
+		{"phast:+128", "phast"},
+		{"phast:", "phast"},
+		{"phast:128", "phast"},
+		{"phast:0256", "phast:256"},
+		{"storesets:8192", "storesets"},
+		{"nosq:2048", "nosq"},
+	} {
+		if Key(sim.Config{App: "x", Predictor: row.spec}) != Key(sim.Config{App: "x", Predictor: row.canon}) {
+			t.Errorf("%q must key as %q", row.spec, row.canon)
+		}
+	}
+	if Key(sim.Config{App: "x", Predictor: "phast:bogus"}) == Key(sim.Config{App: "x", Predictor: "phast"}) {
+		t.Error(`the invalid spec "phast:bogus" must not key as "phast"`)
+	}
 	// SVW overrides the forwarding-filter switch; the pair must not split.
 	if Key(sim.Config{App: "x", SVWFilter: true}) !=
 		Key(sim.Config{App: "x", SVWFilter: true, FwdFilterOff: true}) {
@@ -294,7 +313,8 @@ func TestSingleFlight(t *testing.T) {
 
 // TestKeySaltsOnlyIntervalRuns pins the key of a sequential config, recorded
 // before interval keys gained sim.IntervalVersion, and requires the interval
-// spelling of the same config to have moved off its earlier key.
+// spelling of the same config, and an uploaded-trace app's config (salted
+// with sim.TraceVersion), to have moved off their earlier keys.
 func TestKeySaltsOnlyIntervalRuns(t *testing.T) {
 	seq := sim.Config{App: "511.povray", Predictor: "phast", Instructions: 20000}
 	if got, want := Key(seq), "16770b66b275cd92bf096a57fc123502810cae97c9c8538e19aa1e1fb86d8c46"; got != want {
@@ -304,5 +324,10 @@ func TestKeySaltsOnlyIntervalRuns(t *testing.T) {
 	par.Intervals = 4
 	if got, old := Key(par), "10abe7e8b673aafb465a107e7544908d0e502b7755ff90e9dae5c1d6760d4548"; got == old {
 		t.Errorf("interval key %s is still the unsalted one", got)
+	}
+	tr := seq
+	tr.App = sim.TraceAppPrefix + strings.Repeat("ab", 32)
+	if got, old := Key(tr), "4fe88aafaa99687050df088dfa8f5f8bc241324066b8e3bf5df84c17f6a424e5"; got == old {
+		t.Errorf("trace key %s is still the unsalted one", got)
 	}
 }

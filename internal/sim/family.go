@@ -184,6 +184,21 @@ func parseSpec(spec string) (*Family, int, error) {
 	return f, v, nil
 }
 
+// canonicalSpec returns the one spelling of a valid spec: the bare family
+// name for its default argument ("phast", not "phast:", "phast:128" or
+// "phast:0128"), else "name:<decimal>". An invalid spec is returned as is,
+// so its error surfaces where it is built.
+func canonicalSpec(spec string) string {
+	f, arg, err := parseSpec(spec)
+	switch {
+	case err != nil:
+		return spec
+	case f.arg == nil || arg == f.arg.def:
+		return f.Name
+	}
+	return f.Name + ":" + strconv.Itoa(arg)
+}
+
 // NewPredictor builds a predictor from its spec string: a family name from
 // the table above, then ":<arg>" for a family that takes an argument (an
 // empty argument means the family's default). A rejected spec returns an

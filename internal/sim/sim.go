@@ -4,6 +4,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime/debug"
@@ -94,10 +95,19 @@ const BehaviorVersion = 2
 // dropped them, which froze PHAST's, MDP-TAGE's and NoSQ's history.
 const IntervalVersion = 1
 
+// TraceVersion salts the run-cache keys of uploaded-trace apps alone, for a
+// change that moves only shapes generated workloads never have.
+//
+// Version 1: a store's register result wakes its consumers at the store's
+// completion, like every other producer's; before, a consumer's issue cycle
+// could depend on which cycles the scheduler re-evaluated it.
+const TraceVersion = 1
+
 // Normalized returns cfg with every defaultable field filled in with the
 // value Run would use, so that two Configs describing the same simulation
 // compare (and hash) equal. SVWFilter overriding FwdFilterOff is also
-// folded in.
+// folded in, and a valid predictor spec takes its canonical spelling (see
+// canonicalSpec).
 func (cfg Config) Normalized() Config {
 	if cfg.Machine == "" {
 		cfg.Machine = "alderlake"
@@ -105,6 +115,7 @@ func (cfg Config) Normalized() Config {
 	if cfg.Predictor == "" {
 		cfg.Predictor = "phast"
 	}
+	cfg.Predictor = canonicalSpec(cfg.Predictor)
 	if cfg.Instructions == 0 {
 		cfg.Instructions = DefaultInstructions
 	}
@@ -320,8 +331,10 @@ func Run(cfg Config) (*stats.Run, error) {
 // few thousand simulated cycles. Every failure — setup error, pipeline
 // deadlock, context abort, and any panic escaping the simulator — returns
 // as a typed *SimError, so one broken run poisons one result, never the
-// process.
+// process. The row names the predictor as cfg spells it, not in the
+// canonical spelling Normalized keys the run under.
 func RunContext(ctx context.Context, cfg Config) (run *stats.Run, err error) {
+	spelled := cfg.Predictor
 	cfg = cfg.Normalized()
 	defer func() {
 		if v := recover(); v != nil {
@@ -341,7 +354,7 @@ func RunContext(ctx context.Context, cfg Config) (run *stats.Run, err error) {
 		if rerr != nil {
 			return nil, wrapError(cfg, rerr)
 		}
-		run.Predictor = cfg.Predictor
+		run.Predictor = cmp.Or(spelled, cfg.Predictor)
 		return run, nil
 	}
 	if cfg.Verify {
@@ -349,7 +362,7 @@ func RunContext(ctx context.Context, cfg Config) (run *stats.Run, err error) {
 		if rerr != nil {
 			return nil, wrapError(cfg, rerr)
 		}
-		run.Predictor = cfg.Predictor
+		run.Predictor = cmp.Or(spelled, cfg.Predictor)
 		return run, nil
 	}
 	key := coreKey{machine: machine, opt: opt.Key()}
@@ -363,7 +376,7 @@ func RunContext(ctx context.Context, cfg Config) (run *stats.Run, err error) {
 		return nil, wrapError(cfg, rerr)
 	}
 	putCore(key, c)
-	run.Predictor = cfg.Predictor
+	run.Predictor = cmp.Or(spelled, cfg.Predictor)
 	return run, nil
 }
 
@@ -426,6 +439,7 @@ func runVerified(ctx context.Context, machine config.Machine, pred mdp.Predictor
 // always freshly built — ownership passes to the caller, never to the pool.
 // Failures return as typed *SimErrors, like RunContext.
 func RunCore(cfg Config) (run *stats.Run, core *pipeline.Core, err error) {
+	spelled := cfg.Predictor
 	cfg = cfg.Normalized()
 	defer func() {
 		if v := recover(); v != nil {
@@ -450,7 +464,7 @@ func RunCore(cfg Config) (run *stats.Run, core *pipeline.Core, err error) {
 	if rerr != nil {
 		return nil, nil, wrapError(cfg, rerr)
 	}
-	run.Predictor = cfg.Predictor
+	run.Predictor = cmp.Or(spelled, cfg.Predictor)
 	return run, c, nil
 }
 

@@ -19,10 +19,6 @@ type Prefixes struct {
 	// stream order; DivEntries[:k] is the history of a micro-op that k
 	// divergent branches precede.
 	DivEntries []histutil.Entry
-	// RegStores reports whether some store also writes a register — a shape
-	// only decoded streams have, and one the timing model's store-ordering
-	// waits treat apart.
-	RegStores bool
 }
 
 // Pre returns the trace's precomputed prefixes, building them on first use.
@@ -32,12 +28,8 @@ func (t *Trace) Pre() *Prefixes {
 		p := &Prefixes{}
 		divs := 0
 		for i := range t.Insts {
-			in := &t.Insts[i]
-			if in.Divergent() {
+			if t.Insts[i].Divergent() {
 				divs++
-			}
-			if in.IsStore() && in.Dst != 0 {
-				p.RegStores = true
 			}
 		}
 		p.DivEntries = make([]histutil.Entry, 0, divs)

@@ -381,19 +381,6 @@ func TestPrefixesMatchStream(t *testing.T) {
 	if len(p.DivEntries) != divs {
 		t.Fatalf("divEntries length %d, want %d", len(p.DivEntries), divs)
 	}
-	if p.RegStores {
-		t.Error("generated streams have no register-writing stores")
-	}
-	insts := append([]isa.Inst(nil), tr.Insts...)
-	for i := range insts {
-		if insts[i].IsStore() {
-			insts[i].Dst = 3
-			break
-		}
-	}
-	if !(&Trace{Insts: insts}).Pre().RegStores {
-		t.Error("RegStores misses a register-writing store")
-	}
 }
 
 // TestBranchOutcomesMemo: concurrent first uses of one (predictor, from) key
