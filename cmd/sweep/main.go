@@ -23,7 +23,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
-	"repro/internal/pipeline"
 	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -36,7 +35,7 @@ func fatal(v ...any) {
 
 func main() {
 	var (
-		kind         = flag.String("kind", "budget", "sweep kind: budget, history, machine, window")
+		kind         = flag.String("kind", "budget", "sweep kind: budget, history, machine")
 		n            = flag.Int("n", sim.DefaultInstructions, "instructions per run")
 		apps         = flag.String("apps", "", "comma-separated app subset (default: whole suite)")
 		predictor    = flag.String("predictor", "phast", "predictor for the machine sweep")
@@ -86,8 +85,6 @@ func main() {
 		}
 	case "machine":
 		err = machineSweep(r, *predictor)
-	case "window":
-		err = windowSweep(ctx, r, *predictor)
 	default:
 		err = fmt.Errorf("unknown sweep kind %q", *kind)
 	}
@@ -104,74 +101,6 @@ func main() {
 	if err := stopProf(); err != nil {
 		fatal("profile:", err)
 	}
-}
-
-// windowSweep isolates the Fig. 2 mechanism: on one machine generation,
-// scale only the speculation window (ROB/IQ/LQ/SQ) and watch the predictor's
-// gap to ideal grow — more in-flight unresolved stores, more exposure.
-func windowSweep(ctx context.Context, r *experiments.Runner, predictor string) error {
-	t := stats.NewTable(fmt.Sprintf("window sweep — %s (alderlake-derived)", predictor),
-		"scale", "ROB", "SQ", "IPC/ideal", "MPKI(FN)", "MPKI(FP)")
-	for _, scale := range []float64{0.25, 0.5, 1, 2} {
-		m := config.AlderLake()
-		m.Name = fmt.Sprintf("alderlake-w%g", scale)
-		m.ROB = int(float64(m.ROB) * scale)
-		m.IQ = int(float64(m.IQ) * scale)
-		m.LQ = int(float64(m.LQ) * scale)
-		m.SQ = int(float64(m.SQ) * scale)
-		if err := m.Validate(); err != nil {
-			return err
-		}
-		geo, fn, fp, err := sweepOn(ctx, r, m, predictor)
-		if err != nil {
-			return err
-		}
-		t.AddRowf(fmt.Sprintf("%gx", scale), m.ROB, m.SQ, geo, fn, fp)
-	}
-	fmt.Fprintln(r.Opt().Out, t)
-	return nil
-}
-
-// sweepOn runs predictor and ideal over the runner's apps on an ad-hoc
-// machine (bypassing the by-name registry), with a per-run wall-clock
-// budget matching the runner's.
-func sweepOn(ctx context.Context, r *experiments.Runner, m config.Machine, predictor string) (geo, fn, fp float64, err error) {
-	var ratios, fns, fps []float64
-	for _, app := range r.Opt().Apps {
-		idealRun, err := runOn(ctx, r, m, app, "ideal")
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		predRun, err := runOn(ctx, r, m, app, predictor)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		ratios = append(ratios, predRun.Speedup(idealRun))
-		fns = append(fns, predRun.ViolationMPKI())
-		fps = append(fps, predRun.FalseDepMPKI())
-	}
-	return stats.GeoMean(ratios), stats.Mean(fns), stats.Mean(fps), nil
-}
-
-func runOn(ctx context.Context, r *experiments.Runner, m config.Machine, app, predictor string) (*stats.Run, error) {
-	if d := r.Opt().RunTimeout; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	tr, err := sim.TraceFor(app, r.Opt().Instructions, 0)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := sim.NewPredictor(predictor)
-	if err != nil {
-		return nil, err
-	}
-	c, err := pipeline.New(m, pred, pipeline.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	return c.RunContext(ctx, tr)
 }
 
 func machineSweep(r *experiments.Runner, predictor string) error {

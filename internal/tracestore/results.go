@@ -2,9 +2,11 @@ package tracestore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,8 +15,9 @@ import (
 // ResultLog is the persistent per-tenant results store: an append-only
 // JSONL file per tenant, where a record's sequence number is its 1-based
 // line number. Appends are serialised in-process and written as single
-// lines, so readers never observe a torn record; a restarted node resumes
-// numbering by counting existing lines.
+// lines, and List reads only acknowledged records, so readers never observe
+// a torn record. A restarted node resumes numbering by counting existing
+// lines, after cutting off the torn tail a crash mid-append can leave.
 //
 // Layout: <dir>/<tenant>.jsonl
 type ResultLog struct {
@@ -67,11 +70,22 @@ func (l *ResultLog) Append(tenant string, rec any) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return 0, err
+	}
 	if _, err := f.Write(append(data, '\n')); err != nil {
+		// The record was never acknowledged: cut it back off, or failing
+		// that, recount (and repair) the log on the next touch.
+		if f.Truncate(fi.Size()) != nil {
+			delete(l.seqs, tenant)
+		}
 		f.Close()
 		return 0, err
 	}
 	if err := f.Close(); err != nil {
+		delete(l.seqs, tenant)
 		return 0, err
 	}
 	l.seqs[tenant] = last + 1
@@ -90,6 +104,12 @@ func (l *ResultLog) List(tenant string, after int64, limit int) ([]ResultEntry, 
 	if limit <= 0 || limit > maxListLimit {
 		limit = maxListLimit
 	}
+	l.mu.Lock()
+	last, err := l.lastSeqLocked(tenant)
+	l.mu.Unlock()
+	if err != nil || last <= after {
+		return nil, err
+	}
 	f, err := os.Open(l.path(tenant))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -102,7 +122,7 @@ func (l *ResultLog) List(tenant string, after int64, limit int) ([]ResultEntry, 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
 	var seq int64
-	for sc.Scan() {
+	for seq < last && sc.Scan() {
 		seq++
 		if seq <= after {
 			continue
@@ -122,29 +142,42 @@ func (l *ResultLog) List(tenant string, after int64, limit int) ([]ResultEntry, 
 	return out, nil
 }
 
-// lastSeqLocked returns the tenant's last assigned sequence number,
-// counting existing lines on first touch.
+// lastSeqLocked returns the tenant's last assigned sequence number. On
+// first touch it counts the log's lines and truncates the log after its
+// last newline: the bytes beyond it are a record whose append never
+// returned, and left in place they would glue the next record onto it.
 func (l *ResultLog) lastSeqLocked(tenant string) (int64, error) {
 	if seq, ok := l.seqs[tenant]; ok {
 		return seq, nil
 	}
-	f, err := os.Open(l.path(tenant))
+	f, err := os.OpenFile(l.path(tenant), os.O_RDWR, 0)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			l.seqs[tenant] = 0
 			return 0, nil
 		}
 		return 0, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
-	var seq int64
-	for sc.Scan() {
-		seq++
+	var seq, size, end int64
+	buf := make([]byte, 64<<10)
+	for {
+		n, err := f.Read(buf)
+		seq += int64(bytes.Count(buf[:n], []byte{'\n'}))
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			end = size + int64(i) + 1
+		}
+		size += int64(n)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return 0, err
+	if size > end {
+		if err := f.Truncate(end); err != nil {
+			return 0, err
+		}
 	}
 	l.seqs[tenant] = seq
 	return seq, nil

@@ -1,6 +1,10 @@
 package tracestore
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -80,5 +84,78 @@ func TestResultLogRejectsBadTenant(t *testing.T) {
 	}
 	if _, err := l.List("../evil", 0, 0); err == nil {
 		t.Fatal("path-traversal tenant accepted for list")
+	}
+}
+
+// A crash mid-append leaves the log cut at any byte. Recovery keeps every
+// complete record under its seq, lists nothing of the torn one, and the
+// next append takes the following seq on a line of its own.
+func TestResultLogRepairsTornTail(t *testing.T) {
+	var full []byte
+	var ends []int // byte offset just past each complete record
+	for i := 1; i <= 3; i++ {
+		line, err := json.Marshal(rec{App: "a", N: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full = append(append(full, line...), '\n')
+		ends = append(ends, len(full))
+	}
+	want := func(n int) []string {
+		var out []string
+		for i := 0; i < n; i++ {
+			start := 0
+			if i > 0 {
+				start = ends[i-1]
+			}
+			out = append(out, string(full[start:ends[i]-1]))
+		}
+		return out
+	}
+	records := func(entries []ResultEntry) []string {
+		var out []string
+		for i, e := range entries {
+			if e.Seq != int64(i+1) || !json.Valid(e.Record) {
+				t.Errorf("entry %d: seq %d, record %q", i, e.Seq, e.Record)
+			}
+			out = append(out, string(e.Record))
+		}
+		return out
+	}
+	for cut := 0; cut <= len(full); cut++ {
+		complete := 0
+		for complete < len(ends) && ends[complete] <= cut {
+			complete++
+		}
+		for _, listFirst := range []bool{false, true} {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "alice.jsonl"), full[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l := NewResultLog(dir)
+			if listFirst {
+				got, err := l.List("alice", 0, 0)
+				if err != nil {
+					t.Fatalf("cut %d: %v", cut, err)
+				}
+				if g := records(got); !reflect.DeepEqual(g, want(complete)) {
+					t.Errorf("cut %d: listed %q before appending, want %q", cut, g, want(complete))
+				}
+			}
+			seq, err := l.Append("alice", rec{App: "z", N: 99})
+			if err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			if seq != int64(complete+1) {
+				t.Errorf("cut %d: append took seq %d, want %d", cut, seq, complete+1)
+			}
+			got, err := l.List("alice", 0, 0)
+			if err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			if g, w := records(got), append(want(complete), `{"app":"z","n":99}`); !reflect.DeepEqual(g, w) {
+				t.Errorf("cut %d: listed %q, want %q", cut, g, w)
+			}
+		}
 	}
 }

@@ -207,19 +207,15 @@ func (s *Store) Put(tenant string, r io.Reader) (PutResult, error) {
 		s.count(CounterBadTrace, 1)
 		return PutResult{}, &FormatError{Err: err}
 	}
-	// Canonical re-encode: Encode is deterministic, so the digest names the
-	// decoded stream regardless of how the uploader packed it. (Hashing the
-	// upload bytes directly would give the same stream two addresses.)
-	var canon bytes.Buffer
-	if err := tr.Encode(&canon); err != nil {
-		return PutResult{}, fmt.Errorf("tracestore: canonical encode: %w", err)
+	canon, digest, err := Canonical(tr)
+	if err != nil {
+		return PutResult{}, err
 	}
-	if int64(canon.Len()) > s.maxTrace {
+	size := int64(len(canon))
+	if size > s.maxTrace {
 		s.count(CounterTooLarge, 1)
 		return PutResult{}, ErrTooLarge
 	}
-	digest := contentaddr.Sum(canon.Bytes())
-	size := int64(canon.Len())
 	res := PutResult{Digest: digest, Bytes: size, Insts: tr.Len()}
 
 	s.mu.Lock()
@@ -237,7 +233,7 @@ func (s *Store) Put(tenant string, r io.Reader) (PutResult, error) {
 		s.count(CounterQuota, 1)
 		return PutResult{}, fmt.Errorf("%w (used %d + %d > %d)", ErrQuota, used, size, s.tenantQuota)
 	}
-	if err := s.writeTrace(digest, canon.Bytes()); err != nil {
+	if err := s.writeTrace(digest, canon); err != nil {
 		return PutResult{}, err
 	}
 	manifest := fmt.Sprintf("{\"digest\":%q,\"bytes\":%d}\n", digest, size)
@@ -248,6 +244,19 @@ func (s *Store) Put(tenant string, r io.Reader) (PutResult, error) {
 	s.count(CounterPuts, 1)
 	s.count(CounterPutBytes, uint64(size))
 	return res, nil
+}
+
+// Canonical returns a stream's canonical encoding and its content address,
+// the SHA-256 of those bytes: the name the stream runs under as
+// "trace:<digest>". Encode is deterministic, so the digest names the
+// decoded stream however it was packed on the wire or on disk; hashing
+// uploaded bytes directly would give one stream two addresses.
+func Canonical(tr *trace.Trace) (data []byte, digest string, err error) {
+	var buf bytes.Buffer
+	if err := tr.Encode(&buf); err != nil {
+		return nil, "", fmt.Errorf("tracestore: canonical encode: %w", err)
+	}
+	return buf.Bytes(), contentaddr.Sum(buf.Bytes()), nil
 }
 
 // PutCanonical stores already-canonical trace bytes under their claimed
