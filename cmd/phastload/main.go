@@ -61,10 +61,7 @@
 // these; a scenario with both runs the job first, then the load, so the
 // counter deltas capture the two together.
 //
-// Without -scenario the flags describe a single anonymous scenario:
-//
-//	phastload -url http://localhost:8091 -mode closed -c 16 -duration 10s -dup 0.5
-//	phastload -url http://localhost:8091 -mode open -qps 50 -duration 30s
+// -scenario is required; -out, -digests and -wait are the only other flags.
 package main
 
 import (
@@ -73,6 +70,7 @@ import (
 	"encoding/csv"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -80,7 +78,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,11 +91,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-func fatal(v ...any) {
-	fmt.Fprintln(os.Stderr, append([]any{"phastload:"}, v...)...)
-	os.Exit(1)
-}
 
 // Burst modulates an open-loop arrival process: for the first WidthMS of
 // every PeriodMS window, the arrival rate is multiplied by Factor.
@@ -141,7 +134,7 @@ type UploadSpec struct {
 // JobPhase drives a server-side autotuner job before the load starts: POST
 // the spec to /v1/jobs on the chosen target, poll GET /v1/jobs/{id} until
 // terminal, and optionally persist the winner's artifacts. The harness
-// fatals if the job fails, is cancelled, or outlives the timeout — a
+// fails if the job fails, is cancelled, or outlives the timeout — a
 // scenario that asked for a job cannot meaningfully report without it.
 type JobPhase struct {
 	// Spec is the job spec JSON, embedded verbatim (see internal/jobs).
@@ -163,7 +156,7 @@ type JobPhase struct {
 }
 
 // Scenario is one declarative traffic experiment. Zero-valued fields take
-// the defaults documented on the flags.
+// the defaults norm fills in.
 type Scenario struct {
 	Name    string   `json:"name"`
 	Targets []string `json:"targets"`
@@ -332,14 +325,7 @@ func loadScenarios(path string) ([]Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
-		// Also accept a bare single scenario object.
-		var one Scenario
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err2 := dec.Decode(&one); err2 != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
-		}
-		f.Scenarios = []Scenario{one}
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	if len(f.Scenarios) == 0 {
 		return nil, fmt.Errorf("%s: no scenarios", path)
@@ -353,53 +339,36 @@ func loadScenarios(path string) ([]Scenario, error) {
 }
 
 func main() {
-	var (
-		scenario = flag.String("scenario", "", "scenario JSON file (overrides the mix flags below)")
-		out      = flag.String("out", "", "append machine-readable result rows to this CSV file")
-		digests  = flag.String("digests", "", "append scenario,seed,sha256(run) rows to this file (bit-exactness artifact)")
-		wait     = flag.Duration("wait", 0, "poll every target's /healthz for up to this long before starting")
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "phastload:", err)
+		os.Exit(1)
+	}
+}
 
-		url       = flag.String("url", "http://localhost:8091", "phastd base URL (flag mode; scenario files carry their own targets)")
-		mode      = flag.String("mode", "closed", "arrival mode: closed (fixed concurrency) or open (fixed rate)")
-		c         = flag.Int("c", 16, "closed-loop concurrency (workers)")
-		qps       = flag.Float64("qps", 50, "open-loop target arrival rate (requests/second)")
-		duration  = flag.Duration("duration", 10*time.Second, "how long to generate load")
-		total     = flag.Int("requests", 0, "stop after this many requests (0 = duration-bound)")
-		dup       = flag.Float64("dup", 0.5, "probability a request duplicates one of -pool configs (0..1)")
-		pool      = flag.Int("pool", 4, "distinct configs in the duplicate pool")
-		zipfS     = flag.Float64("zipf", 0, "zipfian skew over the duplicate pool (> 1; 0 = uniform)")
-		app       = flag.String("app", "511.povray", "workload name")
-		predictor = flag.String("predictor", "phast", "predictor spec")
-		machine   = flag.String("machine", "alderlake", "machine configuration")
-		n         = flag.Int("n", 20_000, "instructions per simulation")
-		timeoutMS = flag.Int64("timeout-ms", 60_000, "per-request deadline sent to the server")
-		seed      = flag.Int64("seed", 1, "workload-mix random seed")
-	)
-	flag.Parse()
-
+// run is the whole command: it parses args, prints the per-scenario tables
+// to stdout and chaos and progress lines to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("phastload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scenarios []Scenario
-		err       error
+		scenario = fs.String("scenario", "", "scenario JSON file (required)")
+		out      = fs.String("out", "", "append machine-readable result rows to this CSV file")
+		digests  = fs.String("digests", "", "append scenario,seed,sha256(run) rows to this file (bit-exactness artifact)")
+		wait     = fs.Duration("wait", 0, "poll every target's /healthz for up to this long before starting")
 	)
-	if *scenario != "" {
-		scenarios, err = loadScenarios(*scenario)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		sc, err := Scenario{
-			Targets: []string{*url}, Mode: *mode, Concurrency: *c, QPS: *qps,
-			Requests: *total, DurationMS: duration.Milliseconds(),
-			Dup: *dup, Pool: *pool, ZipfS: *zipfS,
-			Config: sim.Config{
-				App: *app, Machine: *machine, Predictor: *predictor, Instructions: *n,
-			},
-			TimeoutMS: *timeoutMS, Seed: *seed,
-		}.norm()
-		if err != nil {
-			fatal(err)
-		}
-		scenarios = []Scenario{sc}
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *scenario == "" {
+		return errors.New("-scenario is required")
+	}
+	scenarios, err := loadScenarios(*scenario)
+	if err != nil {
+		return err
 	}
 
 	if *wait > 0 {
@@ -411,49 +380,69 @@ func main() {
 		}
 		for t := range targets {
 			if err := waitHealthy(t, *wait); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 	}
 
+	h := &harness{stdout: &lockedWriter{w: stdout}, stderr: &lockedWriter{w: stderr}, digests: *digests}
 	// Consecutive scenarios sharing a non-empty group run concurrently —
 	// the two-tenant fairness experiment needs a heavy and a light tenant
 	// loading the same fleet at the same time. Everything else runs in file
-	// order, one at a time.
-	rows := make([]resultRow, 0, len(scenarios))
+	// order, one at a time; rows keep file order either way.
+	var rows []resultRow
 	for i := 0; i < len(scenarios); {
 		j := i + 1
 		for scenarios[i].Group != "" && j < len(scenarios) && scenarios[j].Group == scenarios[i].Group {
 			j++
 		}
-		if j-i == 1 {
-			rows = append(rows, runScenario(scenarios[i], *digests)...)
-		} else {
-			fmt.Printf("== group %s: %d scenarios concurrently ==\n", scenarios[i].Group, j-i)
-			var (
-				mu sync.Mutex
-				wg sync.WaitGroup
-			)
-			for _, sc := range scenarios[i:j] {
-				wg.Add(1)
-				go func(sc Scenario) {
-					defer wg.Done()
-					r := runScenario(sc, *digests)
-					mu.Lock()
-					rows = append(rows, r...)
-					mu.Unlock()
-				}(sc)
-			}
-			wg.Wait()
+		if j-i > 1 {
+			fmt.Fprintf(h.stdout, "== group %s: %d scenarios concurrently ==\n", scenarios[i].Group, j-i)
+		}
+		group, errs := make([][]resultRow, j-i), make([]error, j-i)
+		var wg sync.WaitGroup
+		for k, sc := range scenarios[i:j] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				group[k], errs[k] = h.runScenario(sc)
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			return err
+		}
+		for _, r := range group {
+			rows = append(rows, r...)
 		}
 		i = j
 	}
 	if *out != "" {
 		if err := writeCSV(*out, rows); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "phastload: %d result row(s) appended to %s\n", len(rows), *out)
+		fmt.Fprintf(stderr, "phastload: %d result row(s) appended to %s\n", len(rows), *out)
 	}
+	return nil
+}
+
+// harness is one invocation's output streams and digest artifact path,
+// shared by every scenario it runs.
+type harness struct {
+	stdout, stderr io.Writer
+	digests        string // -digests path ("" = none)
+}
+
+// lockedWriter serialises the writes of concurrently running scenarios.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // waitHealthy polls target/healthz until it answers 200 or the budget runs
@@ -480,19 +469,22 @@ func waitHealthy(target string, budget time.Duration) error {
 // the machine-readable rows: one summed "all" row, plus one row per target
 // when there are several (who actually did the work — essential when a
 // chaos event reshuffles ring ownership mid-run).
-func runScenario(sc Scenario, digestPath string) []resultRow {
-	fmt.Printf("== scenario %s: %s over %d target(s), dup=%g pool=%d zipf=%g ==\n",
+func (h *harness) runScenario(sc Scenario) ([]resultRow, error) {
+	fmt.Fprintf(h.stdout, "== scenario %s: %s over %d target(s), dup=%g pool=%d zipf=%g ==\n",
 		sc.Name, sc.Mode, len(sc.Targets), sc.Dup, sc.Pool, sc.ZipfS)
 
 	before, err := fetchMetricsEach(sc.Targets)
 	if err != nil {
-		fatal("server unreachable:", err)
+		return nil, fmt.Errorf("server unreachable: %w", err)
 	}
 
 	// Upload after the "before" snapshot so the ingestion counters land
 	// inside this scenario's delta.
 	if sc.Upload != nil {
-		digest := uploadTrace(sc)
+		digest, err := h.uploadTrace(sc)
+		if err != nil {
+			return nil, err
+		}
 		sc.Config.App = strings.ReplaceAll(sc.Config.App, "@upload", digest)
 	}
 
@@ -501,7 +493,9 @@ func runScenario(sc Scenario, digestPath string) []resultRow {
 	// cache traffic, trial rows).
 	var jobStatus *jobs.Status
 	if sc.Job != nil {
-		jobStatus = runJob(sc)
+		if jobStatus, err = h.runJob(sc); err != nil {
+			return nil, err
+		}
 	}
 
 	// Pre-plan the request mix so the workload is reproducible under the
@@ -512,8 +506,7 @@ func runScenario(sc Scenario, digestPath string) []resultRow {
 	if sc.ZipfS > 1 && sc.Pool > 1 {
 		zipf = rand.NewZipf(rng, sc.ZipfS, 1, uint64(sc.Pool-1))
 	}
-	seedOf := func(i int) int64 {
-		_ = i
+	seedOf := func() int64 {
 		if rng.Float64() < sc.Dup {
 			if zipf != nil {
 				return int64(1 + zipf.Uint64())
@@ -535,7 +528,7 @@ func runScenario(sc Scenario, digestPath string) []resultRow {
 		timeoutMS: sc.TimeoutMS,
 		thinkMS:   sc.ThinkMS,
 		failover:  sc.Failover,
-		digest:    digestPath != "",
+		digest:    h.digests != "",
 		unique:    map[int64]bool{},
 		digests:   map[int64]string{},
 	}
@@ -549,7 +542,7 @@ func runScenario(sc Scenario, digestPath string) []resultRow {
 		go func(i int, ev ChaosEvent) {
 			defer chaosWG.Done()
 			waitChaosTrigger(ev, lg, chaosDone)
-			fireChaos(i, ev, start)
+			h.fireChaos(i, ev, start)
 		}(i, ev)
 	}
 
@@ -571,13 +564,13 @@ func runScenario(sc Scenario, digestPath string) []resultRow {
 		// scenario inherits the fleet).
 		for _, t := range sc.Targets {
 			if err := waitHealthy(t, 30*time.Second); err != nil {
-				fatal(err)
+				return nil, err
 			}
 		}
 	}
 	after, err := fetchMetricsEach(sc.Targets)
 	if err != nil {
-		fatal("server metrics after the run:", err)
+		return nil, fmt.Errorf("server metrics after the run: %w", err)
 	}
 	perTarget := make(map[string]map[string]uint64, len(sc.Targets))
 	allDeltas := map[string]uint64{}
@@ -590,16 +583,16 @@ func runScenario(sc Scenario, digestPath string) []resultRow {
 		perTarget[t] = d
 	}
 
-	lg.report(os.Stdout, sc.Name, elapsed, allDeltas)
-	if digestPath != "" {
-		if err := writeDigests(digestPath, sc.Name, lg.digests); err != nil {
-			fatal(err)
-		}
-	}
 	row := lg.row(sc, elapsed, allDeltas)
 	if jobStatus != nil {
 		row.jobState = jobStatus.State
 		row.jobTrials = jobStatus.CompletedTrials
+	}
+	report(h.stdout, row)
+	if h.digests != "" {
+		if err := writeDigests(h.digests, sc.Name, lg.digests); err != nil {
+			return nil, err
+		}
 	}
 	rows := []resultRow{row}
 	if len(sc.Targets) > 1 {
@@ -607,58 +600,63 @@ func runScenario(sc Scenario, digestPath string) []resultRow {
 			rows = append(rows, targetRow(sc, t, perTarget[t]))
 		}
 	}
-	return rows
+	return rows, nil
 }
 
 // runJob executes a scenario's autotuner phase: submit the spec, poll until
 // the job is terminal, persist the winner artifacts, return the final
 // status. Resubmission of a spec the server already finished is idempotent
 // (same digest, same job), so the poll loop exits on the first status.
-func runJob(sc Scenario) *jobs.Status {
+func (h *harness) runJob(sc Scenario) (*jobs.Status, error) {
 	jp := sc.Job
 	target := sc.Targets[jp.Target]
-	st := jobRequest(sc, http.MethodPost, target+"/v1/jobs", bytes.NewReader(jp.Spec))
-	fmt.Printf("scenario %s: job %s submitted (state=%s, %d/%d trials)\n",
+	st, err := jobRequest(sc, http.MethodPost, target+"/v1/jobs", bytes.NewReader(jp.Spec))
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(h.stdout, "scenario %s: job %s submitted (state=%s, %d/%d trials)\n",
 		sc.Name, shortID(st.ID), st.State, st.CompletedTrials, st.PlannedTrials)
 	deadline := time.Now().Add(time.Duration(jp.TimeoutMS) * time.Millisecond)
 	for st.State == "running" {
 		if !time.Now().Before(deadline) {
-			fatal(fmt.Sprintf("scenario %s: job %s still running after %dms", sc.Name, shortID(st.ID), jp.TimeoutMS))
+			return nil, fmt.Errorf("scenario %s: job %s still running after %dms", sc.Name, shortID(st.ID), jp.TimeoutMS)
 		}
 		time.Sleep(time.Duration(jp.PollMS) * time.Millisecond)
-		st = jobRequest(sc, http.MethodGet, target+"/v1/jobs/"+st.ID, nil)
+		if st, err = jobRequest(sc, http.MethodGet, target+"/v1/jobs/"+st.ID, nil); err != nil {
+			return nil, err
+		}
 	}
 	if st.State != "done" {
-		fatal(fmt.Sprintf("scenario %s: job %s ended %s: %s", sc.Name, shortID(st.ID), st.State, st.Error))
+		return nil, fmt.Errorf("scenario %s: job %s ended %s: %s", sc.Name, shortID(st.ID), st.State, st.Error)
 	}
 	if st.Winner == nil {
-		fatal(fmt.Sprintf("scenario %s: job %s done without a winner", sc.Name, shortID(st.ID)))
+		return nil, fmt.Errorf("scenario %s: job %s done without a winner", sc.Name, shortID(st.ID))
 	}
-	fmt.Printf("scenario %s: job %s done — winner %s score=%.4f (%d trials, digest %s)\n",
+	fmt.Fprintf(h.stdout, "scenario %s: job %s done — winner %s score=%.4f (%d trials, digest %s)\n",
 		sc.Name, shortID(st.ID), st.Winner.Predictor, st.Winner.Score, st.CompletedTrials, shortID(st.ResultDigest))
 	if jp.TableOut != "" {
 		if err := os.WriteFile(jp.TableOut, []byte(st.Winner.Table), 0o644); err != nil {
-			fatal(err)
+			return nil, err
 		}
 	}
 	if jp.ConfigOut != "" {
 		data, err := json.Marshal(st.Winner.Config)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		if err := os.WriteFile(jp.ConfigOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
+			return nil, err
 		}
 	}
-	return st
+	return st, nil
 }
 
 // jobRequest performs one /v1/jobs call with the scenario's tenant header
-// and decodes the status, fataling on any non-200.
-func jobRequest(sc Scenario, method, url string, body io.Reader) *jobs.Status {
+// and decodes the status; any non-200 is an error.
+func jobRequest(sc Scenario, method, url string, body io.Reader) (*jobs.Status, error) {
 	req, err := http.NewRequest(method, url, body)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if sc.Tenant != "" {
@@ -666,18 +664,18 @@ func jobRequest(sc Scenario, method, url string, body io.Reader) *jobs.Status {
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		fatal("job request:", err)
+		return nil, fmt.Errorf("job request: %w", err)
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Sprintf("%s %s: %s: %s", method, url, resp.Status, bytes.TrimSpace(data)))
+		return nil, fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, bytes.TrimSpace(data))
 	}
 	var st jobs.Status
 	if err := json.Unmarshal(data, &st); err != nil {
-		fatal("job response:", err)
+		return nil, fmt.Errorf("job response: %w", err)
 	}
-	return &st
+	return &st, nil
 }
 
 // shortID abbreviates a job/digest hex ID for log lines.
@@ -690,23 +688,22 @@ func shortID(id string) string {
 
 // uploadTrace runs a scenario's bring-your-own-workload phase: generate the
 // trace locally, stream it to the chosen target with the scenario's tenant
-// header, and return the content digest the server minted. The harness
-// fatals on any failure — a scenario that asked for an upload cannot
-// meaningfully run without it.
-func uploadTrace(sc Scenario) string {
+// header, and return the content digest the server minted. Any failure is
+// the scenario's — it cannot meaningfully run without the upload.
+func (h *harness) uploadTrace(sc Scenario) (string, error) {
 	up := sc.Upload
 	tr, err := sim.TraceFor(up.App, up.Insts, up.Seed)
 	if err != nil {
-		fatal("upload trace generation:", err)
+		return "", fmt.Errorf("upload trace generation: %w", err)
 	}
 	var buf bytes.Buffer
 	if err := tr.Encode(&buf); err != nil {
-		fatal("upload trace encoding:", err)
+		return "", fmt.Errorf("upload trace encoding: %w", err)
 	}
 	target := sc.Targets[up.Target]
 	req, err := http.NewRequest(http.MethodPost, target+"/v1/traces", bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		fatal(err)
+		return "", err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if sc.Tenant != "" {
@@ -714,20 +711,20 @@ func uploadTrace(sc Scenario) string {
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		fatal("trace upload:", err)
+		return "", fmt.Errorf("trace upload: %w", err)
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Sprintf("trace upload to %s: %s: %s", target, resp.Status, bytes.TrimSpace(body)))
+		return "", fmt.Errorf("trace upload to %s: %s: %s", target, resp.Status, bytes.TrimSpace(body))
 	}
 	var ur server.TraceUploadResponse
 	if err := json.Unmarshal(body, &ur); err != nil {
-		fatal("trace upload response:", err)
+		return "", fmt.Errorf("trace upload response: %w", err)
 	}
-	fmt.Printf("scenario %s: uploaded %s/%d/seed=%d as trace:%s (%d bytes, %d insts, dup=%v)\n",
+	fmt.Fprintf(h.stdout, "scenario %s: uploaded %s/%d/seed=%d as trace:%s (%d bytes, %d insts, dup=%v)\n",
 		sc.Name, up.App, up.Insts, up.Seed, ur.Digest, ur.Bytes, ur.Insts, ur.Dup)
-	return ur.Digest
+	return ur.Digest, nil
 }
 
 // waitChaosTrigger blocks until the event's trigger condition is met or the
@@ -755,14 +752,14 @@ func waitChaosTrigger(ev ChaosEvent, lg *loadgen, loadDone <-chan struct{}) {
 // fireChaos runs one event's command via sh -c, synchronously within the
 // event (so "kill X; sleep 1; restart X" chains work), with its output on
 // stderr next to the harness's own log lines.
-func fireChaos(i int, ev ChaosEvent, start time.Time) {
-	fmt.Fprintf(os.Stderr, "phastload: chaos[%d] firing at +%s: %s\n",
+func (h *harness) fireChaos(i int, ev ChaosEvent, start time.Time) {
+	fmt.Fprintf(h.stderr, "phastload: chaos[%d] firing at +%s: %s\n",
 		i, time.Since(start).Round(time.Millisecond), ev.Exec)
 	cmd := exec.Command("sh", "-c", ev.Exec)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
+	cmd.Stdout = h.stderr
+	cmd.Stderr = h.stderr
 	if err := cmd.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "phastload: chaos[%d] failed: %v\n", i, err)
+		fmt.Fprintf(h.stderr, "phastload: chaos[%d] failed: %v\n", i, err)
 	}
 }
 
@@ -785,7 +782,7 @@ func writeDigests(path, scenario string, digests map[int64]string) error {
 	for s := range digests {
 		seeds = append(seeds, s)
 	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
+	slices.Sort(seeds)
 	var buf bytes.Buffer
 	for _, s := range seeds {
 		fmt.Fprintf(&buf, "%s,%d,%s\n", scenario, s, digests[s])
@@ -888,10 +885,8 @@ func failoverWorthy(status int) bool {
 func (l *loadgen) next(seed int64) {
 	cfg := l.cfg
 	cfg.Seed = seed
-	body, err := json.Marshal(server.RunRequest{Config: cfg, TimeoutMS: l.timeoutMS})
-	if err != nil {
-		fatal(err)
-	}
+	// A config is strings, ints and bools: marshalling cannot fail.
+	body, _ := json.Marshal(server.RunRequest{Config: cfg, TimeoutMS: l.timeoutMS})
 	first := int(l.rr.Add(1) - 1)
 	start := time.Now()
 	status, data := l.attempt(l.targets[first%len(l.targets)], body)
@@ -935,12 +930,12 @@ func (l *loadgen) next(seed int64) {
 
 // closedLoop runs c workers, each issuing its next request as soon as the
 // previous one completes — throughput adapts to server latency.
-func (l *loadgen) closedLoop(c, total int, deadline time.Time, seedOf func(int) int64) {
+func (l *loadgen) closedLoop(c, total int, deadline time.Time, seedOf func() int64) {
 	seeds := make(chan int64, c)
 	go func() {
 		defer close(seeds)
 		for i := 0; i < total && time.Now().Before(deadline); i++ {
-			seeds <- seedOf(i)
+			seeds <- seedOf()
 		}
 	}()
 	var wg sync.WaitGroup
@@ -967,7 +962,7 @@ func (l *loadgen) closedLoop(c, total int, deadline time.Time, seedOf func(int) 
 // A burst spec modulates the rate (factor× for the first width of every
 // period). In-flight requests are capped at 4096 as an OOM backstop;
 // arrivals past the cap count as client-side drops (reported as failed).
-func (l *loadgen) openLoop(qps float64, burst *Burst, total int, deadline time.Time, seedOf func(int) int64) {
+func (l *loadgen) openLoop(qps float64, burst *Burst, total int, deadline time.Time, seedOf func() int64) {
 	start := time.Now()
 	next := start
 	var inflight atomic.Int64
@@ -991,7 +986,7 @@ func (l *loadgen) openLoop(qps float64, burst *Burst, total int, deadline time.T
 			l.mu.Unlock()
 			continue
 		}
-		seed := seedOf(i)
+		seed := seedOf()
 		inflight.Add(1)
 		wg.Add(1)
 		go func() {
@@ -1027,11 +1022,7 @@ func fetchMetricsEach(targets []string) (map[string]map[string]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := make(map[string]uint64, len(m.Counters))
-		for name, v := range m.Counters {
-			c[name] = v
-		}
-		out[t] = c
+		out[t] = m.Counters
 	}
 	return out, nil
 }
@@ -1053,44 +1044,28 @@ var serverCounters = []string{
 	runcache.CounterRunsSimulated, runcache.CounterDiskEvicted,
 }
 
-func (l *loadgen) pct(q float64) time.Duration {
-	if len(l.latencies) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(l.latencies)-1))
-	return l.latencies[i]
-}
-
-// report renders the client-side latency distribution and the server-side
-// counter deltas for the run. Callers hold no lock; latencies are final.
-func (l *loadgen) report(w io.Writer, name string, elapsed time.Duration, deltas map[string]uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	sort.Slice(l.latencies, func(i, j int) bool { return l.latencies[i] < l.latencies[j] })
-	n := len(l.latencies)
-
-	t := stats.NewTable(fmt.Sprintf("%s — client side", name), "metric", "value")
-	t.AddRowf("requests", n)
-	t.AddRowf("unique configs", len(l.unique))
-	t.AddRowf("ok", l.ok)
-	t.AddRowf("rejected (429)", l.rejected)
-	t.AddRowf("failed", l.failed)
-	t.AddRowf("failovers", l.failovers)
-	t.AddRowf("digest mismatches", l.mismatched)
-	t.AddRow("elapsed", elapsed.Round(time.Millisecond).String())
-	t.AddRow("achieved rps", fmt.Sprintf("%.1f", float64(n)/elapsed.Seconds()))
-	for _, p := range []struct {
-		name string
-		q    float64
-	}{{"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}, {"max", 1.0}} {
-		t.AddRow("latency "+p.name, l.pct(p.q).Round(time.Microsecond).String())
+// report renders one scenario's client-side outcome and the server-side
+// counter deltas from its "all" row.
+func report(w io.Writer, r resultRow) {
+	t := stats.NewTable(fmt.Sprintf("%s — client side", r.scenario), "metric", "value")
+	t.AddRowf("requests", r.requests)
+	t.AddRowf("unique configs", r.unique)
+	t.AddRowf("ok", r.ok)
+	t.AddRowf("rejected (429)", r.rejected)
+	t.AddRowf("failed", r.failed)
+	t.AddRowf("failovers", r.failovers)
+	t.AddRowf("digest mismatches", r.mismatched)
+	t.AddRow("elapsed", r.elapsed.Round(time.Millisecond).String())
+	t.AddRow("achieved rps", fmt.Sprintf("%.1f", r.rps))
+	for i, name := range []string{"p50", "p90", "p99", "max"} {
+		t.AddRow("latency "+name, r.lat[i].Round(time.Microsecond).String())
 	}
 	fmt.Fprint(w, t)
 
 	st := stats.NewTable(fmt.Sprintf("%s — server side (delta over the run, summed across %d target(s))",
-		name, len(l.targets)), "counter", "delta")
+		r.scenario, r.targets), "counter", "delta")
 	for _, cname := range serverCounters {
-		st.AddRowf(cname, deltas[cname])
+		st.AddRowf(cname, r.deltas[cname])
 	}
 	fmt.Fprint(w, st)
 }
@@ -1113,36 +1088,40 @@ type resultRow struct {
 	failed     int
 	mismatched int
 	failovers  int
-	elapsedS   float64
+	elapsed    time.Duration
 	rps        float64
-	latMS      [4]float64 // p50, p90, p99, max
-	jobState   string     // terminal autotuner state ("" = no job phase)
+	lat        [4]time.Duration // p50, p90, p99, max
+	jobState   string           // terminal autotuner state ("" = no job phase)
 	jobTrials  int
 	deltas     map[string]uint64
 }
 
+// row summarises the load once it has ended (no request is still
+// recording): the latencies are sorted here, once, for the percentiles.
 func (l *loadgen) row(sc Scenario, elapsed time.Duration, deltas map[string]uint64) resultRow {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	slices.Sort(l.latencies)
+	n := len(l.latencies)
 	r := resultRow{
 		scenario:   sc.Name,
 		target:     "all",
 		targets:    len(sc.Targets),
 		mode:       sc.Mode,
 		tenant:     sc.Tenant,
-		requests:   len(l.latencies),
+		requests:   n,
 		unique:     len(l.unique),
 		ok:         l.ok,
 		rejected:   l.rejected,
 		failed:     l.failed,
 		mismatched: l.mismatched,
 		failovers:  l.failovers,
-		elapsedS:   elapsed.Seconds(),
-		rps:        float64(len(l.latencies)) / elapsed.Seconds(),
+		elapsed:    elapsed,
+		rps:        float64(n) / elapsed.Seconds(),
 		deltas:     deltas,
 	}
-	for i, q := range []float64{0.50, 0.90, 0.99, 1.0} {
-		r.latMS[i] = float64(l.pct(q)) / float64(time.Millisecond)
+	if n > 0 {
+		for i, q := range []float64{0.50, 0.90, 0.99, 1.0} {
+			r.lat[i] = l.latencies[int(q*float64(n-1))]
+		}
 	}
 	return r
 }
@@ -1203,12 +1182,12 @@ func writeCSV(path string, rows []resultRow) error {
 			fmt.Sprint(r.failed),
 			fmt.Sprint(r.mismatched),
 			fmt.Sprint(r.failovers),
-			fmt.Sprintf("%.3f", r.elapsedS),
+			fmt.Sprintf("%.3f", r.elapsed.Seconds()),
 			fmt.Sprintf("%.1f", r.rps),
-			fmt.Sprintf("%.3f", r.latMS[0]),
-			fmt.Sprintf("%.3f", r.latMS[1]),
-			fmt.Sprintf("%.3f", r.latMS[2]),
-			fmt.Sprintf("%.3f", r.latMS[3]),
+			ms(r.lat[0]),
+			ms(r.lat[1]),
+			ms(r.lat[2]),
+			ms(r.lat[3]),
 			r.jobState,
 			fmt.Sprint(r.jobTrials),
 		}
@@ -1221,4 +1200,9 @@ func writeCSV(path string, rows []resultRow) error {
 	}
 	w.Flush()
 	return w.Error()
+}
+
+// ms renders a latency in milliseconds for the CSV.
+func ms(d time.Duration) string {
+	return fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond))
 }

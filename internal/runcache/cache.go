@@ -108,7 +108,9 @@ func New(disk *Store, m *stats.Metrics) *Cache {
 	if disk != nil {
 		disk.SetMetrics(m)
 	}
-	return &Cache{mem: map[string]*stats.Run{}, disk: disk, metrics: m}
+	c := &Cache{mem: map[string]*stats.Run{}, disk: disk, metrics: m}
+	c.group.OnJoin = func() { m.Add(CounterCoalesced, 1) }
+	return c
 }
 
 // Metrics returns the registry the cache reports to.
@@ -179,7 +181,7 @@ func (c *Cache) GetOrRun(ctx context.Context, cfg sim.Config, simulate func(cont
 		c.metrics.Add(CounterMemHits, 1)
 		return run, nil
 	}
-	run, err, shared := c.group.Do(ctx, key, func() (*stats.Run, error) {
+	return c.group.Do(ctx, key, func() (*stats.Run, error) {
 		// Re-check memory: we may have lost the race to a flight that
 		// completed between our miss and joining the group.
 		if run, ok := c.memGet(key); ok {
@@ -224,8 +226,4 @@ func (c *Cache) GetOrRun(ctx context.Context, cfg sim.Config, simulate func(cont
 		}
 		return run, nil
 	})
-	if shared {
-		c.metrics.Add(CounterCoalesced, 1)
-	}
-	return run, err
 }

@@ -261,22 +261,19 @@ func TestCacheInMemoryOnly(t *testing.T) {
 }
 
 func TestSingleFlight(t *testing.T) {
-	var g Group
 	var calls, shares atomic.Uint64
+	g := Group{OnJoin: func() { shares.Add(1) }}
 	gate := make(chan struct{})
 	const waiters = 16
 	results := make([]*stats.Run, waiters)
 	do := func(i int) {
-		run, err, shared := g.Do(context.Background(), "k", func() (*stats.Run, error) {
+		run, err := g.Do(context.Background(), "k", func() (*stats.Run, error) {
 			calls.Add(1)
 			<-gate // hold the flight open while waiters pile up
 			return fakeRun("x", 1), nil
 		})
 		if err != nil {
 			t.Error(err)
-		}
-		if shared {
-			shares.Add(1)
 		}
 		results[i] = run
 	}
@@ -308,6 +305,115 @@ func TestSingleFlight(t *testing.T) {
 		if results[i] != results[0] {
 			t.Fatalf("waiter %d got a different result", i)
 		}
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGroupLeaderPanicFailsWaiters: when the leader's fn panics, the panic
+// stays on the leader's goroutine and every waiter returns an internal error
+// instead of hanging; the key is free again afterwards.
+func TestGroupLeaderPanicFailsWaiters(t *testing.T) {
+	var joined atomic.Int32
+	g := Group{OnJoin: func() { joined.Add(1) }}
+	gate, entered := make(chan struct{}), make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		g.Do(context.Background(), "k", func() (*stats.Run, error) {
+			close(entered)
+			<-gate
+			panic("boom")
+		})
+	}()
+	<-entered
+
+	const waiters = 4
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err := g.Do(context.Background(), "k", func() (*stats.Run, error) {
+				t.Error("a waiter ran fn while the flight was open")
+				return nil, nil
+			})
+			errs <- err
+		}()
+	}
+	waitFor(t, "every waiter to join", func() bool { return joined.Load() == waiters })
+	close(gate)
+	if p := <-leaderPanic; p != "boom" {
+		t.Errorf("leader recovered %v, want the fn's panic", p)
+	}
+	for i := 0; i < waiters; i++ {
+		err := <-errs
+		if err == nil || sim.KindOf(err) != sim.ErrInternal {
+			t.Errorf("waiter error %v (kind %q), want kind %q", err, sim.KindOf(err), sim.ErrInternal)
+		}
+	}
+	if run, err := g.Do(context.Background(), "k", func() (*stats.Run, error) {
+		return fakeRun("x", 1), nil
+	}); err != nil || run == nil || joined.Load() != waiters {
+		t.Errorf("after the panic: run=%v err=%v joins=%d, want a fresh flight", run, err, joined.Load())
+	}
+}
+
+// TestGroupOnJoinCountsJoinersAtJoinTime: OnJoin fires once per joiner (not
+// for the leader) while the flight is still open, and a joiner whose ctx
+// ends before the flight completes has still joined.
+func TestGroupOnJoinCountsJoinersAtJoinTime(t *testing.T) {
+	var joined atomic.Int32
+	g := Group{OnJoin: func() { joined.Add(1) }}
+	gate, entered := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		g.Do(context.Background(), "k", func() (*stats.Run, error) {
+			close(entered)
+			<-gate
+			return fakeRun("x", 1), nil
+		})
+	}()
+	<-entered
+
+	const patient = 3
+	for i := 0; i < patient; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if run, err := g.Do(context.Background(), "k", nil); err != nil || run == nil {
+				t.Errorf("joiner: run=%v err=%v", run, err)
+			}
+		}()
+	}
+	waitFor(t, "the patient joiners", func() bool { return joined.Load() == patient })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	impatient := make(chan error, 1)
+	go func() {
+		_, err := g.Do(ctx, "k", nil)
+		impatient <- err
+	}()
+	waitFor(t, "the impatient joiner", func() bool { return joined.Load() == patient+1 })
+	cancel()
+	if err := <-impatient; !errors.Is(err, context.Canceled) {
+		t.Errorf("impatient joiner returned %v, want context.Canceled", err)
+	}
+
+	close(gate)
+	wg.Wait()
+	if got := joined.Load(); got != patient+1 {
+		t.Errorf("OnJoin fired %d times, want %d (once per joiner, none for the leader)", got, patient+1)
 	}
 }
 

@@ -26,29 +26,38 @@ type call struct {
 // receives the first execution's result instead of re-running fn. The zero
 // Group is ready to use.
 type Group struct {
+	// OnJoin, when set, is called once per caller that joins another
+	// caller's flight, as it joins — before the flight completes, so a
+	// counter it bumps shows coalescing while the flight is still running.
+	// A joiner whose ctx later ends early has still joined.
+	OnJoin func()
+
 	mu sync.Mutex
 	m  map[string]*call
 }
 
-// Do executes fn once per key among concurrent callers. shared reports
-// whether this caller received another caller's result rather than running
-// fn itself. A waiter whose ctx ends before the flight completes returns
-// its ctx error immediately — the flight itself keeps running under the
-// leader (whose own context governs fn). Results are not retained after the
-// flight completes — pair a Group with a cache for memoisation across time,
-// not just across concurrency.
-func (g *Group) Do(ctx context.Context, key string, fn func() (*stats.Run, error)) (run *stats.Run, err error, shared bool) {
+// Do executes fn once per key among concurrent callers; a caller that finds
+// a flight open joins it and receives its result instead of running fn. A
+// waiter whose ctx ends before the flight completes returns its ctx error
+// immediately — the flight itself keeps running under the leader (whose own
+// context governs fn). Results are not retained after the flight completes
+// — pair a Group with a cache for memoisation across time, not just across
+// concurrency.
+func (g *Group) Do(ctx context.Context, key string, fn func() (*stats.Run, error)) (*stats.Run, error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = map[string]*call{}
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
+		if g.OnJoin != nil {
+			g.OnJoin()
+		}
 		select {
 		case <-c.done:
-			return c.run, c.err, true
+			return c.run, c.err
 		case <-ctx.Done():
-			return nil, ctx.Err(), true
+			return nil, ctx.Err()
 		}
 	}
 	c := &call{done: make(chan struct{})}
@@ -69,5 +78,5 @@ func (g *Group) Do(ctx context.Context, key string, fn func() (*stats.Run, error
 	}()
 	c.run, c.err = fn()
 	finished = true
-	return c.run, c.err, false
+	return c.run, c.err
 }

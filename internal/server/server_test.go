@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -263,6 +264,70 @@ func TestServerCoalescesDuplicates(t *testing.T) {
 	// Only the flight leader consumed an admission slot.
 	if got := m.Get(CounterAccepted); got != 1 {
 		t.Errorf("%s = %d, want 1 (duplicates must not consume slots)", CounterAccepted, got)
+	}
+}
+
+// panickingBackend panics past any recovery once gate opens — a backend
+// defect the server's coalescing must contain.
+type panickingBackend struct {
+	fakeBackend
+	entered chan struct{}
+}
+
+func (p *panickingBackend) RunConfigContext(ctx context.Context, cfg sim.Config) (*stats.Run, error) {
+	close(p.entered)
+	<-p.gate
+	panic("backend defect")
+}
+
+// TestServerCoalescedWaitersSurviveLeaderPanic: requests coalesced onto a
+// flight whose backend call panics get a typed 500 "internal" error instead
+// of hanging; the panic itself stays on the leader's connection.
+func TestServerCoalescedWaitersSurviveLeaderPanic(t *testing.T) {
+	pb := &panickingBackend{fakeBackend: fakeBackend{gate: make(chan struct{})}, entered: make(chan struct{})}
+	m := stats.NewMetrics()
+	ts := httptest.NewUnstartedServer(New(pb, Options{MaxInflight: 4, Metrics: m}).Handler())
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // net/http logs the contained panic
+	ts.Start()
+	defer ts.Close()
+
+	req := RunRequest{Config: sim.Config{App: "519.lbm", Predictor: "none", Instructions: 10_000}}
+	body, _ := json.Marshal(req)
+	leaderDone := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+		}
+		leaderDone <- err
+	}()
+	<-pb.entered
+
+	const waiters = 2
+	var wg sync.WaitGroup
+	statuses := make([]int, waiters)
+	bodies := make([]errorResponse, waiters)
+	for i := 0; i < waiters; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			statuses[i], _ = postJSON(t, ts.Client(), ts.URL+"/v1/runs", req, &bodies[i])
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for m.Get(CounterCoalesced) < waiters && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(pb.gate)
+	wg.Wait()
+	if err := <-leaderDone; err == nil {
+		t.Error("the panicking leader's request completed normally")
+	}
+	for i := 0; i < waiters; i++ {
+		if statuses[i] != http.StatusInternalServerError || bodies[i].Error.Kind != string(sim.ErrInternal) {
+			t.Errorf("waiter %d: status %d kind %q, want 500 %q", i, statuses[i], bodies[i].Error.Kind, sim.ErrInternal)
+		}
 	}
 }
 

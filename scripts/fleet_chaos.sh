@@ -13,57 +13,28 @@
 # Invoked by `make fleet-chaos` (part of `make check`); needs only go + awk.
 set -eu
 
-SMOKEDIR="${TMPDIR:-/tmp}/phast-fleet-chaos"
-rm -rf "$SMOKEDIR"
-mkdir -p "$SMOKEDIR"
+. "$(dirname "$0")/smoke_lib.sh"
+smoke_setup phast-fleet-chaos "fleet chaos" phastd phastload
 
-go build -o "$SMOKEDIR/phastd" ./cmd/phastd
-go build -o "$SMOKEDIR/phastload" ./cmd/phastload
-
-BASE="http://127.0.0.1"
 SOLO_PORT=19290
 P1=19291
 P2=19292
 P3=19293
 PEERS="$BASE:$P1,$BASE:$P2,$BASE:$P3"
 
-cleanup() {
-    for f in "$SMOKEDIR"/pid-*; do
-        [ -f "$f" ] && kill "$(cat "$f")" 2>/dev/null || true
-    done
-    wait 2>/dev/null || true
-}
-trap cleanup EXIT INT TERM
-
-# Each node gets a launcher script so a chaos event can restart it with the
-# exact same flags (and the same cache dir — the disk tier must survive a
-# crash). The launcher records the new pid for kill/cleanup.
-make_launcher() { # port [fleet args...]
-    port=$1
-    shift
-    {
-        echo '#!/bin/sh'
-        printf '%s -addr 127.0.0.1:%s -cache %s -max-inflight 4 -queue 64 -metrics=false' \
-            "$SMOKEDIR/phastd" "$port" "$SMOKEDIR/cache-$port"
-        for arg in "$@"; do printf ' %s' "$arg"; done
-        printf ' >>%s 2>&1 &\n' "$SMOKEDIR/phastd-$port.log"
-        printf 'echo $! >%s\n' "$SMOKEDIR/pid-$port"
-    } >"$SMOKEDIR/run-$port.sh"
-    chmod +x "$SMOKEDIR/run-$port.sh"
-    "$SMOKEDIR/run-$port.sh"
-}
-
 FLEETFLAGS="-probe-interval 150ms -probe-timeout 100ms -probe-down-after 2 -probe-up-after 1
             -proxy-retries 3 -retry-backoff 25ms
             -breaker-threshold 3 -breaker-open-for 500ms -hedge-delay 40ms"
 
-make_launcher "$SOLO_PORT"
+# start_node leaves a launcher per node ($SMOKEDIR/run-<port>.sh), so the
+# chaos event below restarts node 2 with the exact same flags and cache dir.
+start_node "$SOLO_PORT" -max-inflight 4 -queue 64
 # shellcheck disable=SC2086
-make_launcher "$P1" -self "$BASE:$P1" -peers "$PEERS" $FLEETFLAGS
+start_node "$P1" -max-inflight 4 -queue 64 -self "$BASE:$P1" -peers "$PEERS" $FLEETFLAGS
 # shellcheck disable=SC2086
-make_launcher "$P2" -self "$BASE:$P2" -peers "$PEERS" $FLEETFLAGS
+start_node "$P2" -max-inflight 4 -queue 64 -self "$BASE:$P2" -peers "$PEERS" $FLEETFLAGS
 # shellcheck disable=SC2086
-make_launcher "$P3" -self "$BASE:$P3" -peers "$PEERS" $FLEETFLAGS
+start_node "$P3" -max-inflight 4 -queue 64 -self "$BASE:$P3" -peers "$PEERS" $FLEETFLAGS
 
 # One chaos event: kill node 2 outright, leave it dead for 1.5s (long enough
 # for probes at 150ms x down-after 2 to remap it), restart it from the same

@@ -10,42 +10,19 @@
 # Invoked by `make fleet-smoke` (part of `make check`); needs only go + awk.
 set -eu
 
-SMOKEDIR="${TMPDIR:-/tmp}/phast-fleet-smoke"
-rm -rf "$SMOKEDIR"
-mkdir -p "$SMOKEDIR"
+. "$(dirname "$0")/smoke_lib.sh"
+smoke_setup phast-fleet-smoke "fleet smoke" phastd phastload
 
-go build -o "$SMOKEDIR/phastd" ./cmd/phastd
-go build -o "$SMOKEDIR/phastload" ./cmd/phastload
-
-BASE="http://127.0.0.1"
 SOLO_PORT=19190
 P1=19191
 P2=19192
 P3=19193
 PEERS="$BASE:$P1,$BASE:$P2,$BASE:$P3"
 
-PIDS=""
-cleanup() {
-    for pid in $PIDS; do
-        kill "$pid" 2>/dev/null || true
-    done
-    wait 2>/dev/null || true
-}
-trap cleanup EXIT INT TERM
-
-start_node() { # port [fleet args...]
-    port=$1
-    shift
-    "$SMOKEDIR/phastd" -addr "127.0.0.1:$port" -cache "$SMOKEDIR/cache-$port" \
-        -max-inflight 4 -queue 64 -metrics=false "$@" \
-        >"$SMOKEDIR/phastd-$port.log" 2>&1 &
-    PIDS="$PIDS $!"
-}
-
-start_node "$SOLO_PORT"
-start_node "$P1" -self "$BASE:$P1" -peers "$PEERS"
-start_node "$P2" -self "$BASE:$P2" -peers "$PEERS"
-start_node "$P3" -self "$BASE:$P3" -peers "$PEERS"
+start_node "$SOLO_PORT" -max-inflight 4 -queue 64
+start_node "$P1" -max-inflight 4 -queue 64 -self "$BASE:$P1" -peers "$PEERS"
+start_node "$P2" -max-inflight 4 -queue 64 -self "$BASE:$P2" -peers "$PEERS"
+start_node "$P3" -max-inflight 4 -queue 64 -self "$BASE:$P3" -peers "$PEERS"
 
 # Duplicate-heavy zipfian mix: 80 requests, ~60% re-ask one of 6 pool
 # configs (skewed so a couple go viral), the rest are unique seeds. The

@@ -25,61 +25,31 @@
 # Invoked by `make jobs-smoke` (part of `make check`); needs go + awk + curl.
 set -eu
 
-SMOKEDIR="${TMPDIR:-/tmp}/phast-jobs-smoke"
-rm -rf "$SMOKEDIR"
-mkdir -p "$SMOKEDIR"
+. "$(dirname "$0")/smoke_lib.sh"
+smoke_setup phast-jobs-smoke "jobs smoke" phastd phastload paperfigs
 
-go build -o "$SMOKEDIR/phastd" ./cmd/phastd
-go build -o "$SMOKEDIR/phastload" ./cmd/phastload
-go build -o "$SMOKEDIR/paperfigs" ./cmd/paperfigs
-
-BASE="http://127.0.0.1"
 P1=19490
 P2=19491
 P3=19492
 PEERS="$BASE:$P1,$BASE:$P2,$BASE:$P3"
 APPS="511.povray,519.lbm"
 
-fail() {
-    echo "jobs smoke FAIL: $*" >&2
-    exit 1
-}
-
 command -v curl >/dev/null 2>&1 || fail "curl is required"
-
-cleanup() {
-    for f in "$SMOKEDIR"/pid-*; do
-        [ -f "$f" ] && kill "$(cat "$f")" 2>/dev/null || true
-    done
-    wait 2>/dev/null || true
-}
-trap cleanup EXIT INT TERM
 
 FLEETFLAGS="-probe-interval 150ms -probe-timeout 100ms -probe-down-after 2 -probe-up-after 1"
 
-start_node() { # port [extra args...]
+fleet_node() { # port [extra args...]
     port=$1
     shift
     # shellcheck disable=SC2086
-    "$SMOKEDIR/phastd" -addr "127.0.0.1:$port" -cache "$SMOKEDIR/cache-$port" \
-        -self "$BASE:$port" -peers "$PEERS" $FLEETFLAGS -metrics=false "$@" \
-        >>"$SMOKEDIR/phastd-$port.log" 2>&1 &
-    echo $! >"$SMOKEDIR/pid-$port"
-}
-
-wait_healthy() { # port
-    for i in $(seq 1 50); do
-        curl -sf "$BASE:$1/healthz" >/dev/null 2>&1 && return 0
-        sleep 0.2
-    done
-    fail "node $1 never became healthy"
+    start_node "$port" -self "$BASE:$port" -peers "$PEERS" $FLEETFLAGS "$@"
 }
 
 # Only member 1 runs the controller; 2 workers keep the search slow enough
 # to kill mid-flight deterministically.
-start_node "$P1" -jobs-dir "$SMOKEDIR/jobs" -workers 2
-start_node "$P2"
-start_node "$P3"
+fleet_node "$P1" -jobs-dir "$SMOKEDIR/jobs" -workers 2
+fleet_node "$P2"
+fleet_node "$P3"
 wait_healthy "$P1"
 wait_healthy "$P2"
 wait_healthy "$P3"
@@ -141,7 +111,7 @@ echo "jobs smoke: killed member 1 after rung $((RUNG - 1)) ($S1 simulations in l
 
 # --- 2. restart, auto-resume, zero repeat simulations ---------------------
 
-start_node "$P1" -jobs-dir "$SMOKEDIR/jobs" -workers 2
+fleet_node "$P1" -jobs-dir "$SMOKEDIR/jobs" -workers 2
 wait_healthy "$P1"
 grep -q "resumed 1 checkpointed job" "$SMOKEDIR/phastd-$P1.log" \
     || fail "restarted member did not resume the job"

@@ -21,14 +21,9 @@
 # Invoked by `make trace-smoke` (part of `make check`); needs go + awk + curl.
 set -eu
 
-SMOKEDIR="${TMPDIR:-/tmp}/phast-trace-smoke"
-rm -rf "$SMOKEDIR"
-mkdir -p "$SMOKEDIR"
+. "$(dirname "$0")/smoke_lib.sh"
+smoke_setup phast-trace-smoke "trace smoke" phastd phastload
 
-go build -o "$SMOKEDIR/phastd" ./cmd/phastd
-go build -o "$SMOKEDIR/phastload" ./cmd/phastload
-
-BASE="http://127.0.0.1"
 SOLO=19390
 P1=19391
 P2=19392
@@ -36,29 +31,7 @@ P3=19393
 QUOTA=19394
 PEERS="$BASE:$P1,$BASE:$P2,$BASE:$P3"
 
-fail() {
-    echo "trace smoke FAIL: $*" >&2
-    exit 1
-}
-
 command -v curl >/dev/null 2>&1 || fail "curl is required"
-
-cleanup() {
-    for f in "$SMOKEDIR"/pid-*; do
-        [ -f "$f" ] && kill "$(cat "$f")" 2>/dev/null || true
-    done
-    wait 2>/dev/null || true
-}
-trap cleanup EXIT INT TERM
-
-start_node() { # port [extra args...]
-    port=$1
-    shift
-    "$SMOKEDIR/phastd" -addr "127.0.0.1:$port" -cache "$SMOKEDIR/cache-$port" \
-        -trace-dir "$SMOKEDIR/traces-$port" -metrics=false "$@" \
-        >>"$SMOKEDIR/phastd-$port.log" 2>&1 &
-    echo $! >"$SMOKEDIR/pid-$port"
-}
 
 FLEETFLAGS="-probe-interval 150ms -probe-timeout 100ms -probe-down-after 2 -probe-up-after 1"
 
@@ -71,13 +44,13 @@ FLEETFLAGS="-probe-interval 150ms -probe-timeout 100ms -probe-down-after 2 -prob
 # short jobs the light queue runs dry at exactly the moments the scheduler
 # would have preferred it — service time must dominate that scheduling noise
 # for the completed-work split to reflect the WFQ policy.
-start_node "$SOLO" -workers 2 -max-inflight 16 -queue 256 -results-dir "$SMOKEDIR/results-$SOLO"
+start_node "$SOLO" -trace-dir "$SMOKEDIR/traces-$SOLO" -workers 2 -max-inflight 16 -queue 256 -results-dir "$SMOKEDIR/results-$SOLO"
 # shellcheck disable=SC2086
-start_node "$P1" -self "$BASE:$P1" -peers "$PEERS" $FLEETFLAGS
+start_node "$P1" -trace-dir "$SMOKEDIR/traces-$P1" -self "$BASE:$P1" -peers "$PEERS" $FLEETFLAGS
 # shellcheck disable=SC2086
-start_node "$P2" -self "$BASE:$P2" -peers "$PEERS" $FLEETFLAGS
+start_node "$P2" -trace-dir "$SMOKEDIR/traces-$P2" -self "$BASE:$P2" -peers "$PEERS" $FLEETFLAGS
 # shellcheck disable=SC2086
-start_node "$P3" -self "$BASE:$P3" -peers "$PEERS" $FLEETFLAGS
+start_node "$P3" -trace-dir "$SMOKEDIR/traces-$P3" -self "$BASE:$P3" -peers "$PEERS" $FLEETFLAGS
 
 # The same upload spec on both scenarios generates byte-identical canonical
 # traces, so both mint the same digest; the same mix seed then produces the
@@ -174,11 +147,8 @@ curl -sf "$BASE:$SOLO/v1/traces/$DIGEST" -o "$SMOKEDIR/trace.mdpt" \
 SIZE=$(wc -c <"$SMOKEDIR/trace.mdpt")
 [ "$SIZE" -gt 64 ] || fail "fetched trace is implausibly small ($SIZE bytes)"
 
-start_node "$QUOTA" -trace-max-bytes $((SIZE + 256)) -tenant-quota-bytes $((SIZE - 1))
-for i in $(seq 1 50); do
-    curl -sf "$BASE:$QUOTA/healthz" >/dev/null 2>&1 && break
-    sleep 0.2
-done
+start_node "$QUOTA" -trace-dir "$SMOKEDIR/traces-$QUOTA" -trace-max-bytes $((SIZE + 256)) -tenant-quota-bytes $((SIZE - 1))
+wait_healthy "$QUOTA"
 
 expect() { # name want_status want_kind curl-args...
     name=$1 want=$2 kind=$3
