@@ -6,54 +6,20 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro"
-	"repro/internal/sim"
-	"repro/internal/viz"
 )
 
 func main() {
-	apps := []string{"511.povray", "500.perlbench_3", "502.gcc_1"}
-	const n = 120_000
-
-	ideal := map[string]float64{}
-	for _, app := range apps {
-		res, err := repro.Simulate(repro.Config{App: app, Predictor: "ideal", Instructions: n})
-		if err != nil {
-			log.Fatal(err)
-		}
-		ideal[app] = res.IPC()
+	err := repro.RunExperiment("fig13", repro.ExperimentOptions{
+		Apps:         []string{"511.povray", "500.perlbench_3", "502.gcc_1"},
+		Instructions: 120_000,
+		Out:          os.Stdout,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	geoVsIdeal := func(spec string) float64 {
-		ratios := make([]float64, 0, len(apps))
-		for _, app := range apps {
-			res, err := repro.Simulate(repro.Config{App: app, Predictor: spec, Instructions: n})
-			if err != nil {
-				log.Fatal(err)
-			}
-			ratios = append(ratios, res.IPC()/ideal[app])
-		}
-		return repro.GeoMean(ratios)
-	}
-
-	chart := viz.BarChart{
-		Title: "IPC vs ideal by predictor budget", Width: 46,
-		Baseline: 1.0, Min: 0.9, Max: 1.01,
-	}
-	for _, spec := range []string{
-		"phast:32", "phast:64", "phast:128", "phast:256",
-		"storesets", "nosq", "mdptage",
-	} {
-		pred, err := sim.NewPredictor(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		kb := float64(pred.SizeBits()) / 8192
-		g := geoVsIdeal(spec)
-		chart.Add(fmt.Sprintf("%-13s %5.2fKB", spec, kb), g)
-	}
-	fmt.Print(chart.String())
-	fmt.Println("\nThe paper's Fig. 13 point: PHAST at a fraction of the baselines'")
+	fmt.Println("The paper's Fig. 13 point: PHAST at a fraction of the baselines'")
 	fmt.Println("storage already sits closer to the ideal predictor.")
 }

@@ -47,15 +47,19 @@ func ByName(name string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q", name)
 }
 
-// RunAll executes every experiment against one shared runner (and its
-// memoised simulation cache). The first failure aborts the sequence unless
+// RunAll executes exps in order (every experiment when none are given)
+// against one shared runner (and its memoised simulation cache), each under
+// a "== name: desc ==" header. The first failure aborts the sequence unless
 // the runner was built with Options.KeepGoing, in which case the failed
 // experiment is reported inline and the next one still runs — failed
 // simulations become rows in the runner's failure log rather than a dead
 // process. Cancellation of the runner's base context (SIGINT) always stops
 // the sequence; completed tables have already been flushed to Out.
-func RunAll(r *Runner) error {
-	for _, e := range All() {
+func RunAll(r *Runner, exps ...Experiment) error {
+	if len(exps) == 0 {
+		exps = All()
+	}
+	for _, e := range exps {
 		fmt.Fprintf(r.Opt().Out, "== %s: %s ==\n", e.Name, e.Desc)
 		err := e.Run(r)
 		if err == nil {

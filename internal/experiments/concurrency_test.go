@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/runcache"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -48,7 +49,7 @@ func TestRunnerSingleFlightUnderContention(t *testing.T) {
 			for i := range keys {
 				// Vary the request order per goroutine to mix contention.
 				k := keys[(i+g)%len(keys)]
-				run, err := r.Run(k.app, "alderlake", k.pred, false)
+				run, err := runOne(r, sim.Config{App: k.app, Predictor: k.pred})
 				if err != nil {
 					errs[g] = err
 					return
@@ -122,7 +123,7 @@ func TestRunnerDiskCacheAcrossRunners(t *testing.T) {
 // TestRunnerCloseIdempotent guards the worker-pool lifecycle.
 func TestRunnerCloseIdempotent(t *testing.T) {
 	r := NewRunner(Options{Apps: []string{"511.povray"}, Instructions: 5_000})
-	if _, err := r.Run("511.povray", "alderlake", "none", false); err != nil {
+	if _, err := runOne(r, sim.Config{App: "511.povray", Predictor: "none"}); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()

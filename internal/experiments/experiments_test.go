@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // tinyRunner keeps experiment smoke tests fast: two contrasting apps at a
@@ -14,6 +17,11 @@ func tinyRunner(buf *bytes.Buffer) *Runner {
 		Instructions: 30000,
 		Out:          buf,
 	})
+}
+
+// runOne runs cfg under the runner's base context.
+func runOne(r *Runner, cfg sim.Config) (*stats.Run, error) {
+	return r.RunConfigContext(r.Opt().Context, cfg)
 }
 
 func TestByName(t *testing.T) {
@@ -34,11 +42,11 @@ func TestByName(t *testing.T) {
 func TestRunnerMemoises(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	a, err := r.Run("519.lbm", "alderlake", "ideal", false)
+	a, err := runOne(r, sim.Config{App: "519.lbm", Predictor: "ideal"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run("519.lbm", "alderlake", "ideal", false)
+	b, err := runOne(r, sim.Config{App: "519.lbm", Predictor: "ideal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +58,17 @@ func TestRunnerMemoises(t *testing.T) {
 func TestRunAppsOrder(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	runs, err := r.RunApps("alderlake", "ideal", false)
+	grid, err := r.RunGrid(predVariants("alderlake", "ideal", "none"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 2 || runs[0].App != "511.povray" || runs[1].App != "519.lbm" {
-		t.Errorf("RunApps order broken: %v, %v", runs[0].App, runs[1].App)
+	for _, runs := range grid {
+		if len(runs) != 2 || runs[0].App != "511.povray" || runs[1].App != "519.lbm" {
+			t.Errorf("RunGrid app order broken: %v, %v", runs[0].App, runs[1].App)
+		}
+	}
+	if grid[0][0].Predictor != "ideal" || grid[1][0].Predictor != "none" {
+		t.Errorf("RunGrid variant order broken: %v, %v", grid[0][0].Predictor, grid[1][0].Predictor)
 	}
 }
 

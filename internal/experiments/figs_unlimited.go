@@ -61,10 +61,11 @@ func Fig07(r *Runner) error {
 // violations and false dependencies.
 func Fig08(r *Runner) error {
 	o := r.Opt()
-	runs, err := r.RunApps("alderlake", "unlimited-phast", false)
+	grid, err := r.RunGrid(predVariants("alderlake", "unlimited-phast"))
 	if err != nil {
 		return err
 	}
+	runs := grid[0]
 	t := stats.NewTable("Fig. 8 — UnlimitedPHAST MPKI", "app", "MPKI(FN)", "MPKI(FP)")
 	fns, fps := []float64{}, []float64{}
 	for i, run := range runs {
@@ -80,10 +81,11 @@ func Fig08(r *Runner) error {
 // Fig09 reproduces the paths-registered-per-app figure for UnlimitedPHAST.
 func Fig09(r *Runner) error {
 	o := r.Opt()
-	runs, err := r.RunApps("alderlake", "unlimited-phast", false)
+	grid, err := r.RunGrid(predVariants("alderlake", "unlimited-phast"))
 	if err != nil {
 		return err
 	}
+	runs := grid[0]
 	t := stats.NewTable("Fig. 9 — paths registered per app (UnlimitedPHAST)", "app", "paths")
 	for i, run := range runs {
 		t.AddRowf(o.Apps[i], run.PathsTracked)

@@ -19,16 +19,14 @@ func TestCalibrationOrdering(t *testing.T) {
 	apps := []string{"502.gcc_5", "526.blender", "511.povray", "541.leela",
 		"500.perlbench_3", "557.xz_2", "510.parest"}
 	r := NewRunner(Options{Apps: apps, Instructions: 120000, Out: io.Discard})
-	ideal, err := r.RunApps("alderlake", "ideal", false)
+	preds := []string{"storesets", "nosq", "mdptage", "phast"}
+	ideal, grid, err := r.vsIdeal(predVariants("alderlake", preds...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	geo := map[string]float64{}
-	for _, pred := range []string{"storesets", "nosq", "mdptage", "phast"} {
-		runs, err := r.RunApps("alderlake", pred, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for p, pred := range preds {
+		runs := grid[p]
 		ratios := make([]float64, len(runs))
 		for i := range runs {
 			ratios[i] = runs[i].Speedup(ideal[i])

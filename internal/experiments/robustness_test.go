@@ -39,10 +39,12 @@ func TestChaosKeepGoingBatch(t *testing.T) {
 	cfgs := chaosConfigs()
 
 	base := NewRunner(Options{Instructions: 10_000})
-	baseline, err := base.RunConfigs(cfgs)
+	baseline := base.RunConfigsDetailedContext(context.Background(), cfgs)
 	base.Close()
-	if err != nil {
-		t.Fatal(err)
+	for _, res := range baseline {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
 	}
 
 	before := runtime.NumGoroutine()
@@ -55,7 +57,7 @@ func TestChaosKeepGoingBatch(t *testing.T) {
 
 	m := stats.NewMetrics()
 	r := NewRunner(Options{Instructions: 10_000, KeepGoing: true, Metrics: m})
-	results := r.RunConfigsDetailed(cfgs)
+	results := r.RunConfigsDetailedContext(context.Background(), cfgs)
 	r.Close()
 
 	var failed, ok int
@@ -71,7 +73,7 @@ func TestChaosKeepGoingBatch(t *testing.T) {
 			continue
 		}
 		ok++
-		if !reflect.DeepEqual(res.Run, baseline[i]) {
+		if !reflect.DeepEqual(res.Run, baseline[i].Run) {
 			t.Errorf("config %d (%s/%s): survivor differs from the fault-free baseline",
 				i, res.Config.App, res.Config.Predictor)
 		}
@@ -105,14 +107,14 @@ func TestChaosKeepGoingBatch(t *testing.T) {
 // (not a secondary cancellation), and the cancelled siblings are typed
 // sim.ErrCancelled rows.
 func TestFailFastCancelsSiblings(t *testing.T) {
-	r := NewRunner(Options{Instructions: 5_000, Workers: 1})
+	r := NewRunner(Options{Apps: []string{"511.povray", "519.lbm"}, Instructions: 5_000, Workers: 1})
 	defer r.Close()
 	cfgs := []sim.Config{
 		{App: "511.povray", Predictor: "warp-drive"}, // unknown spec: fails immediately
 		{App: "511.povray", Predictor: "none"},
 		{App: "519.lbm", Predictor: "none"},
 	}
-	results := r.RunConfigsDetailed(cfgs)
+	results := r.RunConfigsDetailedContext(context.Background(), cfgs)
 	if kind := sim.KindOf(results[0].Err); kind != sim.ErrConfig {
 		t.Fatalf("results[0]: kind %s, want %s (%v)", kind, sim.ErrConfig, results[0].Err)
 	}
@@ -121,9 +123,31 @@ func TestFailFastCancelsSiblings(t *testing.T) {
 			t.Errorf("results[%d]: kind %s, want %s (%v)", i, kind, sim.ErrCancelled, results[i].Err)
 		}
 	}
-	_, err := r.RunConfigs(cfgs)
+	grid, err := r.RunGrid(predVariants("", "warp-drive", "none"))
 	if kind := sim.KindOf(err); kind != sim.ErrConfig {
 		t.Errorf("batch error: kind %s, want the root cause %s (%v)", kind, sim.ErrConfig, err)
+	}
+	if len(grid) != 2 || len(grid[1]) != 2 || grid[0][0] != nil {
+		t.Errorf("failed grid: want a 2x2 grid with nil failed runs, got %v", grid)
+	}
+}
+
+// TestRootCausePrefersNonCancellation: a batch reports the failure that
+// started a fail-fast collapse, even when a sibling it cancelled comes
+// first in input order, and otherwise the first failure.
+func TestRootCausePrefersNonCancellation(t *testing.T) {
+	cancelled := &sim.SimError{Kind: sim.ErrCancelled, Err: context.Canceled}
+	cause := &sim.SimError{Kind: sim.ErrPanic, Err: errors.New("boom")}
+	later := &sim.SimError{Kind: sim.ErrConfig, Err: errors.New("bad spec")}
+	var err error
+	for _, e := range []error{nil, cancelled, nil, cause, later, cancelled} {
+		err = rootCause(err, e)
+	}
+	if err != cause {
+		t.Errorf("rootCause picked %v, want %v", err, cause)
+	}
+	if err := rootCause(nil, cancelled); err != cancelled {
+		t.Errorf("an all-cancelled batch reports %v, want the cancellation", err)
 	}
 }
 
@@ -137,7 +161,7 @@ func TestKeepGoingRunsEverySibling(t *testing.T) {
 		{App: "511.povray", Predictor: "none"},
 		{App: "519.lbm", Predictor: "none"},
 	}
-	results := r.RunConfigsDetailed(cfgs)
+	results := r.RunConfigsDetailedContext(context.Background(), cfgs)
 	if sim.KindOf(results[0].Err) != sim.ErrConfig {
 		t.Errorf("results[0]: want config error, got %v", results[0].Err)
 	}
@@ -153,17 +177,17 @@ func TestKeepGoingRunsEverySibling(t *testing.T) {
 // errors instead of crashing.
 func TestSubmitAfterCloseFailsGracefully(t *testing.T) {
 	r := NewRunner(Options{Apps: []string{"511.povray"}, Instructions: 5_000})
-	if _, err := r.Run("511.povray", "alderlake", "none", false); err != nil {
+	if _, err := runOne(r, sim.Config{App: "511.povray", Predictor: "none"}); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
-	cfgs := []sim.Config{{App: "519.lbm", Predictor: "none", Instructions: 5_000}}
-	if _, err := r.RunConfigs(cfgs); !errors.Is(err, errSchedulerClosed) {
-		t.Errorf("RunConfigs after Close: want errSchedulerClosed, got %v", err)
+	if _, err := r.RunGrid(predVariants("", "none")); !errors.Is(err, errSchedulerClosed) {
+		t.Errorf("RunGrid after Close: want errSchedulerClosed, got %v", err)
 	}
-	results := r.RunConfigsDetailed(cfgs)
+	cfgs := []sim.Config{{App: "519.lbm", Predictor: "none", Instructions: 5_000}}
+	results := r.RunConfigsDetailedContext(context.Background(), cfgs)
 	if !errors.Is(results[0].Err, errSchedulerClosed) {
-		t.Errorf("RunConfigsDetailed after Close: want errSchedulerClosed, got %v", results[0].Err)
+		t.Errorf("RunConfigsDetailedContext after Close: want errSchedulerClosed, got %v", results[0].Err)
 	}
 	if err := r.ForEachApp(func(int, string) error { return nil }); !errors.Is(err, errSchedulerClosed) {
 		t.Errorf("ForEachApp after Close: want errSchedulerClosed, got %v", err)
@@ -202,7 +226,7 @@ func TestSIGINTGracefulShutdown(t *testing.T) {
 	defer r.Close()
 
 	// Work completed before the signal stays completed.
-	done, err := r.Run("511.povray", "alderlake", "none", false)
+	done, err := runOne(r, sim.Config{App: "511.povray", Predictor: "none"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +239,7 @@ func TestSIGINTGracefulShutdown(t *testing.T) {
 		t.Fatal("SIGINT did not cancel the notify context")
 	}
 
-	if _, err := r.Run("519.lbm", "alderlake", "none", false); sim.KindOf(err) != sim.ErrCancelled {
+	if _, err := runOne(r, sim.Config{App: "519.lbm", Predictor: "none"}); sim.KindOf(err) != sim.ErrCancelled {
 		t.Fatalf("post-signal run: kind %s, want %s (%v)", sim.KindOf(err), sim.ErrCancelled, err)
 	}
 	if done == nil {

@@ -198,26 +198,13 @@ func (r *Runner) Failures() []Result {
 	return append([]Result(nil), r.failures...)
 }
 
-// Run executes (or recalls) one simulation.
-func (r *Runner) Run(app, machine, pred string, fwdOff bool) (*stats.Run, error) {
-	return r.RunConfig(sim.Config{
-		App: app, Machine: machine, Predictor: pred,
-		Instructions: r.opt.Instructions, FwdFilterOff: fwdOff,
-	})
-}
-
-// RunConfig executes (or recalls) the simulation described by cfg under the
-// runner's base context. The runner's instruction count applies when cfg
-// leaves it zero.
-func (r *Runner) RunConfig(cfg sim.Config) (*stats.Run, error) {
-	return r.RunConfigContext(r.opt.Context, cfg)
-}
-
-// RunConfigContext is RunConfig bounded by ctx (which must descend from the
-// runner's base context for SIGINT to reach it; batch APIs pass their
-// per-batch cancel context). Options.RunTimeout is layered on per call, so
-// the deadline clocks one simulation, not the batch. Failures are recorded
-// (counter + failure log) before returning.
+// RunConfigContext executes (or recalls) the simulation described by cfg,
+// bounded by ctx (which must descend from the runner's base context for
+// SIGINT to reach it; batch APIs pass their per-batch cancel context). The
+// runner's instruction count applies when cfg leaves it zero.
+// Options.RunTimeout is layered on per call, so the deadline clocks one
+// simulation, not the batch. Failures are recorded (counter + failure log)
+// before returning.
 func (r *Runner) RunConfigContext(ctx context.Context, cfg sim.Config) (run *stats.Run, err error) {
 	if cfg.Instructions == 0 {
 		cfg.Instructions = r.opt.Instructions
@@ -292,45 +279,14 @@ func (r *Runner) RunConfigScheduledContext(ctx context.Context, cfg sim.Config) 
 	return out.run, out.err
 }
 
-// RunConfigs executes a batch of simulations on the shared worker pool and
-// returns runs in input order. By default the batch fails fast: the first
-// failure cancels still-queued and in-flight siblings and the root-cause
-// error (not a secondary cancellation) is returned once every job has
-// finished. With Options.KeepGoing all configs run regardless and the first
-// failure by input order is returned.
-func (r *Runner) RunConfigs(cfgs []sim.Config) ([]*stats.Run, error) {
-	results := r.RunConfigsDetailed(cfgs)
-	runs := make([]*stats.Run, len(results))
-	var batchErr error
-	for i, res := range results {
-		runs[i] = res.Run
-		if res.Err == nil {
-			continue
-		}
-		// Prefer the failure that started the collapse over the cancelled
-		// siblings it knocked out.
-		if batchErr == nil || (sim.KindOf(batchErr) == sim.ErrCancelled && sim.KindOf(res.Err) != sim.ErrCancelled) {
-			batchErr = res.Err
-		}
-	}
-	if batchErr != nil {
-		return nil, batchErr
-	}
-	return runs, nil
-}
-
-// RunConfigsDetailed executes a batch and reports every config's individual
-// outcome in input order, error rows included — the keep-going entry point
-// for callers that tabulate partial results.
-func (r *Runner) RunConfigsDetailed(cfgs []sim.Config) []Result {
-	return r.RunConfigsDetailedContext(r.opt.Context, cfgs)
-}
-
-// RunConfigsDetailedContext is RunConfigsDetailed bounded by ctx — the
-// serving layer's entry point, where each HTTP request carries its own
-// deadline that must cover the whole batch. ctx should descend from the
-// runner's base context; the batch-level fail-fast/keep-going policy is the
-// runner's.
+// RunConfigsDetailedContext executes a batch on the shared worker pool,
+// bounded by ctx, and reports every config's individual outcome in input
+// order, error rows included — the entry point of the serving layer, where
+// each HTTP request carries its own deadline that must cover the whole
+// batch, and of callers that tabulate partial results. ctx should descend
+// from the runner's base context. By default the batch fails fast: the
+// first failure cancels still-queued and in-flight siblings. With
+// Options.KeepGoing every config runs regardless.
 func (r *Runner) RunConfigsDetailedContext(ctx context.Context, cfgs []sim.Config) []Result {
 	tenant := TenantFrom(ctx)
 	ctx, cancel := r.batchContextFrom(ctx)
@@ -338,37 +294,59 @@ func (r *Runner) RunConfigsDetailedContext(ctx context.Context, cfgs []sim.Confi
 	waitPrewarm := r.prewarmTraces(ctx, tenant, cfgs)
 	defer waitPrewarm()
 	results := make([]Result, len(cfgs))
+	r.fanOut(ctx, tenant, len(cfgs), func(i int) {
+		run, err := r.RunConfigContext(ctx, cfgs[i])
+		results[i] = Result{Config: cfgs[i], Run: run, Err: err}
+		if err != nil {
+			cancel()
+		}
+	}, func(i int, err error) {
+		// A queued sibling withdrawn by fail-fast cancellation gets the
+		// same typed, failure-logged outcome it would have had running
+		// with a dead context; a closed pool stays a bare typed error.
+		if !errors.Is(err, errSchedulerClosed) {
+			cfgN := cfgs[i]
+			if cfgN.Instructions == 0 {
+				cfgN.Instructions = r.opt.Instructions
+			}
+			cfgN = cfgN.Normalized()
+			err = &sim.SimError{Kind: sim.KindOf(err), Config: cfgN, Err: err}
+			r.recordFailure(cfgN, err)
+		}
+		results[i] = Result{Config: cfgs[i], Err: err}
+	})()
+	return results
+}
+
+// fanOut submits job(i) for every i in [0, n) to the shared pool on
+// tenant's share, in index order, and returns a func that waits for every
+// job the pool took. A job the pool refuses — ctx ended while it queued, or
+// the pool is closed — never runs; refused(i, err) gets its error instead.
+func (r *Runner) fanOut(ctx context.Context, tenant string, n int, job func(i int), refused func(i int, err error)) (wait func()) {
 	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
-		i, cfg := i, cfg
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		err := r.sched.submitCtx(ctx, tenant, func() {
 			defer wg.Done()
-			run, err := r.RunConfigContext(ctx, cfg)
-			results[i] = Result{Config: cfg, Run: run, Err: err}
-			if err != nil {
-				cancel()
-			}
+			job(i)
 		})
 		if err != nil {
 			wg.Done()
-			// A queued sibling withdrawn by fail-fast cancellation gets the
-			// same typed, failure-logged outcome it would have had running
-			// with a dead context; a closed pool stays a bare typed error.
-			if !errors.Is(err, errSchedulerClosed) {
-				cfgN := cfg
-				if cfgN.Instructions == 0 {
-					cfgN.Instructions = r.opt.Instructions
-				}
-				cfgN = cfgN.Normalized()
-				err = &sim.SimError{Kind: sim.KindOf(err), Config: cfgN, Err: err}
-				r.recordFailure(cfgN, err)
-			}
-			results[i] = Result{Config: cfg, Err: err}
+			refused(i, err)
 		}
 	}
-	wg.Wait()
-	return results
+	return wg.Wait
+}
+
+// rootCause returns whichever of a batch's error so far and a further
+// outcome err (nil for a success) names the root cause: the earlier one,
+// unless it is a cancellation the failure that started the collapse
+// knocked out.
+func rootCause(first, err error) error {
+	if err != nil && (first == nil || sim.KindOf(first) == sim.ErrCancelled && sim.KindOf(err) != sim.ErrCancelled) {
+		return err
+	}
+	return first
 }
 
 // prewarmTraces decodes and interns, in parallel on the worker pool, every
@@ -402,36 +380,24 @@ func (r *Runner) prewarmTraces(ctx context.Context, tenant string, cfgs []sim.Co
 		keys[i] = key{cfg.App, n, cfg.Seed}
 		counts[keys[i]]++
 	}
-	var wg sync.WaitGroup
+	var shared []key
 	for _, k := range keys {
-		if counts[k] < 2 {
-			continue
-		}
-		counts[k] = 0 // submitted
-		wg.Add(1)
-		err := r.sched.submitCtx(ctx, tenant, func() {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				return
-			}
-			_ = sim.PrewarmTrace(k.app, k.n, k.seed)
-		})
-		if err != nil {
-			wg.Done()
+		if counts[k] >= 2 {
+			shared = append(shared, k)
+			counts[k] = 0 // listed
 		}
 	}
-	return wg.Wait
+	return r.fanOut(ctx, tenant, len(shared), func(i int) {
+		if ctx.Err() == nil {
+			_ = sim.PrewarmTrace(shared[i].app, shared[i].n, shared[i].seed)
+		}
+	}, func(int, error) {})
 }
 
-// batchContext derives one batch's context from the runner's base: with
-// fail-fast (the default) the returned cancel aborts the batch's siblings;
-// with KeepGoing it is a no-op so one failure never touches the others.
-func (r *Runner) batchContext() (context.Context, context.CancelFunc) {
-	return r.batchContextFrom(r.opt.Context)
-}
-
-// batchContextFrom is batchContext rooted at an arbitrary parent (a server
-// request's context rather than the runner's base).
+// batchContextFrom derives one batch's context from parent (the runner's
+// base, or a server request's context): with fail-fast (the default) the
+// returned cancel aborts the batch's siblings; with KeepGoing it is a no-op
+// so one failure never touches the others.
 func (r *Runner) batchContextFrom(parent context.Context) (context.Context, context.CancelFunc) {
 	if r.opt.KeepGoing {
 		return parent, func() {}
@@ -440,47 +406,30 @@ func (r *Runner) batchContextFrom(parent context.Context) (context.Context, cont
 }
 
 // ForEachApp runs fn(i, app) for every app on the shared worker pool and
-// returns the first error once all have finished. It is the escape hatch
-// for experiments needing more than cached stats.Run counters (predictor
-// internals via sim.RunCore); such work bypasses the run cache. fn does not
-// take a context, so fail-fast cancellation stops still-queued apps from
-// starting but lets in-flight ones finish; a panicking fn poisons its own
-// app's error, not the process.
+// returns the root-cause error once all have finished. It is the escape
+// hatch for experiments needing more than cached stats.Run counters
+// (predictor internals via sim.RunCore); such work bypasses the run cache.
+// fn does not take a context, so fail-fast cancellation stops still-queued
+// apps from starting but lets in-flight ones finish; a panicking fn poisons
+// its own app's error, not the process.
 func (r *Runner) ForEachApp(fn func(i int, app string) error) error {
-	ctx, cancel := r.batchContext()
+	ctx, cancel := r.batchContextFrom(r.opt.Context)
 	defer cancel()
 	errs := make([]error, len(r.opt.Apps))
-	var wg sync.WaitGroup
-	for i, app := range r.opt.Apps {
-		i, app := i, app
-		wg.Add(1)
-		err := r.sched.submit(func() {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = protect(func() error { return fn(i, app) })
-			if errs[i] != nil {
-				cancel()
-			}
-		})
-		if err != nil {
-			wg.Done()
-			errs[i] = err
+	r.fanOut(ctx, TenantFrom(ctx), len(r.opt.Apps), func(i int) {
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			return
 		}
-	}
-	wg.Wait()
-	var firstErr error
+		errs[i] = protect(func() error { return fn(i, r.opt.Apps[i]) })
+		if errs[i] != nil {
+			cancel()
+		}
+	}, func(i int, err error) { errs[i] = err })()
+	var batchErr error
 	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || (sim.KindOf(firstErr) == sim.ErrCancelled && sim.KindOf(err) != sim.ErrCancelled) {
-			firstErr = err
-		}
+		batchErr = rootCause(batchErr, err)
 	}
-	return firstErr
+	return batchErr
 }
 
 // protect runs fn, converting a panic into an error.
@@ -496,7 +445,10 @@ func protect(fn func() error) (err error) {
 // RunGrid runs every variant — a config with its App left blank — over the
 // runner's apps as one batch, and returns each variant's runs in app order.
 // The batch is variant-major: the pool never drains between variants, and
-// the runs that share an app's trace sit len(apps) positions apart.
+// the runs that share an app's trace sit len(apps) positions apart. On
+// failure it returns the root-cause error (not a secondary cancellation)
+// along with the grid of every run that did succeed, a nil marking each
+// failed one.
 func (r *Runner) RunGrid(variants []sim.Config) ([][]*stats.Run, error) {
 	apps := r.opt.Apps
 	cfgs := make([]sim.Config, 0, len(variants)*len(apps))
@@ -506,15 +458,18 @@ func (r *Runner) RunGrid(variants []sim.Config) ([][]*stats.Run, error) {
 			cfgs = append(cfgs, v)
 		}
 	}
-	runs, err := r.RunConfigs(cfgs)
-	if err != nil {
-		return nil, err
+	results := r.RunConfigsDetailedContext(r.opt.Context, cfgs)
+	runs := make([]*stats.Run, len(results))
+	var err error
+	for i, res := range results {
+		runs[i] = res.Run
+		err = rootCause(err, res.Err)
 	}
 	grid := make([][]*stats.Run, len(variants))
 	for i := range grid {
 		grid[i] = runs[i*len(apps) : (i+1)*len(apps)]
 	}
-	return grid, nil
+	return grid, err
 }
 
 // vsIdeal runs the ideal oracle on alderlake and then every variant as one
@@ -534,16 +489,6 @@ func predVariants(machine string, preds ...string) []sim.Config {
 		variants[i] = sim.Config{Machine: machine, Predictor: p}
 	}
 	return variants
-}
-
-// RunApps executes one (machine, predictor) combination over every app in
-// parallel and returns runs in app order.
-func (r *Runner) RunApps(machine, pred string, fwdOff bool) ([]*stats.Run, error) {
-	grid, err := r.RunGrid([]sim.Config{{Machine: machine, Predictor: pred, FwdFilterOff: fwdOff}})
-	if err != nil {
-		return nil, err
-	}
-	return grid[0], nil
 }
 
 // GeoIPCvsIdeal returns the geometric-mean IPC of runs normalised to the

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -22,13 +23,13 @@ func TestSchedulerSaturationBlocksNotDrops(t *testing.T) {
 	var done atomic.Int32
 	// Saturate both workers.
 	for i := 0; i < 2; i++ {
-		if err := s.submit(func() { <-gate; done.Add(1) }); err != nil {
+		if err := s.submitCtx(context.Background(), DefaultTenant, func() { <-gate; done.Add(1) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The third submit must block — not return, not drop the job.
 	third := make(chan error, 1)
-	go func() { third <- s.submit(func() { done.Add(1) }) }()
+	go func() { third <- s.submitCtx(context.Background(), DefaultTenant, func() { done.Add(1) }) }()
 	select {
 	case err := <-third:
 		t.Fatalf("submit returned (%v) while the pool was saturated; it must block", err)
@@ -57,7 +58,7 @@ func TestSchedulerDrainOnCloseCompletesAccepted(t *testing.T) {
 	accepted := 0
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
-		err := s.submit(func() {
+		err := s.submitCtx(context.Background(), DefaultTenant, func() {
 			defer wg.Done()
 			time.Sleep(time.Millisecond)
 			done.Add(1)
@@ -73,7 +74,7 @@ func TestSchedulerDrainOnCloseCompletesAccepted(t *testing.T) {
 	if got := done.Load(); got != int32(accepted) {
 		t.Fatalf("close drained %d of %d accepted jobs", got, accepted)
 	}
-	if err := s.submit(func() {}); err == nil {
+	if err := s.submitCtx(context.Background(), DefaultTenant, func() {}); err == nil {
 		t.Fatal("submit after close must fail, not enqueue")
 	}
 }
@@ -89,7 +90,7 @@ func TestRunnerCloseMidBatchLosesNoConfig(t *testing.T) {
 		cfgs[i] = sim.Config{App: "511.povray", Predictor: "none", Instructions: 5_000, Seed: int64(i + 1)}
 	}
 	resultsCh := make(chan []Result, 1)
-	go func() { resultsCh <- r.RunConfigsDetailed(cfgs) }()
+	go func() { resultsCh <- r.RunConfigsDetailedContext(context.Background(), cfgs) }()
 	time.Sleep(5 * time.Millisecond) // let some configs land in the pool
 	r.Close()
 	results := <-resultsCh

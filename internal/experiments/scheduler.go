@@ -10,13 +10,13 @@ import (
 	"repro/internal/stats"
 )
 
-// errSchedulerClosed is returned by submit after close; batch APIs surface
+// errSchedulerClosed is returned by submitCtx after close; batch APIs surface
 // it as the per-job error rather than panicking the caller.
 var errSchedulerClosed = errors.New("experiments: runner is closed")
 
 // scheduler is the fixed-size worker pool shared by every figure a Runner
 // regenerates and every request the serving layer admits. All fan-out
-// (RunGrid, RunConfigs, ForEachApp, HTTP batches) feeds one pool,
+// (RunGrid, ForEachApp, HTTP batches) feeds one pool,
 // so app-level parallelism is bounded globally rather than per call site.
 //
 // Scheduling is weighted-fair across tenants. Each waiting job carries a
@@ -28,12 +28,11 @@ var errSchedulerClosed = errors.New("experiments: runner is closed")
 // replaces lacked — a light tenant's occasional job is served next, not
 // behind a heavy tenant's thousand queued siblings.
 //
-// Handoff is direct: there is no internal job buffer. submit blocks its
+// Handoff is direct: there is no internal job buffer. submitCtx blocks its
 // caller until a worker takes the job (bounded memory, backpressure to the
 // submitter — the contract TestSchedulerSaturationBlocksNotDrops pins), and
-// submitCtx additionally abandons the wait when its context ends, removing
-// the queued job so a cancelled tenant batch frees its queue share
-// immediately.
+// abandons the wait when its context ends, removing the queued job so a
+// cancelled tenant batch frees its queue share immediately.
 type scheduler struct {
 	workers int
 	// weights maps tenant -> scheduling weight; absent or non-positive
@@ -182,20 +181,16 @@ func (s *scheduler) finish(tenant string) {
 	s.mu.Unlock()
 }
 
-// submit blocks until a worker accepts the job on the default tenant's
-// share, or reports errSchedulerClosed if the pool has been shut down — the
-// job then never runs and the caller owns any bookkeeping it attached to
-// it. Jobs must not submit further jobs (a job waiting on a sub-job could
-// starve the pool); batch APIs fan out from the caller's goroutine instead.
-func (s *scheduler) submit(job func()) error {
-	return s.submitCtx(context.Background(), DefaultTenant, job)
-}
-
-// submitCtx is submit on a tenant's queue share, bounded by ctx: if ctx
-// ends while the job is still waiting, the job is removed from the queue
-// (never runs) and ctx's error is returned. A job already taken by a worker
-// runs regardless — the worker owns it from the moment accepted closes, so
-// the caller sees nil and the job itself must honour ctx.
+// submitCtx blocks until a worker accepts the job on tenant's queue share
+// (the default tenant's when empty), bounded by ctx: if ctx ends while the
+// job is still waiting, the job is removed from the queue (never runs) and
+// ctx's error is returned. A job already taken by a worker runs regardless —
+// the worker owns it from the moment accepted closes, so the caller sees nil
+// and the job itself must honour ctx. After close it reports
+// errSchedulerClosed: the job then never runs and the caller owns any
+// bookkeeping it attached to it. Jobs must not submit further jobs (a job
+// waiting on a sub-job could starve the pool); batch APIs fan out from the
+// caller's goroutine instead.
 func (s *scheduler) submitCtx(ctx context.Context, tenant string, job func()) error {
 	if tenant == "" {
 		tenant = DefaultTenant

@@ -29,19 +29,15 @@ var batchShareRuns atomic.Int64
 // its stream exactly once — the prewarm pass interns it and every run is a
 // hit on the shared trace, regardless of scheduling order.
 func TestBatchSharesOneTrace(t *testing.T) {
-	r := NewRunner(Options{Workers: 4})
-	defer r.Close()
 	// An instruction count no other test (and no earlier -count repetition
 	// of this one) uses, so the interned stream cannot pre-exist in sim's
 	// process-wide cache.
 	n := 23456 + int(batchShareRuns.Add(1))
+	r := NewRunner(Options{Apps: []string{"525.x264_3"}, Instructions: n, Workers: 4})
+	defer r.Close()
 	preds := []string{"phast", "storesets", "nosq", "mdptage", "storevector", "cht", "none", "ideal"}
-	cfgs := make([]sim.Config, len(preds))
-	for i, p := range preds {
-		cfgs[i] = sim.Config{App: "525.x264_3", Predictor: p, Instructions: n}
-	}
 	misses, hits := internDelta(func() {
-		if _, err := r.RunConfigs(cfgs); err != nil {
+		if _, err := r.RunGrid(predVariants("", preds...)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -58,7 +54,7 @@ func TestBatchSharesOneTrace(t *testing.T) {
 func TestRunnerIntervalsOption(t *testing.T) {
 	r := NewRunner(Options{Workers: 2, Instructions: 12000, Intervals: 2})
 	defer r.Close()
-	run, err := r.RunConfig(sim.Config{App: "519.lbm"})
+	run, err := runOne(r, sim.Config{App: "519.lbm"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +65,7 @@ func TestRunnerIntervalsOption(t *testing.T) {
 		t.Errorf("committed %d, want 12000", run.Committed)
 	}
 	// Explicit Intervals: 1 forces a sequential run despite the option.
-	seq, err := r.RunConfig(sim.Config{App: "519.lbm", Intervals: 1})
+	seq, err := runOne(r, sim.Config{App: "519.lbm", Intervals: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestRunnerTraceResolver(t *testing.T) {
 	defer r.Close()
 
 	cfg := sim.Config{App: sim.TraceAppPrefix + digest, Predictor: "none", Instructions: 3_000}
-	run, err := r.RunConfig(cfg)
+	run, err := runOne(r, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRunnerTraceResolver(t *testing.T) {
 	}
 	// Second identical run hits the cache (or the provided stream); the
 	// resolver is never consulted again.
-	if _, err := r.RunConfig(cfg); err != nil {
+	if _, err := runOne(r, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {
@@ -73,7 +73,7 @@ func TestRunnerTraceResolverFailureIsTyped(t *testing.T) {
 	// A digest no test provides: resolver fails, the run reports a typed
 	// config error wrapping the resolver's.
 	app := sim.TraceAppPrefix + contentaddr.Sum([]byte("missing everywhere"))
-	_, err := r.RunConfig(sim.Config{App: app, Predictor: "none", Instructions: 1_000})
+	_, err := runOne(r, sim.Config{App: app, Predictor: "none", Instructions: 1_000})
 	var se *sim.SimError
 	if !errors.As(err, &se) || se.Kind != sim.ErrConfig || !errors.Is(err, wantErr) {
 		t.Fatalf("error %v, want ErrConfig wrapping the resolver failure", err)

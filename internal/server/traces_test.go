@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -140,7 +141,7 @@ func TestTraceUploadRunRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...and in-process: byte-identical rows.
-	direct, err := runner.RunConfig(cfg)
+	direct, err := runner.RunConfigContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -467,23 +467,3 @@ func RunCore(cfg Config) (run *stats.Run, core *pipeline.Core, err error) {
 	run.Predictor = cmp.Or(spelled, cfg.Predictor)
 	return run, c, nil
 }
-
-// GeoIPCOverIdeal runs a predictor and the ideal oracle across apps and
-// returns the geometric-mean IPC ratio (the paper's headline normalisation).
-func GeoIPCOverIdeal(apps []string, predictor string, instructions int) (float64, error) {
-	ratios := make([]float64, 0, len(apps))
-	for _, app := range apps {
-		base := Config{App: app, Predictor: "ideal", Instructions: instructions}
-		idealRun, err := Run(base)
-		if err != nil {
-			return 0, err
-		}
-		base.Predictor = predictor
-		predRun, err := Run(base)
-		if err != nil {
-			return 0, err
-		}
-		ratios = append(ratios, predRun.Speedup(idealRun))
-	}
-	return stats.GeoMean(ratios), nil
-}

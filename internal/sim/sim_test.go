@@ -96,16 +96,6 @@ func TestRunCoreExposesPredictor(t *testing.T) {
 	}
 }
 
-func TestGeoIPCOverIdeal(t *testing.T) {
-	geo, err := GeoIPCOverIdeal([]string{"519.lbm"}, "phast", 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if geo < 0.9 || geo > 1.05 {
-		t.Errorf("lbm PHAST/ideal = %.3f, expected ≈ 1", geo)
-	}
-}
-
 func TestFilterConfigs(t *testing.T) {
 	base := Config{App: "511.povray", Predictor: "none", Instructions: 30000}
 	fwd, err := Run(base)

@@ -5,7 +5,7 @@
 #   smoke_setup phast-fleet-smoke "fleet smoke" phastd phastload
 #   start_node 19191 -max-inflight 4
 #
-# POSIX sh; needs go, plus curl for wait_healthy.
+# POSIX sh; needs go, ps for cleanup, plus curl for wait_healthy.
 
 BASE="http://127.0.0.1"
 
@@ -29,11 +29,39 @@ fail() {
     exit 1
 }
 
-# cleanup stops every node recorded in a pid file and waits for the ones
-# this shell started.
+# alive pid: the process exists and is not a zombie (an exited child this
+# shell has not reaped yet).
+alive() {
+    kill -0 "$1" 2>/dev/null || return 1
+    case "$(ps -o stat= -p "$1" 2>/dev/null | tr -d ' ')" in
+    Z*) return 1 ;;
+    esac
+}
+
+# cleanup stops every node recorded in a pid file and polls until each has
+# exited. A node a chaos event restarted is not this shell's child, so
+# `wait` alone would return while it still drains. A node still up after
+# 10 s gets kill -9.
 cleanup() {
+    pids=
     for f in "$SMOKEDIR"/pid-*; do
-        [ -f "$f" ] && kill "$(cat "$f")" 2>/dev/null || true
+        [ -f "$f" ] || continue
+        pid=$(cat "$f")
+        kill "$pid" 2>/dev/null || true
+        pids="$pids $pid"
+    done
+    for i in $(seq 1 50); do
+        left=
+        for pid in $pids; do
+            alive "$pid" && left="$left $pid"
+        done
+        pids=$left
+        [ -z "$pids" ] && break
+        sleep 0.2
+    done
+    for pid in $pids; do
+        echo "$SMOKE_LABEL: node $pid still up after 10 s, sending kill -9" >&2
+        kill -9 "$pid" 2>/dev/null || true
     done
     wait 2>/dev/null || true
 }
@@ -55,8 +83,8 @@ start_node() {
         printf "echo \$! >'%s'\n" "$SMOKEDIR/pid-$port"
     } >"$SMOKEDIR/run-$port.sh"
     chmod +x "$SMOKEDIR/run-$port.sh"
-    # Sourced, so the first life is this shell's child and cleanup waits
-    # for it.
+    # Sourced, so the first life is this shell's child and cleanup reaps
+    # it.
     . "$SMOKEDIR/run-$port.sh"
 }
 
