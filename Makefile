@@ -4,7 +4,8 @@
 
 all: build test
 
-# Full pre-merge gate: gofmt-clean sources + vet + build + race-enabled tests
+# Full pre-merge gate: gofmt-clean sources + vet (of the root module and of
+# the phastbench module, which has its own go.mod) + build + race-enabled tests
 # (the one-batch figure tests three more times, to shake out ordering races
 # in the batch slicing) + the fault-injection suite under -race + 10 seconds
 # each of the two pipeline fuzz targets + a cached-vs-uncached paperfigs
@@ -16,6 +17,7 @@ all: build test
 check:
 	test -z "$$(gofmt -l .)"
 	go vet ./...
+	cd phastbench && GOWORK=off go vet ./...
 	go build ./...
 	go test -race ./...
 	go test -race -count=3 -run 'FigureTables|Batch' ./internal/experiments

@@ -52,11 +52,9 @@ func (c *Core) stateDump() string {
 		c.memEpoch, awake, memParked, filed, waiting, next)
 	b.WriteString("ROB head region (oldest first):\n")
 	const maxEntries = 12
-	n := 0
-	for seq := c.headSeq; seq < c.tailSeq && n < maxEntries; seq++ {
+	for seq := c.headSeq; seq < c.tailSeq && seq < c.headSeq+maxEntries; seq++ {
 		e := c.entry(seq)
-		fmt.Fprintf(&b, "  seq %d idx %d %-7s %s\n", e.seq, e.traceIdx, kindName(e.kind), c.blockedReason(e))
-		n++
+		fmt.Fprintf(&b, "  seq %d idx %d %-7s %s\n", e.seq, e.traceIdx, e.kind, c.blockedReason(e))
 	}
 	if int(c.tailSeq-c.headSeq) > maxEntries {
 		fmt.Fprintf(&b, "  ... %d younger entries elided\n", int(c.tailSeq-c.headSeq)-maxEntries)
@@ -67,87 +65,31 @@ func (c *Core) stateDump() string {
 	return b.String()
 }
 
-func kindName(k isa.Kind) string {
-	switch k {
-	case isa.Load:
-		return "load"
-	case isa.Store:
-		return "store"
-	case isa.Branch:
-		return "branch"
-	default:
-		return "compute"
-	}
-}
-
 // wakeCounts counts the unissued in-flight entries by where their next wake
-// can come from: the awake set, the memory-parked set, a wheel bucket, or a
-// producer's dependents row. An entry can be in more than one.
+// comes from, one place each: the awake set, a producer's dependents row
+// (the wait record's waitOn), the wheel (a time-bound park), or the
+// memory-parked set.
 func (c *Core) wakeCounts() (awake, memParked, filed, waiting int) {
-	n := uint64(len(c.awake))
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		e := c.entry(seq)
-		if e.state == stIssued {
-			continue
-		}
 		pos := seq & c.robMask
-		w, bit := pos>>6, uint64(1)<<(pos&63)
-		if c.awake[w]&bit != 0 {
+		switch {
+		case e.state == stIssued:
+		case c.awake[pos>>6]&(1<<(pos&63)) != 0:
 			awake++
-		}
-		if c.memParked[w]&bit != 0 {
-			memParked++
-		}
-		for b := uint64(0); b < wheelSize; b++ {
-			if c.wheel[b*n+w]&bit != 0 {
-				filed++
-				break
-			}
-		}
-		if c.depProducer(e) != 0 {
+		case e.waitOn != 0:
 			waiting++
+		case e.retryTimed:
+			filed++
+		default:
+			memParked++
 		}
 	}
 	return awake, memParked, filed, waiting
 }
 
-// depProducer returns the unissued micro-op whose dependents row e is
-// registered in and whose issue e's next step waits for — a needed source,
-// or the store e's gate or serialisation waits on (waitStore) — or 0.
-func (c *Core) depProducer(e *robEntry) uint64 {
-	pos := e.seq & c.robMask
-	for _, s := range [3]uint64{e.srcASeq, e.srcBSeq, e.waitStore} {
-		if s < c.headSeq || s >= e.seq || c.readyAt[s&c.robMask] != 0 || !needs(e, s) {
-			continue
-		}
-		if c.deps[(s&c.robMask)*uint64(len(c.awake))+pos>>6]&(1<<(pos&63)) != 0 {
-			return s
-		}
-	}
-	return 0
-}
-
-// parkState describes where an unissued entry's next evaluation comes from.
-func (c *Core) parkState(e *robEntry) string {
-	if p := c.depProducer(e); p != 0 {
-		if p == e.waitStore {
-			return fmt.Sprintf("time-bound park until store seq %d issues", p)
-		}
-		return fmt.Sprintf("time-bound park until seq %d issues", p)
-	}
-	switch {
-	case !c.parked(e):
-		return "awake"
-	case e.retryTimed:
-		return fmt.Sprintf("time-bound park until cycle %d", e.retryAt)
-	case e.retryAt == neverRetry:
-		return "memory-bound park until the next memory event"
-	default:
-		return fmt.Sprintf("memory-bound park until cycle %d or the next memory event", e.retryAt)
-	}
-}
-
-// blockedReason explains, for one ROB entry, why it has not retired yet.
+// blockedReason explains, for one ROB entry, why it has not retired yet:
+// for an unissued one, its wait record and park.
 func (c *Core) blockedReason(e *robEntry) string {
 	if e.state == stIssued {
 		if c.cycle >= e.doneAt {
@@ -161,29 +103,20 @@ func (c *Core) blockedReason(e *robEntry) string {
 		}
 		return fmt.Sprintf("issued, completes at cycle %d", e.doneAt)
 	}
-	return c.waitReason(e) + "; " + c.parkState(e)
-}
-
-// waitReason names what an unissued entry waits for.
-func (c *Core) waitReason(e *robEntry) string {
-	if !c.producerReady(e.srcASeq) {
-		return fmt.Sprintf("waiting on source A (seq %d)", e.srcASeq)
-	}
-	if !c.producerReady(e.srcBSeq) {
-		return fmt.Sprintf("waiting on source B (seq %d)", e.srcBSeq)
-	}
-	switch e.kind {
-	case isa.Load:
-		if e.waited {
-			return fmt.Sprintf("load predicted dependent, waiting (pred kind %v)", e.pred.Kind)
-		}
-		return "load unissued"
-	case isa.Store:
-		if !e.addrResolved {
-			return "store address unresolved"
-		}
-		return fmt.Sprintf("store unissued, addr done at %d", e.addrDoneAt)
+	var park string
+	switch {
+	case e.waitOn != 0 && e.cause == waitOperand:
+		park = fmt.Sprintf("time-bound park until seq %d issues", e.waitOn)
+	case e.waitOn != 0:
+		park = fmt.Sprintf("time-bound park until store seq %d issues", e.waitOn)
+	case !c.parked(e):
+		park = "awake"
+	case e.retryTimed:
+		park = fmt.Sprintf("time-bound park until cycle %d", e.retryAt)
+	case e.retryAt == neverRetry:
+		park = "memory-bound park until the next memory event"
 	default:
-		return "unissued"
+		park = fmt.Sprintf("memory-bound park until cycle %d or the next memory event", e.retryAt)
 	}
+	return "waits: " + e.cause.String() + "; " + park
 }

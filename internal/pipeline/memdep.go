@@ -100,7 +100,7 @@ func (c *Core) gateBlocked(e *robEntry) bool {
 		if c.storeDone(st) {
 			return false
 		}
-		c.waitStoreDone(e, st)
+		c.waitStoreDone(e, st, waitGate)
 		return true
 	case mdp.StoreSeq:
 		if e.pred.Seq == 0 || e.pred.Seq < c.headSeq || e.pred.Seq >= e.seq {
@@ -114,12 +114,12 @@ func (c *Core) gateBlocked(e *robEntry) bool {
 		if c.storeDone(st) {
 			return false
 		}
-		c.waitStoreDone(e, st)
+		c.waitStoreDone(e, st, waitGate)
 		return true
 	case mdp.WaitAll:
 		for i := c.olderStores(e.storeCount) - 1; i >= 0; i-- {
 			if st := c.entry(c.sqAt(i).seq); !c.storeDone(st) {
-				c.setRetry(e, bound{at: c.storeDoneBound(st).at})
+				c.setRetry(e, bound{at: c.storeDoneBound(st).at}, waitGateAll)
 				return true
 			}
 		}
@@ -138,7 +138,7 @@ func (c *Core) gateBlocked(e *robEntry) bool {
 			}
 			if !c.storeDone(st) {
 				e.waitValid, e.waitAddr, e.waitSize = true, st.inst.Addr, st.inst.Size
-				c.setRetry(e, bound{at: c.storeDoneBound(st).at})
+				c.setRetry(e, bound{at: c.storeDoneBound(st).at}, waitGateAll)
 				return true
 			}
 			if st.inst.Overlaps(e.inst) {
@@ -185,11 +185,11 @@ func (c *Core) tryLoad(e *robEntry) bool {
 					return true
 				}
 				// True-dependence stall until the forwarder can be done.
-				c.setRetry(e, bound{at: c.storeDoneBound(st).at})
+				c.setRetry(e, bound{at: c.storeDoneBound(st).at}, waitForward)
 				return false
 			}
 			// Partial coverage: wait for the store to reach the cache.
-			c.setRetry(e, bound{at: neverRetry})
+			c.setRetry(e, bound{at: neverRetry}, waitDrain)
 			return false
 		}
 	}
@@ -207,7 +207,7 @@ func (c *Core) tryLoad(e *robEntry) bool {
 				return true
 			}
 			// Partial coverage from the store buffer: wait for the drain.
-			c.setRetry(e, bound{at: neverRetry})
+			c.setRetry(e, bound{at: neverRetry}, waitDrain)
 			return false
 		}
 	}

@@ -105,6 +105,28 @@ const neverRetry = ^uint64(0)
 // re-filed (see file). It covers a DRAM round trip on every shipped machine.
 const wheelSize = 256
 
+// waitCause is why an evaluated entry did not issue: the decision the issue
+// scan made when it last filed the entry (see robEntry.cause).
+type waitCause uint8
+
+const (
+	waitNone      waitCause = iota // not evaluated since dispatch
+	waitOperand                    // a register source is not ready
+	waitGate                       // MDP gate on one store (Distance, StoreSeq)
+	waitGateAll                    // MDP gate on older stores (WaitAll, Vector)
+	waitStoreSets                  // Store Sets serialisation behind an older store
+	waitForward                    // forwarding stall: the covering store is not done
+	waitDrain                      // partial overlap: a store must drain (SQ or SB)
+	waitPort                       // port-limited (structural)
+)
+
+var waitCauseNames = [...]string{
+	"not evaluated", "operand", "MDP gate (one store)", "MDP gate (WaitAll/Vector)",
+	"Store Sets serialisation", "forwarding stall", "partial-overlap drain", "port-limited",
+}
+
+func (w waitCause) String() string { return waitCauseNames[w] }
+
 // robEntry is one in-flight micro-op.
 type robEntry struct {
 	inst     *isa.Inst
@@ -123,6 +145,12 @@ type robEntry struct {
 	retryAt    uint64
 	retryEpoch uint64
 	retryTimed bool
+
+	// Wait record, written with the park state whenever an evaluation leaves
+	// the entry unissued: why it waits, and the unissued producer or store
+	// whose dependents row holds it (0 if none; see register, wakeDeps).
+	cause  waitCause
+	waitOn uint64
 
 	// Memory ops.
 	branchCount uint64 // decode-time divergent-branch counter copy
@@ -678,7 +706,7 @@ func (c *Core) waitSources(e *robEntry, a, b uint64) {
 		}
 	}
 	if p == 0 {
-		c.setRetry(e, c.srcReadyAt(a, b))
+		c.setRetry(e, c.srcReadyAt(a, b), waitOperand)
 		return
 	}
 	q := &c.rob[p&c.robMask]
@@ -686,20 +714,20 @@ func (c *Core) waitSources(e *robEntry, a, b uint64) {
 	if q.retryTimed {
 		at = max(at, q.retryAt)
 	}
-	c.register(e, p, at)
+	c.register(e, p, at, waitOperand)
 }
 
-// waitStoreDone parks e — a load gated on (Distance, StoreSeq) or a store
-// serialised behind (Store Sets) the older store st, which is not done —
-// until st can be done. An issued st parks e at its exact doneAt. An
-// unissued one takes e into its dependents row: its issue (phase 2 of
-// tryStore) files e at its completion, the first cycle the wait can clear,
-// and e's retryAt is st's done bound when that is time-bound, else cycle+1
-// (st is older, so this scan has passed it).
-func (c *Core) waitStoreDone(e, st *robEntry) {
+// waitStoreDone parks e — a load gated on (Distance, StoreSeq; cause
+// waitGate) or a store serialised behind (Store Sets; waitStoreSets) the
+// older store st, which is not done — until st can be done. An issued st
+// parks e at its exact doneAt. An unissued one takes e into its dependents
+// row: its issue (phase 2 of tryStore) files e at its completion, the first
+// cycle the wait can clear, and e's retryAt is st's done bound when that is
+// time-bound, else cycle+1 (st is older, so this scan has passed it).
+func (c *Core) waitStoreDone(e, st *robEntry, cause waitCause) {
 	b := c.storeDoneBound(st)
 	if st.state == stIssued {
-		c.setRetry(e, b)
+		c.setRetry(e, b, cause)
 		return
 	}
 	at := c.cycle + 1
@@ -707,14 +735,15 @@ func (c *Core) waitStoreDone(e, st *robEntry) {
 		at = b.at
 	}
 	e.waitStore = st.seq
-	c.register(e, st.seq, at)
+	c.register(e, st.seq, at, cause)
 }
 
 // register parks e time-bound until at, in the dependents row of the
 // unissued producer p, whose issue files it at p's completion; at must not
-// exceed that completion.
-func (c *Core) register(e *robEntry, p, at uint64) {
+// exceed that completion. It records the wait as cause, on p.
+func (c *Core) register(e *robEntry, p, at uint64, cause waitCause) {
 	e.retryAt, e.retryEpoch, e.retryTimed = at, c.memEpoch, true
+	e.cause, e.waitOn = cause, p
 	pos, pp := e.seq&c.robMask, p&c.robMask
 	c.deps[pp*uint64(len(c.awake))+pos>>6] |= 1 << (pos & 63)
 	c.depSum[pp] |= 1 << (pos >> 6 >> c.sumShift)
@@ -725,7 +754,8 @@ func (c *Core) register(e *robEntry, p, at uint64) {
 // p.doneAt, so its time-bound park is raised to it and filed there. A store
 // can complete in the cycle it issues, whose wheel bucket has already fired:
 // such an entry is set awake instead, and the live scan reaches it (it is
-// younger than p) in this same scan. Bits left by squashed occupants, or by
+// younger than p) in this same scan. An entry whose record names p leaves
+// its row, so its waitOn clears. Bits left by squashed occupants, or by
 // a re-dispatched occupant whose next step does not wait for p (a store
 // registered for its data in an earlier life, now resolving its address),
 // are dropped.
@@ -746,6 +776,9 @@ func (c *Core) wakeDeps(p *robEntry, pos uint64) {
 					continue
 				}
 				ce.retryAt = max(ce.retryAt, p.doneAt)
+				if ce.waitOn == p.seq {
+					ce.waitOn = 0 // out of the row; the cause stands
+				}
 				if ce.retryAt <= c.cycle {
 					c.awake[cpos>>6] |= 1 << (cpos & 63)
 				} else {
@@ -800,9 +833,10 @@ func (c *Core) storeDoneBound(st *robEntry) bound {
 }
 
 // setRetry parks e until the cycle b.at (an exclusive lower bound on its
-// wake-up) and files it where a wake will find it: a time-bound park in the
-// wheel bucket of b.at, a memory-bound one in memParked and — unless it has
-// no time bound (neverRetry) — in the wheel too. b.at must never exceed the
+// wake-up), records the wait as cause (in no dependents row), and files it
+// where a wake will find it: a time-bound park in the wheel bucket of b.at,
+// a memory-bound one in memParked and — unless it has no time bound
+// (neverRetry) — in the wheel too. b.at must never exceed the
 // first cycle at which the entry's blocking evaluation could change (for a
 // memory-bound park: without a memory event in between) — parks are an
 // optimisation, not a scheduling policy, and an overshoot would change
@@ -819,10 +853,11 @@ func (c *Core) storeDoneBound(st *robEntry) bound {
 // store-queue and store-buffer outcomes, WaitAll/Vector gates (the blocking
 // store changes as stores complete), and bounds through a memory-bound
 // producer park.
-func (c *Core) setRetry(e *robEntry, b bound) {
+func (c *Core) setRetry(e *robEntry, b bound, cause waitCause) {
 	e.retryAt = b.at
 	e.retryEpoch = c.memEpoch
 	e.retryTimed = b.timed
+	e.cause, e.waitOn = cause, 0
 	pos := e.seq & c.robMask
 	if !b.timed {
 		c.memParked[pos>>6] |= 1 << (pos & 63)

@@ -146,8 +146,9 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 // wakes younger memory-bound entries in the same scan. The park check stays
 // the authority: a woken entry whose park still holds — a stale bit, or a
 // bound beyond the wheel horizon — is re-filed, not evaluated. An evaluated
-// entry either issues, parks again (setRetry), or is port-limited and stays
-// awake for the next cycle (port availability is not predictable).
+// entry either issues, parks again (setRetry, register), or is port-limited
+// and stays awake for the next cycle (port availability is not
+// predictable); each of the last two writes the entry's wait record.
 //
 // A park is a lower bound on the first cycle the entry's blocking condition
 // can clear, so an evaluation the scan skips would only have re-parked the
@@ -218,6 +219,7 @@ func (c *Core) issueStage() bool {
 			issued = true
 		} else if !c.parked(e) {
 			c.awake[word] |= bit // port-limited
+			e.cause, e.waitOn = waitPort, 0
 		}
 	}
 	return issued || total > 0
@@ -242,7 +244,7 @@ func (c *Core) tryStore(e *robEntry, storesP *int, total *int) {
 		// serialisation target (anything else would deadlock the pair).
 		if w := e.ssWaitSeq; w != 0 && w >= c.headSeq && w < e.seq {
 			if we := c.entry(w); we.inst.IsStore() && (we.state != stIssued || c.cycle < we.doneAt) {
-				c.waitStoreDone(e, we)
+				c.waitStoreDone(e, we, waitStoreSets)
 				return // serialised behind an older store of the set
 			}
 		}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"math/bits"
 	"reflect"
 	"regexp"
@@ -99,17 +100,20 @@ func eagerMatches(t *testing.T, m config.Machine, mk func() mdp.Predictor, tr *t
 }
 
 // wakeChecker returns a check of the scheduler's wake invariant, run at the
-// end of a cycle: every unissued in-flight entry is awake, or registered in
-// the dependents row of an unissued source or of the unissued store its gate
-// or serialisation waits on (whose issue files it at its completion), or its
-// park holds and a wake is filed that cannot come late —
+// end of a cycle: every unissued in-flight entry is awake, or its wait record
+// names the producer or store whose dependents row holds it — an unissued,
+// older micro-op its next step needs (a source, or the store its gate or
+// serialisation waits on), whose row and row-summary bits hold the entry, so
+// that its issue files the entry at its completion — or its park holds and a
+// wake is filed that cannot come late —
 //
 //   - time-bound: in a wheel bucket at or before its retryAt;
 //   - memory-bound: memory-parked (the park holds, so under the current
 //     epoch) and, unless it has no time bound, in a wheel bucket at or
 //     before its retryAt.
 //
-// It also checks that every non-empty bucket has its summary bit, since the
+// A parked entry's record names why it waits: an evaluation filed it. It
+// also checks that every non-empty bucket has its summary bit, since the
 // dead-cycle jump only looks at the summary.
 func wakeChecker(t *testing.T, c *Core) func() {
 	filedAt := make([]uint64, len(c.rob))
@@ -143,14 +147,22 @@ func wakeChecker(t *testing.T, c *Core) func() {
 				continue
 			}
 			fail := func(why string) {
-				t.Fatalf("cycle %d: seq %d (%s) %s: retryAt %d timed %v epoch %d/%d",
-					c.cycle, seq, kindName(e.kind), why, e.retryAt, e.retryTimed, e.retryEpoch, c.memEpoch)
+				t.Fatalf("cycle %d: seq %d (%s) %s: waits %q on %d, retryAt %d timed %v epoch %d/%d",
+					c.cycle, seq, e.kind, why, e.cause, e.waitOn, e.retryAt, e.retryTimed, e.retryEpoch, c.memEpoch)
 			}
-			switch {
-			case c.depProducer(e) != 0:
-				p := c.depProducer(e) & c.robMask
-				if c.depSum[p]&(1<<(pos>>6>>c.sumShift)) == 0 {
-					fail("waits in a dependents-row word its row summary does not mark")
+			switch p := e.waitOn; {
+			case e.cause == waitNone:
+				fail("is parked with no wait record")
+			case p != 0:
+				if e.cause != waitOperand && e.cause != waitGate && e.cause != waitStoreSets {
+					fail("is in a dependents row for a cause that never registers")
+				}
+				if p < c.headSeq || p >= seq || c.readyAt[p&c.robMask] != 0 || !needs(e, p) {
+					fail("names a producer that is not an unissued older micro-op its next step needs")
+				}
+				row := (p & c.robMask) * words
+				if c.deps[row+w]&bit == 0 || c.depSum[p&c.robMask]&(1<<(w>>c.sumShift)) == 0 {
+					fail("is not held by its recorded producer's dependents row and row summary")
 				}
 			case !c.parked(e):
 				fail("is neither awake nor parked")
@@ -195,7 +207,7 @@ func mirrorChecker(t *testing.T, c *Core) func() {
 			e := c.entry(seq)
 			if e.loadIndex != c.lqFirst+loads {
 				t.Fatalf("cycle %d: seq %d (%s) has load index %d, want %d",
-					c.cycle, seq, kindName(e.kind), e.loadIndex, c.lqFirst+loads)
+					c.cycle, seq, e.kind, e.loadIndex, c.lqFirst+loads)
 			}
 			switch e.kind {
 			case isa.Store:
@@ -387,7 +399,7 @@ func TestStoreWaitEvals(t *testing.T) {
 // registered with the store its gate or serialisation waits on.
 func storeWaitAtHead(c *Core) bool {
 	for seq := c.headSeq; seq < c.tailSeq && seq < c.headSeq+12; seq++ {
-		if e := c.entry(seq); e.state != stIssued && e.waitStore != 0 && c.depProducer(e) == e.waitStore {
+		if e := c.entry(seq); e.state != stIssued && e.waitOn != 0 && e.waitOn == e.waitStore {
 			return true
 		}
 	}
@@ -438,4 +450,73 @@ func TestDumpNamesParkState(t *testing.T) {
 		t.Errorf("no dump line names the store an entry waits for:\n%s", dump)
 	}
 	checkParkStates(t, dump)
+}
+
+// TestDumpNamesEveryCause stops runs at the first cycle an entry in the
+// state dump's head region waits for a given cause, and checks that its dump
+// line names the cause, the producer or store whose dependents row holds it
+// (for the causes that register), and its park. The wake invariant is
+// checked on every cycle up to the stop.
+func TestDumpNamesEveryCause(t *testing.T) {
+	none := func() mdp.Predictor { return mdp.NewNone() }
+	gate := func(kind mdp.PredKind) func() mdp.Predictor {
+		return func() mdp.Predictor { return gatePredictor{mdp.NewNone(), kind} }
+	}
+	gates := gateTrace(1, 500)
+	cases := []struct {
+		name  string
+		tr    *trace.Trace
+		pred  func() mdp.Predictor
+		cause waitCause
+		row   bool   // registered in a dependents row: the line names its seq
+		park  string // what the line says of the park
+	}{
+		{"operand", gates, none, waitOperand, true, "time-bound park until seq "},
+		{"gate/distance", gates, gate(mdp.Distance), waitGate, true, "time-bound park until store seq "},
+		{"gate/storeseq", gates, gate(mdp.StoreSeq), waitGate, true, "time-bound park until store seq "},
+		{"gate/waitall", gates, gate(mdp.WaitAll), waitGateAll, false, "memory-bound park"},
+		{"gate/vector", gates, gate(mdp.Vector), waitGateAll, false, "memory-bound park"},
+		{"storesets", gates, func() mdp.Predictor { return serialisingPredictor{mdp.NewNone()} },
+			waitStoreSets, true, "time-bound park until store seq "},
+		{"forward", gates, none, waitForward, false, "memory-bound park"},
+		{"drain", randomTrace(1, 3000), none, waitDrain, false, "memory-bound park until the next memory event"},
+		{"port", appTrace(t, "511.povray", 4000), none, waitPort, false, "awake"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(config.AlderLake(), tc.pred(), DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			wake := wakeChecker(t, c)
+			var dump string
+			var seq, on uint64
+			stepRun(t, c, tc.tr, 10_000_000, false, func() {
+				if dump != "" {
+					return
+				}
+				wake()
+				for s := c.headSeq; s < c.tailSeq && s < c.headSeq+12; s++ {
+					e, pos := c.entry(s), s&c.robMask
+					awake := c.awake[pos>>6]&(1<<(pos&63)) != 0
+					if e.state != stIssued && e.cause == tc.cause && (e.waitOn != 0) == tc.row && awake == (tc.cause == waitPort) {
+						dump, seq, on = c.stateDump(), s, e.waitOn
+						return
+					}
+				}
+			})
+			if dump == "" {
+				t.Fatalf("no dumped entry ever waits for %s; the test proves nothing", tc.cause)
+			}
+			want := "waits: " + tc.cause.String() + "; " + tc.park
+			if tc.row {
+				want += fmt.Sprintf("%d issues", on)
+			}
+			line := regexp.MustCompile(fmt.Sprintf(`(?m)^  seq %d idx .*$`, seq)).FindString(dump)
+			if !strings.Contains(line, want) {
+				t.Errorf("dump line of seq %d lacks %q:\n%s", seq, want, dump)
+			}
+			checkParkStates(t, dump)
+		})
+	}
 }

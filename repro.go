@@ -69,17 +69,19 @@ type ExperimentOptions struct {
 // RunExperiment regenerates one table or figure by name ("fig1".."fig16",
 // "table1", "table2", or "all").
 func RunExperiment(name string, opt ExperimentOptions) error {
+	run := func(r *experiments.Runner) error { return experiments.RunAll(r) }
+	if name != "all" {
+		e, err := experiments.ByName(name)
+		if err != nil {
+			return err
+		}
+		run = e.Run
+	}
 	r := experiments.NewRunner(experiments.Options{
 		Apps: opt.Apps, Instructions: opt.Instructions, Out: opt.Out,
 	})
-	if name == "all" {
-		return experiments.RunAll(r)
-	}
-	e, err := experiments.ByName(name)
-	if err != nil {
-		return err
-	}
-	return e.Run(r)
+	defer r.Close()
+	return run(r)
 }
 
 // GeoMean is the geometric mean used for all IPC aggregation.

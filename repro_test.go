@@ -2,8 +2,11 @@ package repro
 
 import (
 	"bytes"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestPublicAPISurface(t *testing.T) {
@@ -39,7 +42,20 @@ func TestSimulateSmoke(t *testing.T) {
 	}
 }
 
+// TestRunExperimentByName runs experiments by name and checks that each
+// call leaves no goroutine behind: the runner's workers exit with the call.
 func TestRunExperimentByName(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	settled := func(after string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Errorf("after %s: %d goroutines, %d before the first call", after, n, baseline)
+		}
+	}
 	var buf bytes.Buffer
 	err := RunExperiment("table1", ExperimentOptions{
 		Apps: []string{"519.lbm"}, Instructions: 10000, Out: &buf,
@@ -50,9 +66,19 @@ func TestRunExperimentByName(t *testing.T) {
 	if !strings.Contains(buf.String(), "ROB/IQ/LQ/SQ") {
 		t.Errorf("table1 output:\n%s", buf.String())
 	}
+	for i := 0; i < 3; i++ {
+		err := RunExperiment("fig12", ExperimentOptions{
+			Apps: []string{"519.lbm"}, Instructions: 3000, Out: io.Discard,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled("three fig12 calls")
 	if err := RunExperiment("fig99", ExperimentOptions{}); err == nil {
 		t.Error("unknown experiment should error")
 	}
+	settled("the fig99 call")
 }
 
 func TestGeoMeanExported(t *testing.T) {
