@@ -10,11 +10,12 @@ import (
 // BenchmarkCoreRun measures the cycle loop alone: one pooled core, reset
 // between iterations as sim's core pool does, re-running a fixed interned
 // trace under PHAST, under Store Sets on the two apps where its waits
-// behind unissued stores dominate, and under MDP-TAGE (the largest tables)
-// on two memory-bound apps. It reports simulated micro-ops per host
-// second, the share of simulated cycles the loop jumped over as dead (see
-// RunContext) and the issue scan's entry evaluations per micro-op (see
-// issueStage).
+// behind unissued stores dominate, under MDP-TAGE (the largest tables) on
+// two memory-bound apps, and under the two gates that wait on a set of older
+// stores: Store Vector on 557.xz_1 and always-wait on 511.povray. It reports
+// simulated micro-ops per host second, the share of simulated cycles the
+// loop jumped over as dead (see RunContext) and the issue scan's entry
+// evaluations per micro-op (see issueStage).
 func BenchmarkCoreRun(b *testing.B) {
 	storeSets := func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }
 	mdpTAGE := func() mdp.Predictor { return mdp.NewMDPTAGE(mdp.DefaultMDPTAGEConfig()) }
@@ -30,6 +31,8 @@ func BenchmarkCoreRun(b *testing.B) {
 		{"557.xz_1/storesets", "557.xz_1", storeSets},
 		{"505.mcf/mdptage", "505.mcf", mdpTAGE},
 		{"541.leela/mdptage", "541.leela", mdpTAGE},
+		{"557.xz_1/storevector", "557.xz_1", func() mdp.Predictor { return mdp.DefaultStoreVector() }},
+		{"511.povray/alwayswait", "511.povray", func() mdp.Predictor { return mdp.NewAlwaysWait() }},
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {

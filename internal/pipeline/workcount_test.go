@@ -25,10 +25,12 @@ var workCountApps = []string{
 
 // TestWorkCounts pins the simulator's counted work — the units the cycle
 // loop spends host time on — for every workCountApps app under the ideal,
-// Store Sets and PHAST predictors at n = 20k: issue-scan evaluations, cycles
-// jumped as dead, executed-load entries the violation search visited,
-// dependents-row words the issue wake-ups visited, and heap allocations of
-// one run on a reset core (predictor construction included). The counts are
+// Store Sets and PHAST predictors and under two that gate on a set of older
+// stores, Store Vector (Vector) and always-wait (WaitAll), at n = 20k:
+// issue-scan evaluations, cycles jumped as dead, executed-load entries the
+// violation search visited, dependents-row words the issue wake-ups visited,
+// and heap allocations of one run on a reset core (predictor construction
+// included). The counts are
 // deterministic and host-independent, so the gate is exact: a change that
 // moves one rewrites testdata/workcounts.txt (go test -run WorkCounts
 // -update-workcounts) and says why.
@@ -40,6 +42,8 @@ func TestWorkCounts(t *testing.T) {
 		{"ideal", func() mdp.Predictor { return mdp.NewIdeal() }},
 		{"storesets", func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }},
 		{"phast", corePHAST},
+		{"storevector", func() mdp.Predictor { return mdp.DefaultStoreVector() }},
+		{"alwayswait", func() mdp.Predictor { return mdp.NewAlwaysWait() }},
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-16s %-9s %6s %7s %9s %8s %7s %8s %6s\n",
