@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test bench-selftest figures examples clean check cache-smoke bench-smoke fleet-smoke fleet-chaos trace-smoke jobs-smoke chaos api-smoke fuzz fuzz-smoke cover
+.PHONY: all build test bench-selftest figures results-check examples clean check cache-smoke bench-smoke fleet-smoke fleet-chaos trace-smoke jobs-smoke chaos api-smoke fuzz fuzz-smoke cover
 
 all: build test
 
@@ -10,10 +10,12 @@ all: build test
 # in the batch slicing) + the fault-injection suite under -race + 10 seconds
 # each of the two pipeline fuzz targets + a cached-vs-uncached paperfigs
 # smoke proving the persistent run cache reproduces byte-identical tables
-# with zero re-simulations, one iteration of every per-layer benchmark, and
-# the phastbench self-test. Counted work
-# and output are gated exactly by the tests (TestWorkCounts, the row and
-# table goldens); no step compares wall-clock time against a baseline.
+# with zero re-simulations, one iteration of every per-layer benchmark, the
+# phastbench self-test, and the full-suite results regenerated and compared
+# byte for byte against results/paperfigs_full.txt. Counted work and output
+# are gated exactly by the tests (TestWorkCounts, the row and table goldens)
+# and by results-check; no step compares wall-clock time against a
+# baseline.
 check:
 	test -z "$$(gofmt -l .)"
 	go vet ./...
@@ -32,6 +34,7 @@ check:
 	$(MAKE) jobs-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) bench-selftest
+	$(MAKE) results-check
 
 # Fault-injection (chaos) suite: injected panics, stalls, disk-write failures
 # and corrupt cache entries must all be contained — typed per-config errors,
@@ -108,11 +111,25 @@ bench-smoke:
 bench-selftest:
 	bash phastbench/run.sh --selftest
 
+# The full-suite paperfigs run behind the shipped results file; figures and
+# results-check share it, so the two cannot drift apart.
+FIGFLAGS := -fig all -n 300000
+
 # Regenerate every figure and table into results/ (2 min 37 s with two
-# workers on a 2-CPU Intel Xeon virtual machine).
+# workers on a 2-CPU Intel Xeon virtual machine). The shipped file is
+# replaced only by a complete run: a failed one leaves it as it was.
 figures:
 	mkdir -p results
-	go run ./cmd/paperfigs -fig all -n 300000 | tee results/paperfigs_full.txt
+	tmp=$$(mktemp); go run ./cmd/paperfigs $(FIGFLAGS) >$$tmp && cp $$tmp results/paperfigs_full.txt; \
+		st=$$?; rm -f $$tmp; exit $$st
+
+# Regenerate the full suite into a temporary file and require it to match
+# the shipped results byte for byte: a change that moves a shipped number
+# must re-record the file (make figures) and say why.
+results-check:
+	tmp=$$(mktemp); go run ./cmd/paperfigs $(FIGFLAGS) >$$tmp && cmp $$tmp results/paperfigs_full.txt; \
+		st=$$?; rm -f $$tmp; exit $$st
+	@echo "results check ok: results/paperfigs_full.txt reproduced byte for byte"
 
 # Every example must at least compile; the two fast ones also run headless
 # as living documentation tests (predictorapi runs under api-smoke, and the

@@ -13,6 +13,9 @@ import (
 // load-queue search a resolving store performs to detect memory order
 // violations (with the §IV-A1 forwarding filter).
 //
+// Every gate kind waits on one older store at a time (gateBlocked); only
+// the store-queue/store-buffer search parks memory-bound.
+//
 // All associative searches are gated by the core's per-cache-line occupancy
 // filters (sqLines/sbLines/ldLines): a zero filter response proves no queue
 // entry can overlap the probing footprint, so the common no-conflict case
@@ -78,77 +81,64 @@ func (c *Core) storeDone(st *robEntry) bool {
 }
 
 // gateBlocked evaluates the load's MDP decision: true while the load must
-// keep waiting. It records the waited-for store's footprint so commit can
-// classify the wait as a true or false dependence, and parks the load until
-// the blocking store can be done. A single-store gate (Distance, StoreSeq)
-// waits for its store (waitStoreDone); WaitAll and Vector gates are
-// memory-bound, since the store that blocks them changes as stores
-// complete.
+// keep waiting. Each gate kind only chooses its blocking store: Distance and
+// StoreSeq their one store (whose footprint commit uses to classify the wait
+// as a true or false dependence), WaitAll the youngest older store that is
+// not done, Vector the not-done store at the lowest masked distance. The
+// load then waits for that store (waitStoreDone) and, woken, re-runs the
+// gate. The wait is time-bound: a gate's outcome changes only with time and
+// store issue, never with a memory event — an address resolution makes no
+// store done, a store-buffer free concerns committed (done) stores, and a
+// squash removes only entries younger than the violating load, so never a
+// store that a surviving gated load waits on.
 func (c *Core) gateBlocked(e *robEntry) bool {
+	var st *robEntry
+	cause := waitGate
 	switch e.pred.Kind {
-	case mdp.NoDep:
-		return false
 	case mdp.Distance:
 		if uint64(e.pred.Dist) >= e.storeCount {
 			return false // distance reaches before the stream start
 		}
-		st := c.storeBySQIndex(e.storeCount - 1 - uint64(e.pred.Dist))
+		st = c.storeBySQIndex(e.storeCount - 1 - uint64(e.pred.Dist))
 		if st == nil || st.seq >= e.seq {
 			return false // already committed (or nonsense prediction)
 		}
-		e.waitValid, e.waitAddr, e.waitSize = true, st.inst.Addr, st.inst.Size
-		if c.storeDone(st) {
-			return false
-		}
-		c.waitStoreDone(e, st, waitGate)
-		return true
 	case mdp.StoreSeq:
 		if e.pred.Seq == 0 || e.pred.Seq < c.headSeq || e.pred.Seq >= e.seq {
 			return false
 		}
-		st := c.entry(e.pred.Seq)
+		st = c.entry(e.pred.Seq)
 		if !st.inst.IsStore() {
 			return false // stale identifier from before a squash
 		}
-		e.waitValid, e.waitAddr, e.waitSize = true, st.inst.Addr, st.inst.Size
-		if c.storeDone(st) {
-			return false
-		}
-		c.waitStoreDone(e, st, waitGate)
-		return true
 	case mdp.WaitAll:
-		for i := c.olderStores(e.storeCount) - 1; i >= 0; i-- {
-			if st := c.entry(c.sqAt(i).seq); !c.storeDone(st) {
-				c.setRetry(e, bound{at: c.storeDoneBound(st).at}, waitGateAll)
-				return true
+		cause = waitGateAll
+		for i := c.olderStores(e.storeCount) - 1; i >= 0 && st == nil; i-- {
+			if s := c.entry(c.sqAt(i).seq); !c.storeDone(s) {
+				st = s
 			}
 		}
-		return false
 	case mdp.Vector:
+		cause = waitGateAll
 		mask := e.pred.Mask
 		if e.storeCount < 64 {
 			mask &= 1<<e.storeCount - 1 // distances beyond the stream start
 		}
-		for mask != 0 {
-			d := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			st := c.storeBySQIndex(e.storeCount - 1 - uint64(d))
-			if st == nil || st.seq >= e.seq {
-				continue
-			}
-			if !c.storeDone(st) {
-				e.waitValid, e.waitAddr, e.waitSize = true, st.inst.Addr, st.inst.Size
-				c.setRetry(e, bound{at: c.storeDoneBound(st).at}, waitGateAll)
-				return true
-			}
-			if st.inst.Overlaps(e.inst) {
-				// Remember at least one real overlap for the audit.
-				e.waitValid, e.waitAddr, e.waitSize = true, st.inst.Addr, st.inst.Size
+		for ; mask != 0 && st == nil; mask &= mask - 1 {
+			s := c.storeBySQIndex(e.storeCount - 1 - uint64(bits.TrailingZeros64(mask)))
+			if s != nil && s.seq < e.seq && !c.storeDone(s) {
+				st = s
 			}
 		}
+	}
+	if st != nil && cause == waitGate {
+		e.waitValid, e.waitAddr, e.waitSize = true, st.inst.Addr, st.inst.Size
+	}
+	if st == nil || c.storeDone(st) {
 		return false
 	}
-	return false
+	c.waitStoreDone(e, st, cause)
+	return true
 }
 
 // tryLoad attempts to execute a load whose sources are ready and whose MDP

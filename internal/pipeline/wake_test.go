@@ -154,7 +154,7 @@ func wakeChecker(t *testing.T, c *Core) func() {
 			case e.cause == waitNone:
 				fail("is parked with no wait record")
 			case p != 0:
-				if e.cause != waitOperand && e.cause != waitGate && e.cause != waitStoreSets {
+				if e.cause != waitOperand && e.cause != waitGate && e.cause != waitGateAll && e.cause != waitStoreSets {
 					fail("is in a dependents row for a cause that never registers")
 				}
 				if p < c.headSeq || p >= seq || c.readyAt[p&c.robMask] != 0 || !needs(e, p) {
@@ -335,7 +335,9 @@ func TestWakeInvariant(t *testing.T) {
 // alderlake and on the ROB-20 machine, for gateTrace seeds under all four
 // gate kinds (with Store Sets serialisation on alternate seeds) and for
 // random streams with register-writing stores under every golden
-// predictor.
+// predictor; and on alderlake for a short suite stream of 557.xz_1, whose
+// deep store queue keeps Store Vector, always-wait and perceptron-mdp
+// loads waiting behind a set of older stores.
 func TestEagerScheduleMatchesRun(t *testing.T) {
 	kinds := []mdp.PredKind{mdp.Distance, mdp.StoreSeq, mdp.Vector, mdp.WaitAll}
 	for _, m := range goldenMachines()[:2] {
@@ -358,6 +360,14 @@ func TestEagerScheduleMatchesRun(t *testing.T) {
 			}
 		}
 	}
+	xz := appTrace(t, "557.xz_1", 3000)
+	for _, mk := range []func() mdp.Predictor{
+		func() mdp.Predictor { return mdp.DefaultStoreVector() },
+		func() mdp.Predictor { return mdp.NewAlwaysWait() },
+		func() mdp.Predictor { return mdp.DefaultPerceptronMDP() },
+	} {
+		eagerMatches(t, config.AlderLake(), mk, xz)
+	}
 }
 
 // checkParkStates asserts that every unissued ROB entry listed in a state
@@ -374,23 +384,38 @@ func checkParkStates(t *testing.T, dump string) {
 	}
 }
 
-// TestStoreWaitEvals guards the store-ordering waits: Store Sets, whose
-// loads and stores wait behind unissued stores, must keep to under three
-// issue-scan evaluations per micro-op on the two apps where it used to
-// re-evaluate such waits almost every cycle (26 and 37 evaluations per
-// micro-op at this n before they registered with the store).
+// TestStoreWaitEvals guards the store-ordering waits, which register with
+// the store they wait on: under Store Sets, whose loads and stores wait
+// behind unissued stores, and under Store Vector and always-wait, whose
+// loads wait behind a set of older stores, a run must keep to under three
+// issue-scan evaluations per micro-op on the two apps where such waits used
+// to be re-evaluated almost every cycle or on every memory event (at this n,
+// 26 and 37 evaluations per micro-op under Store Sets before its waits
+// registered; on 557.xz_1, 9.04 under Store Vector and 27.58 under
+// always-wait before theirs did).
 func TestStoreWaitEvals(t *testing.T) {
+	preds := []struct {
+		name string
+		mk   func() mdp.Predictor
+	}{
+		{"storesets", func() mdp.Predictor { return mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()) }},
+		{"storevector", func() mdp.Predictor { return mdp.DefaultStoreVector() }},
+		{"alwayswait", func() mdp.Predictor { return mdp.NewAlwaysWait() }},
+	}
 	for _, app := range []string{"500.perlbench_3", "557.xz_1"} {
-		c, err := New(config.AlderLake(), mdp.NewStoreSets(mdp.DefaultStoreSetsConfig()), DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := c.Run(appTrace(t, app, 20_000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if per := float64(c.IssueEvals()) / float64(res.Committed); per >= 3 {
-			t.Errorf("%s/storesets: %.2f issue evaluations per micro-op, want < 3", app, per)
+		tr := appTrace(t, app, 20_000)
+		for _, p := range preds {
+			c, err := New(config.AlderLake(), p.mk(), DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if per := float64(c.IssueEvals()) / float64(res.Committed); per >= 3 {
+				t.Errorf("%s/%s: %.2f issue evaluations per micro-op, want < 3", app, p.name, per)
+			}
 		}
 	}
 }
@@ -474,8 +499,8 @@ func TestDumpNamesEveryCause(t *testing.T) {
 		{"operand", gates, none, waitOperand, true, "time-bound park until seq "},
 		{"gate/distance", gates, gate(mdp.Distance), waitGate, true, "time-bound park until store seq "},
 		{"gate/storeseq", gates, gate(mdp.StoreSeq), waitGate, true, "time-bound park until store seq "},
-		{"gate/waitall", gates, gate(mdp.WaitAll), waitGateAll, false, "memory-bound park"},
-		{"gate/vector", gates, gate(mdp.Vector), waitGateAll, false, "memory-bound park"},
+		{"gate/waitall", gates, gate(mdp.WaitAll), waitGateAll, true, "time-bound park until store seq "},
+		{"gate/vector", gates, gate(mdp.Vector), waitGateAll, true, "time-bound park until store seq "},
 		{"storesets", gates, func() mdp.Predictor { return serialisingPredictor{mdp.NewNone()} },
 			waitStoreSets, true, "time-bound park until store seq "},
 		{"forward", gates, none, waitForward, false, "memory-bound park"},
