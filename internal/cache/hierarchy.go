@@ -104,81 +104,52 @@ func (h *Hierarchy) dataAccess(cycle uint64, addr uint64) uint64 {
 		// Secondary miss: ride the outstanding fill.
 		return slot.done
 	}
-	var lat int
-	switch {
-	case h.L2.access(addr):
-		h.L2.Hits++
-		lat = h.L1D.hitLatency + h.L2.hitLatency
-	case h.L3.access(addr):
-		h.L2.Misses++
-		h.L3.Hits++
-		lat = h.L1D.hitLatency + h.L2.hitLatency + h.L3.hitLatency
-		h.L2.Fill(addr)
-	default:
-		h.L2.Misses++
-		h.L3.Misses++
-		lat = h.L1D.hitLatency + h.L2.hitLatency + h.L3.hitLatency + h.memLatency
-		h.L3.Fill(addr)
-		h.L2.Fill(addr)
-	}
-	done := cycle + uint64(lat)
-	start := h.L1D.reserveMSHR(cycle, done)
-	done = start + uint64(lat)
+	lat := uint64(h.L1D.hitLatency + h.beyondL1(addr))
+	start := h.L1D.reserveMSHR(cycle, cycle+lat)
 	h.L1D.Fill(addr)
-	*slot = inflightFill{line: line + 1, done: done}
-	return done
+	*slot = inflightFill{line: line + 1, done: start + lat}
+	return start + lat
+}
+
+// beyondL1 walks L2→L3→memory for a line that missed an L1, counting hits
+// and misses and filling the missing levels on the way back, and returns
+// the latency past the L1.
+func (h *Hierarchy) beyondL1(addr uint64) int {
+	if h.L2.access(addr) {
+		h.L2.Hits++
+		return h.L2.hitLatency
+	}
+	h.L2.Misses++
+	lat := h.L2.hitLatency + h.L3.hitLatency
+	if h.L3.access(addr) {
+		h.L3.Hits++
+	} else {
+		h.L3.Misses++
+		lat += h.memLatency
+		h.L3.Fill(addr)
+	}
+	h.L2.Fill(addr)
+	return lat
 }
 
 // Fetch returns the completion cycle of an instruction fetch at cycle. The
 // instruction path is L1I → L2 → L3 → memory, with a next-line prefetcher
-// (standard in L1I front ends) hiding sequential-code cold misses.
+// (standard in L1I front ends) hiding sequential-code cold misses: it
+// installs the next line off the critical path, updating tag state but
+// charging no fetch latency.
 func (h *Hierarchy) Fetch(cycle uint64, pc uint64) uint64 {
 	if next := pc + uint64(64); !h.L1I.Lookup(next) {
-		h.instFill(next)
+		h.beyondL1(next)
+		h.L1I.Fill(next)
 	}
 	if h.L1I.access(pc) {
 		h.L1I.Hits++
 		return cycle + uint64(h.L1I.hitLatency)
 	}
 	h.L1I.Misses++
-	var lat int
-	switch {
-	case h.L2.access(pc):
-		h.L2.Hits++
-		lat = h.L1I.hitLatency + h.L2.hitLatency
-	case h.L3.access(pc):
-		h.L2.Misses++
-		h.L3.Hits++
-		lat = h.L1I.hitLatency + h.L2.hitLatency + h.L3.hitLatency
-		h.L2.Fill(pc)
-	default:
-		h.L2.Misses++
-		h.L3.Misses++
-		lat = h.L1I.hitLatency + h.L2.hitLatency + h.L3.hitLatency + h.memLatency
-		h.L3.Fill(pc)
-		h.L2.Fill(pc)
-	}
+	lat := h.L1I.hitLatency + h.beyondL1(pc)
 	h.L1I.Fill(pc)
 	return cycle + uint64(lat)
-}
-
-// instFill installs a line on the instruction path off the critical path
-// (next-line prefetch); it updates tag state but charges no fetch latency.
-func (h *Hierarchy) instFill(pc uint64) {
-	switch {
-	case h.L2.access(pc):
-		h.L2.Hits++
-	case h.L3.access(pc):
-		h.L2.Misses++
-		h.L3.Hits++
-		h.L2.Fill(pc)
-	default:
-		h.L2.Misses++
-		h.L3.Misses++
-		h.L3.Fill(pc)
-		h.L2.Fill(pc)
-	}
-	h.L1I.Fill(pc)
 }
 
 // StridePrefetcher is the IP-stride L1D prefetcher of Table I: per load PC

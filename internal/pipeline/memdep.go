@@ -175,11 +175,11 @@ func (c *Core) tryLoad(e *robEntry) bool {
 					return true
 				}
 				// True-dependence stall until the forwarder can be done.
-				c.setRetry(e, bound{at: c.storeDoneBound(st).at}, waitForward)
+				c.setRetry(e, c.storeDoneBound(st), waitForward)
 				return false
 			}
 			// Partial coverage: wait for the store to reach the cache.
-			c.setRetry(e, bound{at: neverRetry}, waitDrain)
+			c.setRetry(e, neverRetry, waitDrain)
 			return false
 		}
 	}
@@ -197,7 +197,7 @@ func (c *Core) tryLoad(e *robEntry) bool {
 				return true
 			}
 			// Partial coverage from the store buffer: wait for the drain.
-			c.setRetry(e, bound{at: neverRetry}, waitDrain)
+			c.setRetry(e, neverRetry, waitDrain)
 			return false
 		}
 	}

@@ -165,10 +165,6 @@ type robEntry struct {
 	addrDoneAt   uint64
 	ssWaitSeq    uint64 // Store Sets same-set serialisation
 
-	// waitStore is the store whose dependents row this entry last registered
-	// in (a store-ordering wait; see waitStoreDone), 0 if none.
-	waitStore uint64
-
 	// Loads.
 	pred            mdp.Prediction
 	waited          bool
@@ -621,68 +617,35 @@ func (c *Core) srcsReady(e *robEntry) bool {
 	return c.producerReady(e.srcASeq) && c.producerReady(e.srcBSeq)
 }
 
-// bound is a lower bound on the first cycle an entry's blocking condition
-// can clear, with its wake class. A time-bound one (timed) holds whatever
-// memory events happen meanwhile; any other is memory-bound and holds only
-// until the next memEpoch advance (see setRetry).
-type bound struct {
-	at    uint64
-	timed bool
-}
-
 // srcReadyAt bounds the first cycle at which the values of producers a and
-// b (0 = none) can both be available (at 0 = ready now). It serves the
-// register waits whose unready producers have all issued (see waitSources)
-// and the done bound of a store (storeDoneBound), which also seeds the
-// retryAt of a wait registered with an unissued store (waitStoreDone). For
-// an issued producer the bound is exact (doneAt is immutable). For an
-// unissued one it is a lower bound: producers are older, so this cycle's
-// scan has already evaluated them (or they were parked) and they cannot
-// issue before the next cycle. ALU and branch latencies are clamped to ≥1,
-// a load completes no earlier than the L1D hit latency (config.Validate
-// requires it positive) and a store at max(address done, issue cycle) —
-// giving the plain bound cycle+2, and cycle+1 for a store, which can
-// complete in the cycle it issues (Nops issue at dispatch). A producer that
-// is still parked cannot issue, let alone complete, before its retryAt —
-// or, parked with no time bound (neverRetry), before the epoch advance that
-// wakes it — so the bound extends to it, transitively down a dependence
-// chain.
-//
-// The bound is time-bound when it rests only on exact producer bounds, plain
-// bounds and time-bound producer parks; passing through a memory-bound park
-// (one that still holds, and lies past the plain bound) makes it
-// memory-bound, since the epoch advance that wakes the producer early must
-// wake the consumer too.
-func (c *Core) srcReadyAt(a, b uint64) bound {
-	atA, parkedA, memA := c.producerWake(a)
-	atB, parkedB, memB := c.producerWake(b)
-	return bound{at: max(atA, atB, parkedA, parkedB), timed: !memA && !memB}
+// b (0 = none) can both be available (0 = ready now). It serves the register
+// waits whose unready producers have all issued (see waitSources) and the
+// done bound of a store (storeDoneBound). Each producer's bound is exact or
+// plain: an issued producer's doneAt (immutable), else its plainBound.
+func (c *Core) srcReadyAt(a, b uint64) uint64 {
+	return max(c.producerWake(a), c.producerWake(b))
 }
 
-// producerWake returns srcReadyAt's bounds for one producer seq: the plain
-// (or exact) bound, the parked bound (0 if none), and whether the parked
-// bound comes from a memory-bound park that lies past the plain bound.
-func (c *Core) producerWake(seq uint64) (at, parked uint64, mem bool) {
+// producerWake returns srcReadyAt's bound for one producer seq.
+func (c *Core) producerWake(seq uint64) uint64 {
 	if seq < c.headSeq {
-		return 0, 0, false // none, architectural or committed
+		return 0 // none, architectural or committed
 	}
 	pos := seq & c.robMask
 	if d := c.readyAt[pos]; d != 0 {
-		return d - 1, 0, false
+		return d - 1
 	}
-	p := &c.rob[pos]
-	at = c.plainBound(p)
-	switch {
-	case p.retryTimed:
-		parked = p.retryAt
-	case p.retryEpoch == c.memEpoch:
-		parked = p.retryAt
-		mem = parked > at
-	}
-	return at, parked, mem
+	return c.plainBound(&c.rob[pos])
 }
 
-// plainBound is srcReadyAt's plain bound for the unissued producer p.
+// plainBound is a lower bound on the completion of the unissued producer p.
+// p is older than any entry waiting on it, so this cycle's scan has already
+// evaluated it (or it was parked), and it cannot issue before the next
+// cycle. ALU and branch latencies are clamped to ≥1 and a load completes no
+// earlier than the L1D hit latency (config.Validate requires it positive),
+// giving cycle+2; a store completes at max(address done, issue cycle), so
+// it can complete in the cycle it issues (Nops issue at dispatch), giving
+// cycle+1.
 func (c *Core) plainBound(p *robEntry) uint64 {
 	if p.kind == isa.Store {
 		return c.cycle + 1
@@ -696,8 +659,8 @@ func (c *Core) plainBound(p *robEntry) uint64 {
 // producer's unknown latency keeps loose — which re-wakes a whole pointer
 // chase each time its head completes — e registers in the dependents row
 // of the youngest such producer, and the producer's issue files it at the
-// exact completion cycle. Its retryAt is then the producer's time-bound
-// lower bound alone, which that completion never precedes.
+// exact completion cycle. Its retryAt until then is the producer's plain
+// bound, which that completion never precedes.
 func (c *Core) waitSources(e *robEntry, a, b uint64) {
 	p := uint64(0)
 	for _, s := range [2]uint64{a, b} {
@@ -709,12 +672,7 @@ func (c *Core) waitSources(e *robEntry, a, b uint64) {
 		c.setRetry(e, c.srcReadyAt(a, b), waitOperand)
 		return
 	}
-	q := &c.rob[p&c.robMask]
-	at := c.plainBound(q)
-	if q.retryTimed {
-		at = max(at, q.retryAt)
-	}
-	c.register(e, p, at, waitOperand)
+	c.register(e, p, c.plainBound(&c.rob[p&c.robMask]), waitOperand)
 }
 
 // waitStoreDone parks e until the older store st, which is not done, can be
@@ -722,19 +680,14 @@ func (c *Core) waitSources(e *robEntry, a, b uint64) {
 // waitGateAll) or a store serialised behind st (Store Sets; waitStoreSets).
 // An issued st parks e at its exact doneAt. An unissued one takes e into its
 // dependents row: its issue (phase 2 of tryStore) files e at its completion,
-// the first cycle the wait can clear, and e's retryAt is st's done bound when
-// that is time-bound, else cycle+1 (st is older, so this scan has passed it).
+// the first cycle the wait can clear, and e's retryAt until then is st's
+// plain done bound.
 func (c *Core) waitStoreDone(e, st *robEntry, cause waitCause) {
-	b := c.storeDoneBound(st)
+	at := c.storeDoneBound(st)
 	if st.state == stIssued {
-		c.setRetry(e, b, cause)
+		c.setRetry(e, at, cause)
 		return
 	}
-	at := c.cycle + 1
-	if b.timed {
-		at = b.at
-	}
-	e.waitStore = st.seq
 	c.register(e, st.seq, at, cause)
 }
 
@@ -750,15 +703,15 @@ func (c *Core) register(e *robEntry, p, at uint64, cause waitCause) {
 }
 
 // wakeDeps runs when the micro-op p in ring slot pos issues: each entry
-// registered in its dependents row now has an exact bound on that wait,
-// p.doneAt, so its time-bound park is raised to it and filed there. A store
-// can complete in the cycle it issues, whose wheel bucket has already fired:
-// such an entry is set awake instead, and the live scan reaches it (it is
-// younger than p) in this same scan. An entry whose record names p leaves
-// its row, so its waitOn clears. Bits left by squashed occupants, or by
-// a re-dispatched occupant whose next step does not wait for p (a store
-// registered for its data in an earlier life, now resolving its address),
-// are dropped.
+// whose wait record names p now has an exact bound on that wait, p.doneAt,
+// so its time-bound park is raised to it and filed there, and it leaves the
+// row (its waitOn clears; the cause stands). A store can complete in the
+// cycle it issues, whose wheel bucket has already fired: such an entry is
+// set awake instead, and the live scan reaches it (it is younger than p) in
+// this same scan. Only register writes a non-zero waitOn, and every other
+// filing (setRetry, a port-limited evaluation) clears it, so the record
+// names the one row whose wake an entry relies on; the bit of an entry
+// since filed elsewhere, or of a squashed occupant, is stale and dropped.
 func (c *Core) wakeDeps(p *robEntry, pos uint64) {
 	sum := c.depSum[pos]
 	c.depSum[pos] = 0
@@ -772,13 +725,11 @@ func (c *Core) wakeDeps(p *robEntry, pos uint64) {
 			for ; d != 0; d &= d - 1 {
 				cpos := i*64 + uint64(bits.TrailingZeros64(d))
 				ce := &c.rob[cpos]
-				if !ce.retryTimed || ce.state == stIssued || !needs(ce, p.seq) {
+				if ce.waitOn != p.seq {
 					continue
 				}
 				ce.retryAt = max(ce.retryAt, p.doneAt)
-				if ce.waitOn == p.seq {
-					ce.waitOn = 0 // out of the row; the cause stands
-				}
+				ce.waitOn = 0
 				if ce.retryAt <= c.cycle {
 					c.awake[cpos>>6] |= 1 << (cpos & 63)
 				} else {
@@ -789,78 +740,52 @@ func (c *Core) wakeDeps(p *robEntry, pos uint64) {
 	}
 }
 
-// needs reports whether the next issue step of the unissued entry e waits
-// for the micro-op seq: a store resolves its address from source A (after
-// any serialisation behind waitStore) and then waits for its data in source
-// B; a load waits for both sources and for a gating waitStore; any other op
-// needs both sources.
-func needs(e *robEntry, seq uint64) bool {
-	switch {
-	case e.kind == isa.Store && e.addrResolved:
-		return e.srcBSeq == seq
-	case e.kind == isa.Store:
-		return e.srcASeq == seq || e.waitStore == seq
-	}
-	return e.srcASeq == seq || e.srcBSeq == seq || e.waitStore == seq
-}
-
 // storeDoneBound bounds the first cycle at which storeDone(st) can become
-// true, for an st that is not done now. An issued st's bound is its exact
-// doneAt, at which an MDP gate or Store Sets wait parks. For an unissued st
-// those waits register in st's dependents row (waitStoreDone) and take the
-// bound as their retryAt only when it is time-bound. tryLoad's forwarding
-// stall takes its cycle, memory-bound.
-func (c *Core) storeDoneBound(st *robEntry) bound {
+// true, for an st that is not done now: exact (doneAt) for an issued st,
+// else plain. An MDP gate or Store Sets wait takes it as its retryAt
+// (waitStoreDone), and tryLoad's forwarding stall as its memory-bound one.
+func (c *Core) storeDoneBound(st *robEntry) uint64 {
 	if st.state == stIssued {
-		return bound{at: st.doneAt, timed: true} // exact
+		return st.doneAt
 	}
 	if !st.addrResolved {
 		// The address resolves no earlier than the cycle its register is
 		// ready, and the store completes no earlier than the cycle after.
-		b := c.srcReadyAt(st.srcASeq, 0)
-		if b.at != neverRetry {
-			b.at = max(c.cycle+1, b.at+1)
-		}
-		return b
+		return max(c.cycle+1, c.srcReadyAt(st.srcASeq, 0)+1)
 	}
 	// Resolved but unissued: phase 2 (data ready → issue) is port-free, so
 	// the store issues the first cycle its data is ready, completing no
 	// earlier than max(addr done, data ready, next cycle).
-	b := c.srcReadyAt(st.srcBSeq, 0)
-	b.at = max(c.cycle+1, st.addrDoneAt, b.at)
-	return b
+	return max(c.cycle+1, st.addrDoneAt, c.srcReadyAt(st.srcBSeq, 0))
 }
 
-// setRetry parks e until the cycle b.at (an exclusive lower bound on its
+// setRetry parks e until the cycle at (an exclusive lower bound on its
 // wake-up), records the wait as cause (in no dependents row), and files it
-// where a wake will find it: a time-bound park in the wheel bucket of b.at,
-// a memory-bound one in memParked and — unless it has no time bound
-// (neverRetry) — in the wheel too. b.at must never exceed the
-// first cycle at which the entry's blocking evaluation could change (for a
-// memory-bound park: without a memory event in between) — parks are an
-// optimisation, not a scheduling policy, and an overshoot would change
-// timing.
+// where a wake will find it. at must never exceed the first cycle at which
+// the entry's blocking evaluation could change (for a memory-bound park:
+// without a memory event in between) — parks are an optimisation, not a
+// scheduling policy, and an overshoot would change timing.
 //
-// Time-bound parks ignore memEpoch, which is what makes them cheap: the
-// evaluations a memory event used to trigger before retryAt were re-parks
-// with no other effect. A register wait changes nothing but the park, and
-// an MDP gate or Store Sets wait depends only on whether older stores are
-// done, which no memory event changes (see gateBlocked). Waits on an
-// unissued producer or an unissued gating store bypass setRetry and
-// register in its dependents row (see register). Everything whose outcome a
-// memory event can change stays memory-bound: tryLoad's store-queue and
-// store-buffer outcomes, and bounds through a memory-bound producer park.
-func (c *Core) setRetry(e *robEntry, b bound, cause waitCause) {
-	e.retryAt = b.at
-	e.retryEpoch = c.memEpoch
-	e.retryTimed = b.timed
+// The wake class follows from the cause. tryLoad's store-search outcomes, a
+// forwarding stall and a partial-overlap drain, are the only waits a memory
+// event can change: they park memory-bound, in memParked and — unless the
+// drain has no time bound (neverRetry) — in the wheel. Every other park is
+// time-bound and filed in the wheel bucket of at alone, ignoring memEpoch,
+// which is what makes it cheap: a register wait changes nothing but the
+// park, and an MDP gate or Store Sets wait depends only on whether older
+// stores are done, which no memory event changes (see gateBlocked). Waits on
+// an unissued producer or an unissued gating store bypass setRetry and
+// register in its dependents row (see register).
+func (c *Core) setRetry(e *robEntry, at uint64, cause waitCause) {
+	timed := cause != waitForward && cause != waitDrain
+	e.retryAt, e.retryEpoch, e.retryTimed = at, c.memEpoch, timed
 	e.cause, e.waitOn = cause, 0
 	pos := e.seq & c.robMask
-	if !b.timed {
+	if !timed {
 		c.memParked[pos>>6] |= 1 << (pos & 63)
 	}
-	if b.at != neverRetry {
-		c.file(pos, b.at)
+	if at != neverRetry {
+		c.file(pos, at)
 	}
 }
 

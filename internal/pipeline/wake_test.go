@@ -100,17 +100,21 @@ func eagerMatches(t *testing.T, m config.Machine, mk func() mdp.Predictor, tr *t
 }
 
 // wakeChecker returns a check of the scheduler's wake invariant, run at the
-// end of a cycle: every unissued in-flight entry is awake, or its wait record
-// names the producer or store whose dependents row holds it — an unissued,
-// older micro-op its next step needs (a source, or the store its gate or
-// serialisation waits on), whose row and row-summary bits hold the entry, so
-// that its issue files the entry at its completion — or its park holds and a
-// wake is filed that cannot come late —
+// end of a cycle. Every unissued in-flight entry's wait record is one of
+// three kinds of wait:
 //
-//   - time-bound: in a wheel bucket at or before its retryAt;
-//   - memory-bound: memory-parked (the park holds, so under the current
-//     epoch) and, unless it has no time bound, in a wheel bucket at or
-//     before its retryAt.
+//   - registered: a non-zero waitOn names an unissued, older micro-op whose
+//     dependents row and row-summary bits hold the entry, for a cause that
+//     registers (operand, MDP gate, WaitAll/Vector gate, Store Sets) — a
+//     register source its next step needs, or a store — so that its issue
+//     files the entry at its completion;
+//   - memory-bound: only a forwarding stall or a partial-overlap drain may
+//     hold a memory-parked bit;
+//   - otherwise the entry is awake, or its park holds and a wake is filed
+//     that cannot come late: time-bound, in a wheel bucket at or before its
+//     retryAt; memory-bound, memory-parked (the park holds, so under the
+//     current epoch) and, unless it has no time bound, in a wheel bucket at
+//     or before its retryAt.
 //
 // A parked entry's record names why it waits: an evaluation filed it. It
 // also checks that every non-empty bucket has its summary bit, since the
@@ -143,27 +147,45 @@ func wakeChecker(t *testing.T, c *Core) func() {
 			}
 			pos := seq & c.robMask
 			w, bit := pos>>6, uint64(1)<<(pos&63)
-			if c.awake[w]&bit != 0 {
-				continue
-			}
 			fail := func(why string) {
 				t.Fatalf("cycle %d: seq %d (%s) %s: waits %q on %d, retryAt %d timed %v epoch %d/%d",
 					c.cycle, seq, e.kind, why, e.cause, e.waitOn, e.retryAt, e.retryTimed, e.retryEpoch, c.memEpoch)
 			}
-			switch p := e.waitOn; {
-			case e.cause == waitNone:
-				fail("is parked with no wait record")
-			case p != 0:
-				if e.cause != waitOperand && e.cause != waitGate && e.cause != waitGateAll && e.cause != waitStoreSets {
+			if c.memParked[w]&bit != 0 && e.cause != waitForward && e.cause != waitDrain {
+				fail("is memory-parked for a wait no memory event can change")
+			}
+			if p := e.waitOn; p != 0 {
+				switch e.cause {
+				case waitOperand:
+					src := p == e.srcASeq || p == e.srcBSeq
+					if e.kind == isa.Store {
+						src = p == e.srcASeq && !e.addrResolved || p == e.srcBSeq && e.addrResolved
+					}
+					if !src {
+						fail("names a producer that is not a source its next step needs")
+					}
+				case waitGate, waitGateAll, waitStoreSets:
+					if c.entry(p).kind != isa.Store {
+						fail("waits in the row of a micro-op that is not a store")
+					}
+				default:
 					fail("is in a dependents row for a cause that never registers")
 				}
-				if p < c.headSeq || p >= seq || c.readyAt[p&c.robMask] != 0 || !needs(e, p) {
-					fail("names a producer that is not an unissued older micro-op its next step needs")
+				if p < c.headSeq || p >= seq || c.readyAt[p&c.robMask] != 0 {
+					fail("names a micro-op that is not unissued and older")
 				}
 				row := (p & c.robMask) * words
 				if c.deps[row+w]&bit == 0 || c.depSum[p&c.robMask]&(1<<(w>>c.sumShift)) == 0 {
 					fail("is not held by its recorded producer's dependents row and row summary")
 				}
+				continue
+			}
+			if c.awake[w]&bit != 0 {
+				continue
+			}
+			switch {
+			case e.cause == waitNone:
+				fail("is parked with no wait record")
 			case !c.parked(e):
 				fail("is neither awake nor parked")
 			case e.retryTimed:
@@ -424,7 +446,7 @@ func TestStoreWaitEvals(t *testing.T) {
 // registered with the store its gate or serialisation waits on.
 func storeWaitAtHead(c *Core) bool {
 	for seq := c.headSeq; seq < c.tailSeq && seq < c.headSeq+12; seq++ {
-		if e := c.entry(seq); e.state != stIssued && e.waitOn != 0 && e.waitOn == e.waitStore {
+		if e := c.entry(seq); e.state != stIssued && e.waitOn != 0 && e.cause != waitOperand {
 			return true
 		}
 	}
