@@ -11,12 +11,14 @@ import (
 
 // countChecker returns a check, run at the end of a cycle, that the front
 // end's running counts match a recount over the stream: decodeHist.Count()
-// and fetchStores count the divergent branches and stores before nextFetch,
-// and every in-flight load's branchCount/storeCount and store's
-// branchCount/storeIndex count those before its trace index. Entries keep
-// their counts from dispatch on, and commit precedes fetch within a cycle,
-// so checking every in-flight entry at each cycle's end checks every
-// dispatch, re-dispatches after a squash included.
+// and fetchStores count the divergent branches and stores before the next
+// micro-op to fetch (trace index traceIdx(tailSeq)), every in-flight entry
+// holds the micro-op at its trace index traceIdx(seq), and every in-flight
+// load's branchCount/storeCount and store's branchCount/storeIndex count
+// those before that index. Entries keep their counts from dispatch on, and
+// commit precedes fetch within a cycle, so checking every in-flight entry at
+// each cycle's end checks every dispatch, re-dispatches after a squash
+// included.
 func countChecker(t *testing.T, c *Core, tr *trace.Trace) func() {
 	div := make([]uint64, tr.Len()+1)
 	st := make([]uint64, tr.Len()+1)
@@ -31,16 +33,19 @@ func countChecker(t *testing.T, c *Core, tr *trace.Trace) func() {
 	}
 	return func() {
 		t.Helper()
-		if got, want := c.decodeHist.Count(), div[c.nextFetch]; got != want {
-			t.Fatalf("cycle %d: decode history counts %d divergent branches before index %d, want %d", c.cycle, got, c.nextFetch, want)
+		next := c.traceIdx(c.tailSeq)
+		if got, want := c.decodeHist.Count(), div[next]; got != want {
+			t.Fatalf("cycle %d: decode history counts %d divergent branches before index %d, want %d", c.cycle, got, next, want)
 		}
-		if got, want := c.fetchStores, st[c.nextFetch]; got != want {
-			t.Fatalf("cycle %d: front end counts %d stores before index %d, want %d", c.cycle, got, c.nextFetch, want)
+		if got, want := c.fetchStores, st[next]; got != want {
+			t.Fatalf("cycle %d: front end counts %d stores before index %d, want %d", c.cycle, got, next, want)
 		}
 		for seq := c.headSeq; seq < c.tailSeq; seq++ {
 			e := c.entry(seq)
-			i := e.traceIdx
+			i := c.traceIdx(seq)
 			switch {
+			case e.inst != &tr.Insts[i]:
+				t.Fatalf("cycle %d: seq %d does not hold the micro-op at its trace index %d", c.cycle, seq, i)
 			case e.inst.IsLoad() && (e.branchCount != div[i] || e.storeCount != st[i]):
 				t.Fatalf("cycle %d: load at index %d has branchCount %d storeCount %d, want %d %d",
 					c.cycle, i, e.branchCount, e.storeCount, div[i], st[i])

@@ -38,11 +38,11 @@ func (c *Core) stateDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "-- pipeline state (cycle %d) --\n", c.cycle)
 	fmt.Fprintf(&b, "commit: next trace index %d/%d, headSeq %d, tailSeq %d (ROB %d/%d)\n",
-		c.nextCommitIdx, c.tr.Len(), c.headSeq, c.tailSeq, c.tailSeq-c.headSeq, c.robCap)
+		c.traceIdx(c.headSeq), c.tr.Len(), c.headSeq, c.tailSeq, c.tailSeq-c.headSeq, c.robCap)
 	fmt.Fprintf(&b, "queues: IQ %d, LQ %d, SQ %d, SB %d (started %d)\n",
 		c.iqCount, c.lqLen, c.sqLen, c.sbLen, c.sbStarted)
 	fmt.Fprintf(&b, "fetch:  next index %d, blocked until cycle %d, stalled on branch seq %d\n",
-		c.nextFetch, c.fetchBlockedTil, c.fetchStallSeq)
+		c.traceIdx(c.tailSeq), c.fetchBlockedTil, c.fetchStallSeq)
 	awake, memParked, filed, waiting := c.wakeCounts()
 	next := "none"
 	if t := c.wheelNext(); t != neverRetry {
@@ -54,7 +54,7 @@ func (c *Core) stateDump() string {
 	const maxEntries = 12
 	for seq := c.headSeq; seq < c.tailSeq && seq < c.headSeq+maxEntries; seq++ {
 		e := c.entry(seq)
-		fmt.Fprintf(&b, "  seq %d idx %d %-7s %s\n", e.seq, e.traceIdx, e.kind, c.blockedReason(e))
+		fmt.Fprintf(&b, "  seq %d idx %d %-7s %s\n", e.seq, c.traceIdx(e.seq), e.kind, c.blockedReason(e))
 	}
 	if int(c.tailSeq-c.headSeq) > maxEntries {
 		fmt.Fprintf(&b, "  ... %d younger entries elided\n", int(c.tailSeq-c.headSeq)-maxEntries)
@@ -68,7 +68,7 @@ func (c *Core) stateDump() string {
 // wakeCounts counts the unissued in-flight entries by where their next wake
 // comes from, one place each: the awake set, a producer's dependents row
 // (the wait record's waitOn), the wheel (a time-bound park), or the
-// memory-parked set.
+// memory-parked set (a memory-bound one; the cause picks the class).
 func (c *Core) wakeCounts() (awake, memParked, filed, waiting int) {
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		e := c.entry(seq)
@@ -79,10 +79,10 @@ func (c *Core) wakeCounts() (awake, memParked, filed, waiting int) {
 			awake++
 		case e.waitOn != 0:
 			waiting++
-		case e.retryTimed:
-			filed++
-		default:
+		case e.cause.memoryBound():
 			memParked++
+		default:
+			filed++
 		}
 	}
 	return awake, memParked, filed, waiting
@@ -111,7 +111,7 @@ func (c *Core) blockedReason(e *robEntry) string {
 		park = fmt.Sprintf("time-bound park until store seq %d issues", e.waitOn)
 	case !c.parked(e):
 		park = "awake"
-	case e.retryTimed:
+	case !e.cause.memoryBound():
 		park = fmt.Sprintf("time-bound park until cycle %d", e.retryAt)
 	case e.retryAt == neverRetry:
 		park = "memory-bound park until the next memory event"

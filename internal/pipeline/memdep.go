@@ -9,19 +9,24 @@ import (
 
 // This file implements the memory dependence machinery: the oracle scan
 // that feeds the Ideal predictor, the prediction-driven issue gates, the
-// store-queue/store-buffer search with store-to-load forwarding, and the
-// load-queue search a resolving store performs to detect memory order
-// violations (with the §IV-A1 forwarding filter).
+// store-ring search with store-to-load forwarding, and the load-queue search
+// a resolving store performs to detect memory order violations (with the
+// §IV-A1 forwarding filter).
+//
+// A store is one store-ring slot from dispatch until it drains: in flight
+// (the store queue), then committed (the store buffer), in program order.
+// So one search walks from a load's youngest older store back through the
+// store buffer.
 //
 // Every gate kind waits on one older store at a time (gateBlocked); only
-// the store-queue/store-buffer search parks memory-bound.
+// the store-ring search parks memory-bound.
 //
 // All associative searches are gated by the core's per-cache-line occupancy
-// filters (sqLines/sbLines/ldLines): a zero filter response proves no queue
-// entry can overlap the probing footprint, so the common no-conflict case
-// never walks a queue. A walk that does run reads the queue's own copies of
-// the footprints (sqSlot, lqSlot) and touches a ROB entry only for a
-// match.
+// filters (stLines/ldLines): a zero filter response proves no queue entry
+// can overlap the probing footprint, so the common no-conflict case never
+// walks a queue. A walk that does run reads the queue's own copies of the
+// footprints (storeSlot, lqSlot) and touches a ROB entry only for an
+// in-flight match.
 
 // oracleDep finds the youngest older in-flight store whose footprint
 // overlaps the dispatching load, using the simulator's exact knowledge of
@@ -29,7 +34,7 @@ import (
 // Every in-flight store is older than a dispatching load.
 func (c *Core) oracleDep(ld *robEntry) (bool, int) {
 	in := ld.inst
-	if !c.sqLines.mayOverlap(in.Addr, in.Size) {
+	if !c.stLines.mayOverlap(in.Addr, in.Size) {
 		return false, 0
 	}
 	for i := c.sqLen - 1; i >= 0; i-- {
@@ -142,63 +147,44 @@ func (c *Core) gateBlocked(e *robEntry) bool {
 }
 
 // tryLoad attempts to execute a load whose sources are ready and whose MDP
-// gate has cleared. It searches the store queue (youngest overlapping
-// resolved store) and then the store buffer:
+// gate has cleared. It searches the store ring for the youngest overlapping
+// resolved store older than the load, from its youngest older in-flight
+// store back through the store buffer (whose committed stores are resolved
+// and done):
 //
-//   - full coverage with ready data → store-to-load forwarding at L1D
-//     latency (the LQ/SB are searched in parallel with the L1D access);
-//   - full coverage, data not ready → wait (retry when it can be done);
+//   - full coverage by a done store → store-to-load forwarding at L1D
+//     latency (the store ring is searched in parallel with the L1D access);
+//   - full coverage, store not done → wait (retry when it can be done);
 //   - partial coverage → wait until the store drains to the cache;
 //   - no overlap → demand access to the memory hierarchy (speculative if
 //     unresolved older stores remain).
 //
-// Blocked outcomes set a memory-bound retry bound; any store address
-// resolution or store-buffer free advances memEpoch and re-evaluates, since
-// either can change which store the search finds. Returns true if the load
-// issued (consuming a load port).
+// Blocked outcomes park memory-bound; any store address resolution or
+// store-buffer free is a memory event that ends the park, since either can
+// change which store the search finds. Returns true if the load issued
+// (consuming a load port).
 func (c *Core) tryLoad(e *robEntry) bool {
 	in := e.inst
-	// Youngest overlapping address-resolved store in the SQ, searched from
-	// the youngest store older than the load.
-	if c.sqLines.mayOverlap(in.Addr, in.Size) {
-		for i := c.olderStores(e.storeCount) - 1; i >= 0; i-- {
-			s := c.sqAt(i)
+	if c.stLines.mayOverlap(in.Addr, in.Size) {
+		for i := c.sbLen + c.olderStores(e.storeCount) - 1; i >= 0; i-- {
+			s := c.stAt(i)
 			if !s.resolved || !isa.Overlap(s.addr, s.size, in.Addr, in.Size) {
 				continue
 			}
-			st := c.entry(s.seq)
-			if s.addr <= in.Addr && in.Addr+uint64(in.Size) <= s.addr+uint64(s.size) {
-				if c.storeDone(st) {
-					c.issueLoadForward(e, st.seq, st.traceIdx)
-					c.recordSVW(e, st.storeIndex, true)
-					c.noteLoadExecuted(e)
-					return true
-				}
-				// True-dependence stall until the forwarder can be done.
-				c.setRetry(e, c.storeDoneBound(st), waitForward)
+			if in.Addr < s.addr || s.addr+uint64(s.size) < in.Addr+uint64(in.Size) {
+				// Partial coverage: wait for the store to reach the cache.
+				c.setRetry(e, neverRetry, waitDrain)
 				return false
 			}
-			// Partial coverage: wait for the store to reach the cache.
-			c.setRetry(e, neverRetry, waitDrain)
-			return false
-		}
-	}
-	// Store buffer (committed, not yet drained).
-	if c.sbLines.mayOverlap(in.Addr, in.Size) {
-		for i := c.sbLen - 1; i >= 0; i-- {
-			sb := c.sbAt(i)
-			if !isa.Overlap(sb.addr, sb.size, in.Addr, in.Size) {
-				continue
+			if i >= c.sbLen {
+				if st := c.entry(s.seq); !c.storeDone(st) {
+					// True-dependence stall until the forwarder can be done.
+					c.setRetry(e, c.storeDoneBound(st), waitForward)
+					return false
+				}
 			}
-			if sb.addr <= in.Addr && in.Addr+uint64(in.Size) <= sb.addr+uint64(sb.size) {
-				c.issueLoadForward(e, sb.seq, sb.traceIdx)
-				c.recordSVW(e, sb.storeIndex, true)
-				c.noteLoadExecuted(e)
-				return true
-			}
-			// Partial coverage from the store buffer: wait for the drain.
-			c.setRetry(e, neverRetry, waitDrain)
-			return false
+			c.issueLoadForward(e, s)
+			return true
 		}
 	}
 	// No overlapping store visible: access the cache hierarchy.
@@ -227,23 +213,24 @@ func (c *Core) noteLoadExecuted(e *robEntry) {
 	c.lqExec[pos>>6] |= 1 << (pos & 63)
 }
 
-// issueLoadForward completes a load through store-to-load forwarding. The
-// LQ and SB are searched associatively in parallel with the L1D access, so
-// forwarding costs the L1D hit latency (Table I). fromTraceIdx is the
-// forwarding store's dynamic trace index (verification provenance).
-func (c *Core) issueLoadForward(e *robEntry, fromSeq uint64, fromTraceIdx int) {
+// issueLoadForward completes a load through store-to-load forwarding from
+// the store in slot s. The store ring is searched associatively in parallel
+// with the L1D access, so forwarding costs the L1D hit latency (Table I).
+func (c *Core) issueLoadForward(e *robEntry, s *storeSlot) {
 	if c.vprov != nil {
-		c.captureForward(e, fromTraceIdx)
+		c.captureForward(e, c.traceIdx(s.seq))
 	}
 	c.run.IssuedUops++
 	e.state = stIssued
 	e.executed = true
 	e.executedAt = c.cycle
-	e.fwdFrom = fromSeq
+	e.fwdFrom = s.seq
 	e.doneAt = c.cycle + uint64(c.cfg.L1D.HitLatency)
 	c.readyAt[e.seq&c.robMask] = e.doneAt + 1
 	c.wakeDeps(e, e.seq&c.robMask)
 	c.iqCount--
+	c.recordSVW(e, s.storeIndex, true)
+	c.noteLoadExecuted(e)
 }
 
 // resolveStore runs when a store resolves its address: it searches the load

@@ -128,9 +128,9 @@ func TestDistancePredictionForwards(t *testing.T) {
 
 // TestLineFiltersDrainToZero runs streams whose loads forward, violate and
 // squash (no dependence prediction at all) and, once the store buffer has
-// drained, requires every hashed line-filter bucket to be back at zero:
-// commit, squash and drain each remove exactly the counts dispatch, execute
-// and commit added.
+// drained, requires every hashed bucket of the store-ring and load filters
+// to be back at zero: drain and squash remove exactly the counts store
+// dispatch added, and commit and squash those load execution added.
 func TestLineFiltersDrainToZero(t *testing.T) {
 	for _, app := range []string{"511.povray", "541.leela", "557.xz_1"} {
 		c, err := New(config.AlderLake(), mdp.NewNone(), DefaultOptions())
@@ -149,9 +149,9 @@ func TestLineFiltersDrainToZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		var zero lineFilter
-		if c.sqLines != zero || c.sbLines != zero || c.ldLines != zero {
-			t.Errorf("%s: line filters not empty after the run drained (sq %v, sb %v, ld %v)",
-				app, c.sqLines == zero, c.sbLines == zero, c.ldLines == zero)
+		if c.stLines != zero || c.ldLines != zero {
+			t.Errorf("%s: line filters not empty after the run drained (store ring %v, loads %v)",
+				app, c.stLines == zero, c.ldLines == zero)
 		}
 	}
 }

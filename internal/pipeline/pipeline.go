@@ -1,7 +1,8 @@
 // Package pipeline implements the cycle-level out-of-order core timing
 // model: fetch/dispatch, rename, oldest-first issue over load/store/compute
-// ports, a load queue and store queue with store-to-load forwarding, a
-// post-commit store buffer that drains into the cache hierarchy, eager
+// ports, a load queue, and a store ring that holds each store from dispatch
+// (store queue) through commit (post-commit store buffer) until it drains
+// into the cache hierarchy, with store-to-load forwarding from both; eager
 // squash for branch mispredictions (front-end bubbles in this trace-driven
 // model), and lazy squash for memory order violations, with the forwarding
 // filter of the paper's §IV-A1.
@@ -15,7 +16,7 @@
 //
 // Hot-path structure (see DESIGN.md §10): issue is wake-ordered — an entry
 // whose wake-up condition provably cannot clear yet is parked with a lower
-// bound (retryAt) and a wake class, and filed where its wake will come from: a
+// bound (retryAt), and filed where its wake will come from: a
 // timing wheel, a memory-parked set woken by memory events, or the dependents
 // row of the micro-op whose issue it waits for (a register producer, or the
 // unissued store a Distance/StoreSeq gate or Store Sets serialisation waits
@@ -24,14 +25,14 @@
 // direction predictor (see bindTrace); a cycle in which no stage acted jumps
 // the clock to the next pending event (next non-empty wheel bucket, ROB-head
 // completion, store-buffer drain, fetch unblock) without crossing a watchdog
-// poll; the store-queue, store-buffer and load-queue searches are gated by
-// hashed per-cache-line occupancy filters so non-overlapping accesses never
-// scan, and a scan that does run reads dense copies of the queued footprints
-// (store-queue slots, from the load's youngest older store; the executed
-// load-queue slots, from the store's oldest younger load) rather than ROB
-// entries; and the steady state performs no heap allocations (fixed rings for
-// LQ/SQ/SB, fixed bitsets, wheel and dependents matrix, reused scratch
-// buffers).
+// poll; the store-ring and load-queue searches are gated by hashed
+// per-cache-line occupancy filters so non-overlapping accesses never scan, and
+// a scan that does run reads dense copies of the queued footprints (store-ring
+// slots, from the load's youngest older store back through the store buffer;
+// the executed load-queue slots, from the store's oldest younger load) rather
+// than ROB entries; and the steady state performs no heap allocations (fixed
+// rings for the LQ and the stores, fixed bitsets, wheel and dependents matrix,
+// reused scratch buffers).
 package pipeline
 
 import (
@@ -96,7 +97,7 @@ const (
 )
 
 // neverRetry marks an entry whose wake-up has no computable time bound; it
-// is woken only by a memory event advancing memEpoch.
+// is woken only by a memory event (see memEvent).
 const neverRetry = ^uint64(0)
 
 // wheelSize is the number of timing-wheel buckets (a power of two and a
@@ -127,24 +128,25 @@ var waitCauseNames = [...]string{
 
 func (w waitCause) String() string { return waitCauseNames[w] }
 
+// memoryBound reports whether a wait for w parks memory-bound: only tryLoad's
+// store-search outcomes, a forwarding stall and a partial-overlap drain, can
+// change with a memory event (see setRetry).
+func (w waitCause) memoryBound() bool { return w == waitForward || w == waitDrain }
+
 // robEntry is one in-flight micro-op.
 type robEntry struct {
-	inst     *isa.Inst
-	seq      uint64
-	traceIdx int
-	kind     isa.Kind // cached inst.Kind (avoids the pointer chase at issue)
-	state    entryState
-	doneAt   uint64 // completion cycle, valid once issued
+	inst   *isa.Inst
+	seq    uint64
+	kind   isa.Kind // cached inst.Kind (avoids the pointer chase at issue)
+	state  entryState
+	doneAt uint64 // completion cycle, valid once issued
 
 	srcASeq, srcBSeq uint64 // producing sequence numbers (0 = ready)
 
 	// Park state (see setRetry): while cycle < retryAt the entry's blocking
-	// condition provably cannot clear — unconditionally for a time-bound park
-	// (retryTimed), and only while retryEpoch still matches the core's
-	// memEpoch for a memory-bound one.
-	retryAt    uint64
-	retryEpoch uint64
-	retryTimed bool
+	// condition provably cannot clear. A memory event ends a memory-bound
+	// park by zeroing retryAt (see memEvent).
+	retryAt uint64
 
 	// Wait record, written with the park state whenever an evaluation leaves
 	// the entry unissued: why it waits, and the unissued producer or store
@@ -233,16 +235,18 @@ func (f *lineFilter) mayOverlap(addr uint64, size uint8) bool {
 	return false
 }
 
-// sqSlot is one store-queue slot: an in-flight store's seq, allocation index
-// and footprint, and whether its address has resolved, mirrored from its
-// robEntry so that queue searches test the slots alone and read a robEntry
-// only for a store that matches.
-type sqSlot struct {
+// storeSlot is one store-ring slot: a store's seq, allocation index and
+// footprint, and whether its address has resolved, mirrored from its
+// robEntry so that searches test the slots alone and read a robEntry only
+// for an in-flight store that matches; and, once the committed store's drain
+// has started, the cycle the drain completes.
+type storeSlot struct {
 	seq        uint64
 	storeIndex uint64
 	addr       uint64
 	size       uint8
 	resolved   bool
+	drainedAt  uint64
 }
 
 // lqSlot is one load-queue slot: an in-flight load's seq and footprint.
@@ -298,27 +302,26 @@ type Core struct {
 
 	iqCount int
 
-	// sq is a fixed-capacity ring of the in-flight stores, oldest first.
-	// Slot i holds store allocation index sq[sqHead].storeIndex+i, since
-	// stores dispatch, commit and squash in order.
-	sq     []sqSlot
-	sqHead int
-	sqLen  int
-	sqMask int
-	// sb is the post-commit store buffer, a fixed-capacity ring.
-	sb     []sbEntry
-	sbHead int
-	sbLen  int
-	sbMask int
-	// sbStarted counts the leading sb entries whose drain has started
-	// (starts happen in order from the front, so they form a prefix).
+	// st is the store ring: a fixed-capacity ring of every store from
+	// dispatch until it drains, oldest first. Its sbLen committed slots (the
+	// store buffer) are at the head, stHead, and its sqLen in-flight slots
+	// (the store queue) follow; commit moves the boundary, a drain frees
+	// from the head and a squash truncates the tail. Slot i holds store
+	// allocation index stAt(0).storeIndex+i, since stores dispatch, commit,
+	// drain and squash in order. sbStarted counts the leading committed
+	// slots whose drain has started (starts happen in order from the front,
+	// so they form a prefix).
+	st        []storeSlot
+	stHead    int
+	stMask    int
+	sbLen     int
+	sqLen     int
 	sbStarted int
 
-	// Per-cache-line occupancy filters over the in-flight footprints:
-	// dispatched stores (SQ), store-buffer entries, and executed uncommitted
-	// loads. They gate the associative searches in memdep.go.
-	sqLines lineFilter
-	sbLines lineFilter
+	// Per-cache-line occupancy filters over the in-flight footprints: the
+	// store ring's slots and the executed uncommitted loads. They gate the
+	// associative searches in memdep.go.
+	stLines lineFilter
 	ldLines lineFilter
 
 	// lq is a fixed-capacity ring of the in-flight loads, oldest first: load
@@ -340,17 +343,17 @@ type Core struct {
 
 	cycle uint64
 
-	// memEpoch advances on every event that can change the outcome of a
-	// blocked memory-dependent issue check (a store resolving its address, a
-	// store-buffer entry freeing, a squash; see memEvent). Memory-bound
-	// parks whose retryEpoch is stale are re-evaluated regardless of retryAt.
+	// memEpoch counts the events that can change the outcome of a blocked
+	// memory-dependent issue check (a store resolving its address, a
+	// store-buffer entry freeing, a squash; see memEvent), each of which ends
+	// every memory-bound park.
 	memEpoch uint64
 
 	// Wake-ordered issue state, one bit per ROB ring slot (see issueStage):
 	//   - awake: the slots the issue scan evaluates — set at dispatch, kept
 	//     by port-limited entries, and set by the wake sources below;
-	//   - memParked: the slots of memory-bound parks, ORed into awake and
-	//     cleared at every memEpoch advance;
+	//   - memParked: the slots of memory-bound parks, ORed into awake, their
+	//     parks ended and cleared at every memory event;
 	//   - wheel: a timing wheel of wheelSize bitsets (len(awake) words
 	//     each); bucket t%wheelSize holds the slots to wake at cycle t, and
 	//     wheelSum has one bit per non-empty bucket. wheelAt is the last
@@ -394,18 +397,22 @@ type Core struct {
 	// squashed occupants are never read for an in-flight sequence.
 	readyAt []uint64
 
+	// seqBase is the seq of the bound trace's first micro-op. Fetch,
+	// dispatch, commit and squash move seqs and trace indices together, so
+	// the micro-op with seq s is trace index s−seqBase (see traceIdx): the
+	// next to fetch is tailSeq's, the next to commit headSeq's. It is 1
+	// after Reset and headSeq at a WarmContext boundary.
+	seqBase uint64
+
 	// Fetch state.
-	nextFetch       int // next trace index to fetch
 	maxFetched      int // highest trace index ever fetched (history dedup)
 	fetchBlockedTil uint64
 	fetchStallSeq   uint64 // unresolved mispredicted branch (0 = none)
 
-	// fetchStores counts the stores before nextFetch, as decodeHist.Count()
-	// does the divergent branches; a squash rewinds both to the violating
-	// load's copies.
+	// fetchStores counts the stores before the next micro-op to fetch, as
+	// decodeHist.Count() does the divergent branches; a squash rewinds both
+	// to the violating load's copies.
 	fetchStores uint64
-
-	nextCommitIdx int // invariant: commits follow trace order
 
 	// Verification state, allocated only when opt.Verify != nil (see
 	// verify.go): per-ROB-slot provider captures, the per-byte last-drained-
@@ -429,16 +436,6 @@ type Core struct {
 	fiFwdFlip bool
 
 	run stats.Run
-}
-
-type sbEntry struct {
-	seq        uint64
-	storeIndex uint64
-	traceIdx   int // dynamic trace index (forwarding provenance for verify)
-	addr       uint64
-	size       uint8
-	drainedAt  uint64
-	drainStart bool
 }
 
 func pow2ceil(v int) int {
@@ -475,8 +472,7 @@ func New(cfg config.Machine, pred mdp.Predictor, opt Options) (*Core, error) {
 		scratchHist: histutil.NewReg(opt.HistCap),
 		rob:         make([]robEntry, pow2ceil(cfg.ROB)),
 		robCap:      uint64(cfg.ROB),
-		sq:          make([]sqSlot, pow2ceil(cfg.SQ)),
-		sb:          make([]sbEntry, pow2ceil(cfg.SQ)),
+		st:          make([]storeSlot, pow2ceil(2*cfg.SQ)),
 		lq:          make([]lqSlot, pow2ceil(cfg.LQ)),
 	}
 	c.readyAt = make([]uint64, len(c.rob))
@@ -494,8 +490,7 @@ func New(cfg config.Machine, pred mdp.Predictor, opt Options) (*Core, error) {
 	c.lqExec = make([]uint64, (len(c.lq)+63)/64)
 	c.lqMask = uint64(len(c.lq) - 1)
 	c.lqSpan = uint64(min(64, len(c.lq)))
-	c.sqMask = len(c.sq) - 1
-	c.sbMask = len(c.sb) - 1
+	c.stMask = len(c.st) - 1
 	if opt.Filter == FilterSVW {
 		// NoSQ sizes the SSBF to cover the vulnerability window of the
 		// largest in-flight load population with headroom.
@@ -506,21 +501,30 @@ func New(cfg config.Machine, pred mdp.Predictor, opt Options) (*Core, error) {
 		c.vprov = make([][]int32, len(c.rob))
 		c.vdrained = make(map[uint64]int32)
 	}
-	if err := c.bindFrontEnd(pred); err != nil {
+	if err := c.Reset(pred); err != nil {
 		return nil, err
 	}
-	c.headSeq, c.tailSeq = 1, 1
 	return c, nil
 }
 
-// bindFrontEnd (re)binds the per-run front-end state shared by New and
-// Reset: it checks the direction predictor's name and drops any held branch
+// Reset returns the core to its just-constructed state with a fresh
+// predictor bound, so experiment drivers can reuse one core (ROB, queues,
+// histories, cache arrays) across runs instead of reallocating ~5MB per
+// simulation; New finishes with it, so the per-run state is set in one
+// place. It checks the direction predictor's name and drops any held branch
 // unit, so the next run takes its outcomes from the trace's memo, and binds
-// the MDP to the history registers in place of the previous one's folds.
-func (c *Core) bindFrontEnd(pred mdp.Predictor) error {
+// the MDP to the history registers in place of the previous one's folds. A
+// reset core behaves bit-identically to a newly built one (verified by
+// TestResetCoreMatchesFresh).
+func (c *Core) Reset(pred mdp.Predictor) error {
 	if err := bpred.CheckDir(c.opt.BranchPredictor); err != nil {
 		return err
 	}
+	c.mem.Reset()
+	c.decodeHist.Reset()
+	c.commitHist.Reset()
+	c.scratchHist.Reset()
+	c.scratchK = 0
 	c.br, c.bp = nil, nil
 	c.pred = pred
 	no, ok := pred.(interface{ NeedsOracle() bool })
@@ -528,33 +532,14 @@ func (c *Core) bindFrontEnd(pred mdp.Predictor) error {
 	c.decodeHist.DropFolds()
 	c.commitHist.DropFolds()
 	pred.Bind(c.decodeHist, c.commitHist)
-	return nil
-}
-
-// Reset returns the core to its just-constructed state with a fresh
-// predictor bound, so experiment drivers can reuse one core (ROB, queues,
-// histories, cache arrays) across runs instead of reallocating ~5MB per
-// simulation. A reset core behaves bit-identically to a newly built one
-// (verified by TestResetCoreMatchesFresh).
-func (c *Core) Reset(pred mdp.Predictor) error {
-	c.mem.Reset()
-	c.decodeHist.Reset()
-	c.commitHist.Reset()
-	c.scratchHist.Reset()
-	c.scratchK = 0
-	if err := c.bindFrontEnd(pred); err != nil {
-		return err
-	}
 	c.tr, c.pre = nil, nil
-	c.headSeq, c.tailSeq = 1, 1
+	c.headSeq, c.tailSeq, c.seqBase = 1, 1, 1
 	c.lastWriter = [isa.NumRegs]uint64{}
 	c.iqCount = 0
-	c.sqHead, c.sqLen = 0, 0
 	c.lqFirst, c.lqLen = 0, 0
 	clear(c.lqExec)
-	c.sbHead, c.sbLen, c.sbStarted = 0, 0, 0
-	c.sqLines = lineFilter{}
-	c.sbLines = lineFilter{}
+	c.stHead, c.sbLen, c.sqLen, c.sbStarted = 0, 0, 0, 0
+	c.stLines = lineFilter{}
 	c.ldLines = lineFilter{}
 	clear(c.readyAt)
 	c.clearWake()
@@ -580,9 +565,8 @@ func (c *Core) Reset(pred mdp.Predictor) error {
 	c.cycle = 0
 	c.wheelAt = 0
 	c.memEpoch = 0
-	c.nextFetch, c.maxFetched, c.fetchStores = 0, 0, 0
+	c.maxFetched, c.fetchStores = 0, 0
 	c.fetchBlockedTil, c.fetchStallSeq = 0, 0
-	c.nextCommitIdx = 0
 	c.base = warmBase{}
 	c.run = stats.Run{}
 	return nil
@@ -596,12 +580,16 @@ func (c *Core) robFull() bool { return c.tailSeq-c.headSeq >= c.robCap }
 
 func (c *Core) robEmpty() bool { return c.tailSeq == c.headSeq }
 
-// Store-queue ring accessor. Index 0 is the oldest in-flight store; index
-// sqLen is the next slot to fill.
-func (c *Core) sqAt(i int) *sqSlot { return &c.sq[(c.sqHead+i)&c.sqMask] }
+// traceIdx returns the trace index of the micro-op with sequence number seq.
+func (c *Core) traceIdx(seq uint64) int { return int(seq - c.seqBase) }
 
-// Store-buffer ring accessor. Index 0 is the oldest (next to drain/free).
-func (c *Core) sbAt(i int) *sbEntry { return &c.sb[(c.sbHead+i)&c.sbMask] }
+// Store-ring accessors. stAt(0) is the oldest store, the store buffer's
+// front (next to drain); stAt(i) for i < sbLen is a committed store. sqAt
+// views the in-flight part: sqAt(0) is the oldest in-flight store and
+// sqAt(sqLen) the next slot to fill.
+func (c *Core) stAt(i int) *storeSlot { return &c.st[(c.stHead+i)&c.stMask] }
+
+func (c *Core) sqAt(i int) *storeSlot { return c.stAt(c.sbLen + i) }
 
 // producerReady reports whether the producing micro-op's value is available.
 func (c *Core) producerReady(seq uint64) bool {
@@ -695,7 +683,7 @@ func (c *Core) waitStoreDone(e, st *robEntry, cause waitCause) {
 // unissued producer p, whose issue files it at p's completion; at must not
 // exceed that completion. It records the wait as cause, on p.
 func (c *Core) register(e *robEntry, p, at uint64, cause waitCause) {
-	e.retryAt, e.retryEpoch, e.retryTimed = at, c.memEpoch, true
+	e.retryAt = at
 	e.cause, e.waitOn = cause, p
 	pos, pp := e.seq&c.robMask, p&c.robMask
 	c.deps[pp*uint64(len(c.awake))+pos>>6] |= 1 << (pos & 63)
@@ -766,22 +754,22 @@ func (c *Core) storeDoneBound(st *robEntry) uint64 {
 // without a memory event in between) — parks are an optimisation, not a
 // scheduling policy, and an overshoot would change timing.
 //
-// The wake class follows from the cause. tryLoad's store-search outcomes, a
-// forwarding stall and a partial-overlap drain, are the only waits a memory
-// event can change: they park memory-bound, in memParked and — unless the
-// drain has no time bound (neverRetry) — in the wheel. Every other park is
-// time-bound and filed in the wheel bucket of at alone, ignoring memEpoch,
-// which is what makes it cheap: a register wait changes nothing but the
-// park, and an MDP gate or Store Sets wait depends only on whether older
-// stores are done, which no memory event changes (see gateBlocked). Waits on
-// an unissued producer or an unissued gating store bypass setRetry and
-// register in its dependents row (see register).
+// The wake class follows from the cause (waitCause.memoryBound). tryLoad's
+// store-search outcomes, a forwarding stall and a partial-overlap drain, are
+// the only waits a memory event can change: they park memory-bound, in
+// memParked — whose next memory event ends the park — and, unless the drain
+// has no time bound (neverRetry), in the wheel. Every other park is
+// time-bound and filed in the wheel bucket of at alone, which no memory
+// event ends, and that is what makes it cheap: a register wait changes
+// nothing but the park, and an MDP gate or Store Sets wait depends only on
+// whether older stores are done, which no memory event changes (see
+// gateBlocked). Waits on an unissued producer or an unissued gating store
+// bypass setRetry and register in its dependents row (see register).
 func (c *Core) setRetry(e *robEntry, at uint64, cause waitCause) {
-	timed := cause != waitForward && cause != waitDrain
-	e.retryAt, e.retryEpoch, e.retryTimed = at, c.memEpoch, timed
+	e.retryAt = at
 	e.cause, e.waitOn = cause, 0
 	pos := e.seq & c.robMask
-	if !timed {
+	if cause.memoryBound() {
 		c.memParked[pos>>6] |= 1 << (pos & 63)
 	}
 	if at != neverRetry {
@@ -790,19 +778,21 @@ func (c *Core) setRetry(e *robEntry, at uint64, cause waitCause) {
 }
 
 // parked reports whether e's park still holds this cycle.
-func (c *Core) parked(e *robEntry) bool {
-	return c.cycle < e.retryAt && (e.retryTimed || e.retryEpoch == c.memEpoch)
-}
+func (c *Core) parked(e *robEntry) bool { return c.cycle < e.retryAt }
 
 // memEvent advances memEpoch — a store resolved its address, a store-buffer
-// entry freed, or a squash rewound the ROB — and wakes every memory-bound
-// park. The issue scan reads awake live, so a younger entry woken mid-scan
+// entry freed, or a squash rewound the ROB — and ends every memory-bound
+// park: each entry whose memParked bit it clears gets retryAt 0 and is set
+// awake. The issue scan reads awake live, so a younger entry woken mid-scan
 // is evaluated in the same scan.
 func (c *Core) memEvent() {
 	c.memEpoch++
 	for i, w := range c.memParked {
 		c.awake[i] |= w
 		c.memParked[i] = 0
+		for ; w != 0; w &= w - 1 {
+			c.rob[i*64+bits.TrailingZeros64(w)].retryAt = 0
+		}
 	}
 }
 
@@ -954,11 +944,11 @@ func (c *Core) RunContext(ctx context.Context, tr *trace.Trace) (*stats.Run, err
 	c.skipped, c.evals, c.probes, c.depWords = 0, 0, 0, 0
 	lastCommitted := c.run.Committed
 	lastProgress := c.cycle
-	for c.nextCommitIdx < n {
+	for c.traceIdx(c.headSeq) < n {
 		c.cycle++
 		if c.cycle > c.opt.MaxCycles {
 			return nil, &DeadlockError{
-				Cycle: c.cycle, CommitIdx: c.nextCommitIdx, TraceLen: n,
+				Cycle: c.cycle, CommitIdx: c.traceIdx(c.headSeq), TraceLen: n,
 				Dump: c.stateDump(),
 			}
 		}
@@ -984,7 +974,7 @@ func (c *Core) RunContext(ctx context.Context, tr *trace.Trace) (*stats.Run, err
 		if c.cycle&(watchdogPeriod-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("pipeline: run aborted at cycle %d (commit index %d/%d): %w",
-					c.cycle, c.nextCommitIdx, n, err)
+					c.cycle, c.traceIdx(c.headSeq), n, err)
 			}
 			if c.run.Committed != lastCommitted {
 				lastCommitted = c.run.Committed
@@ -992,7 +982,7 @@ func (c *Core) RunContext(ctx context.Context, tr *trace.Trace) (*stats.Run, err
 			} else if c.cycle-lastProgress >= c.opt.WatchdogCycles {
 				return nil, &DeadlockError{
 					Cycle: c.cycle, Budget: c.opt.WatchdogCycles,
-					CommitIdx: c.nextCommitIdx, TraceLen: n,
+					CommitIdx: c.traceIdx(c.headSeq), TraceLen: n,
 					Dump: c.stateDump(),
 				}
 			}
@@ -1037,14 +1027,14 @@ func (c *Core) bindTrace(tr *trace.Trace) error {
 }
 
 // skipDeadCycles runs after a cycle in which no stage acted — no commit,
-// issue, dispatch, store-buffer drain start or free, memEpoch advance (store
+// issue, dispatch, store-buffer drain start or free, memory event (store
 // address resolution, squash), fetch redirect or stall change; the cycle
 // did nothing but re-park blocked entries. Until the next
 // pending event every later cycle would act the same (not at all), so the
 // clock jumps to just before the earliest of:
 //
 //   - the next non-empty wheel bucket: every parked entry with a time bound
-//     is filed at or before its retryAt, and without an epoch advance
+//     is filed at or before its retryAt, and without a memory event
 //     nothing else wakes one; if an entry is awake there is no jump
 //     (port-limited entries never reach here: their cycle issued something);
 //   - the ROB head's doneAt, if it has issued but not completed (a completed
@@ -1068,7 +1058,7 @@ func (c *Core) skipDeadCycles(limit uint64) {
 		}
 	}
 	if c.sbLen > 0 {
-		next = min(next, c.sbAt(0).drainedAt)
+		next = min(next, c.stAt(0).drainedAt)
 	}
 	if c.fetchBlockedTil > c.cycle {
 		next = min(next, c.fetchBlockedTil)

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
-
 	"repro/internal/isa"
 	"repro/internal/mdp"
 	"repro/internal/trace"
@@ -34,11 +32,12 @@ func (c *Core) fetchStage() bool {
 		}
 	}
 	width := c.cfg.FetchWidth
-	for i := 0; i < width && c.nextFetch < c.tr.Len(); i++ {
-		in := &c.tr.Insts[c.nextFetch]
-		if c.robFull() || c.iqCount >= c.cfg.IQ {
+	for i := 0; i < width; i++ {
+		idx := c.traceIdx(c.tailSeq)
+		if idx >= c.tr.Len() || c.robFull() || c.iqCount >= c.cfg.IQ {
 			break
 		}
+		in := &c.tr.Insts[idx]
 		if in.IsLoad() && c.lqLen >= c.cfg.LQ {
 			break
 		}
@@ -52,14 +51,12 @@ func (c *Core) fetchStage() bool {
 				return true
 			}
 		}
-		idx := c.nextFetch
-		c.dispatch(in, idx)
+		c.dispatch(in)
 		acted = true
 		firstFetch := idx > c.maxFetched
 		if firstFetch {
 			c.maxFetched = idx
 		}
-		c.nextFetch++
 		if in.IsBranch() {
 			if in.Divergent() {
 				c.decodeHist.Push(trace.EntryOf(in))
@@ -76,13 +73,13 @@ func (c *Core) fetchStage() bool {
 	return acted
 }
 
-// dispatch allocates and renames one micro-op.
-func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
+// dispatch allocates and renames one micro-op, the next in trace order.
+func (c *Core) dispatch(in *isa.Inst) {
 	seq := c.tailSeq
 	c.tailSeq++
 	e := c.entry(seq)
 	*e = robEntry{}
-	e.inst, e.seq, e.traceIdx, e.kind = in, seq, traceIdx, in.Kind
+	e.inst, e.seq, e.kind = in, seq, in.Kind
 	e.loadIndex = c.lqFirst + uint64(c.lqLen)
 	if in.SrcA != 0 {
 		e.srcASeq = c.lastWriter[in.SrcA]
@@ -93,14 +90,19 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 	if in.Dst != 0 {
 		c.lastWriter[in.Dst] = seq
 	}
-	c.readyAt[seq&c.robMask] = 0
+	pos := seq & c.robMask
+	c.readyAt[pos] = 0
+	// A previous occupant's memory-parked bit would end this entry's park at
+	// the next memory event. A squash's memory event already clears every
+	// such bit; clearing the slot's here keeps the park independent of that.
+	c.memParked[pos>>6] &^= 1 << (pos & 63)
 	c.run.Fetched++
 
 	switch in.Kind {
 	case isa.Nop:
 		e.state = stIssued
 		e.doneAt = c.cycle
-		c.readyAt[seq&c.robMask] = e.doneAt + 1
+		c.readyAt[pos] = e.doneAt + 1
 	case isa.Load:
 		c.iqCount++
 		c.lq[e.loadIndex&c.lqMask] = lqSlot{seq: seq, addr: in.Addr, size: in.Size}
@@ -125,14 +127,13 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 		e.ssWaitSeq = c.pred.StoreDispatch(mdp.StoreInfo{
 			PC: in.PC, Seq: seq, BranchCount: e.branchCount, StoreIndex: e.storeIndex,
 		})
-		*c.sqAt(c.sqLen) = sqSlot{seq: seq, storeIndex: e.storeIndex, addr: in.Addr, size: in.Size}
+		*c.sqAt(c.sqLen) = storeSlot{seq: seq, storeIndex: e.storeIndex, addr: in.Addr, size: in.Size}
 		c.sqLen++
-		c.sqLines.add(in.Addr, in.Size)
+		c.stLines.add(in.Addr, in.Size)
 	default:
 		c.iqCount++
 	}
 	if in.Kind != isa.Nop {
-		pos := seq & c.robMask
 		c.awake[pos>>6] |= 1 << (pos & 63)
 	}
 }
@@ -157,7 +158,7 @@ func (c *Core) dispatch(in *isa.Inst, traceIdx int) {
 // produce the same timing.
 //
 // It reports whether it acted: an issue, or a store address resolution
-// (which takes a port and advances memEpoch).
+// (which takes a port and is a memory event).
 func (c *Core) issueStage() bool {
 	c.fireWheel()
 	aluPorts := c.cfg.IssuePorts - c.cfg.LoadPorts - c.cfg.StorePorts
@@ -283,10 +284,6 @@ func (c *Core) commitStage() bool {
 		if e.state != stIssued || c.cycle < e.doneAt {
 			break
 		}
-		if e.traceIdx != c.nextCommitIdx {
-			panic(fmt.Sprintf("pipeline: commit order broken: committing trace index %d, expected %d",
-				e.traceIdx, c.nextCommitIdx))
-		}
 		in := e.inst
 		if e.kind == isa.Load && c.opt.Filter == FilterSVW && !e.violated {
 			c.svwCheckLoad(e) // sets the violation fields on failure
@@ -299,19 +296,13 @@ func (c *Core) commitStage() bool {
 			if c.sbLen >= c.cfg.SQ {
 				break // store buffer full: commit stalls
 			}
-			*c.sbAt(c.sbLen) = sbEntry{seq: e.seq, storeIndex: e.storeIndex, traceIdx: e.traceIdx, addr: in.Addr, size: in.Size}
+			// The store's slot, the oldest in flight, joins the store buffer.
 			c.sbLen++
-			c.sbLines.add(in.Addr, in.Size)
+			c.sqLen--
 			c.noteCommittedStore(e)
 			c.pred.StoreCommit(mdp.StoreInfo{
 				PC: in.PC, Seq: e.seq, BranchCount: e.branchCount, StoreIndex: e.storeIndex,
 			})
-			if c.sqLen == 0 || c.sqAt(0).seq != e.seq {
-				panic("pipeline: store queue out of sync at commit")
-			}
-			c.sqHead = (c.sqHead + 1) & c.sqMask
-			c.sqLen--
-			c.sqLines.remove(in.Addr, in.Size)
 			c.run.Stores++
 		}
 		if e.kind == isa.Load {
@@ -327,7 +318,6 @@ func (c *Core) commitStage() bool {
 			}
 		}
 		c.run.Committed++
-		c.nextCommitIdx++
 		c.headSeq++
 	}
 	return n > 0
@@ -407,15 +397,16 @@ func (c *Core) squash(ld *robEntry) {
 	fromSeq := ld.seq
 	c.run.SquashedUops += c.tailSeq - fromSeq
 	c.tailSeq = fromSeq
-	// Truncate the store queue to surviving stores, releasing their line
-	// filter counts (the discarded entries' contents are intact until their
-	// seqs are re-dispatched).
+	// Truncate the store ring to surviving stores, releasing the line
+	// filter counts of the discarded ones (the discarded entries' contents
+	// are intact until their seqs are re-dispatched). Committed stores are
+	// older than any in-flight micro-op, so only the store queue shrinks.
 	for c.sqLen > 0 {
 		last := c.sqAt(c.sqLen - 1)
 		if last.seq < fromSeq {
 			break
 		}
-		c.sqLines.remove(last.addr, last.size)
+		c.stLines.remove(last.addr, last.size)
 		c.sqLen--
 	}
 	// Likewise the load queue, releasing the counts of executed loads.
@@ -449,7 +440,6 @@ func (c *Core) squash(ld *robEntry) {
 			c.iqCount++
 		}
 	}
-	c.nextFetch = ld.traceIdx
 	c.fetchStallSeq = 0
 	c.fetchBlockedTil = c.cycle + uint64(c.cfg.RedirectPenalty)
 	// Rewind the decode-time counters and history to the squash point
@@ -461,29 +451,28 @@ func (c *Core) squash(ld *robEntry) {
 }
 
 // drainStoreBuffer writes committed stores to the cache and frees their
-// store buffer entries. Drains start in order from the front, so the
-// started entries always form a prefix tracked by sbStarted — no scan. It
-// reports whether it acted: a drain start or a free.
+// store-ring slots. Drains start in order from the front, so the started
+// slots always form a prefix tracked by sbStarted — no scan. It reports
+// whether it acted: a drain start or a free.
 func (c *Core) drainStoreBuffer() bool {
 	started := 0
 	for ; c.sbStarted < c.sbLen && started < c.cfg.SBDrainPerCycle; started++ {
-		e := c.sbAt(c.sbStarted)
-		e.drainStart = true
-		e.drainedAt = c.mem.StoreDrain(c.cycle, e.addr)
+		s := c.stAt(c.sbStarted)
+		s.drainedAt = c.mem.StoreDrain(c.cycle, s.addr)
 		c.sbStarted++
 	}
-	// Free fully drained entries from the front.
+	// Free fully drained slots from the front.
 	freed := false
-	for c.sbLen > 0 {
-		e := c.sbAt(0)
-		if !e.drainStart || c.cycle < e.drainedAt {
+	for c.sbStarted > 0 {
+		s := c.stAt(0)
+		if c.cycle < s.drainedAt {
 			break
 		}
 		if c.vdrained != nil {
-			c.noteDrained(e)
+			c.noteDrained(s)
 		}
-		c.sbLines.remove(e.addr, e.size)
-		c.sbHead = (c.sbHead + 1) & c.sbMask
+		c.stLines.remove(s.addr, s.size)
+		c.stHead = (c.stHead + 1) & c.stMask
 		c.sbLen--
 		c.sbStarted--
 		freed = true

@@ -110,12 +110,13 @@ func (c *Core) captureMemRead(e *robEntry) {
 	}
 }
 
-// noteDrained marks a freed store-buffer entry's bytes as present in the
+// noteDrained marks a freed store-buffer slot's bytes as present in the
 // cache hierarchy. Drains free strictly in program order, so the map always
 // holds the youngest drained writer per byte.
-func (c *Core) noteDrained(e *sbEntry) {
-	for a := e.addr; a < e.addr+uint64(e.size); a++ {
-		c.vdrained[a] = int32(e.traceIdx)
+func (c *Core) noteDrained(s *storeSlot) {
+	idx := int32(c.traceIdx(s.seq))
+	for a := s.addr; a < s.addr+uint64(s.size); a++ {
+		c.vdrained[a] = idx
 	}
 }
 
@@ -124,7 +125,7 @@ func (c *Core) noteDrained(e *sbEntry) {
 func (c *Core) verifyCommit(e *robEntry) error {
 	ev := &c.vev
 	ev.Cycle = c.cycle
-	ev.TraceIdx = e.traceIdx
+	ev.TraceIdx = c.traceIdx(e.seq)
 	ev.Providers = nil
 	if e.kind == isa.Load {
 		ev.Providers = c.vprov[e.seq&c.robMask]

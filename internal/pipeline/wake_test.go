@@ -49,7 +49,7 @@ func stepRun(t *testing.T, c *Core, tr *trace.Trace, limit uint64, eager bool, c
 	if err := c.bindTrace(tr); err != nil {
 		t.Fatal(err)
 	}
-	for c.nextCommitIdx < tr.Len() && c.cycle < limit {
+	for c.traceIdx(c.headSeq) < tr.Len() && c.cycle < limit {
 		c.cycle++
 		before := activityOf(c)
 		acted := c.commitStage()
@@ -100,7 +100,8 @@ func eagerMatches(t *testing.T, m config.Machine, mk func() mdp.Predictor, tr *t
 }
 
 // wakeChecker returns a check of the scheduler's wake invariant, run at the
-// end of a cycle. Every unissued in-flight entry's wait record is one of
+// end of a cycle. Every in-flight entry holds the micro-op at its trace
+// index, seq−seqBase. Every unissued in-flight entry's wait record is one of
 // three kinds of wait:
 //
 //   - registered: a non-zero waitOn names an unissued, older micro-op whose
@@ -112,8 +113,8 @@ func eagerMatches(t *testing.T, m config.Machine, mk func() mdp.Predictor, tr *t
 //     hold a memory-parked bit;
 //   - otherwise the entry is awake, or its park holds and a wake is filed
 //     that cannot come late: time-bound, in a wheel bucket at or before its
-//     retryAt; memory-bound, memory-parked (the park holds, so under the
-//     current epoch) and, unless it has no time bound, in a wheel bucket at
+//     retryAt; memory-bound, memory-parked (so that the next memory event
+//     ends the park) and, unless it has no time bound, in a wheel bucket at
 //     or before its retryAt.
 //
 // A parked entry's record names why it waits: an evaluation filed it. It
@@ -142,16 +143,19 @@ func wakeChecker(t *testing.T, c *Core) func() {
 		}
 		for seq := c.headSeq; seq < c.tailSeq; seq++ {
 			e := c.entry(seq)
+			if i := c.traceIdx(seq); i >= c.tr.Len() || e.inst != &c.tr.Insts[i] {
+				t.Fatalf("cycle %d: seq %d does not hold the micro-op at its trace index %d", c.cycle, seq, i)
+			}
 			if e.state == stIssued {
 				continue
 			}
 			pos := seq & c.robMask
 			w, bit := pos>>6, uint64(1)<<(pos&63)
 			fail := func(why string) {
-				t.Fatalf("cycle %d: seq %d (%s) %s: waits %q on %d, retryAt %d timed %v epoch %d/%d",
-					c.cycle, seq, e.kind, why, e.cause, e.waitOn, e.retryAt, e.retryTimed, e.retryEpoch, c.memEpoch)
+				t.Fatalf("cycle %d: seq %d (%s) %s: waits %q on %d, retryAt %d",
+					c.cycle, seq, e.kind, why, e.cause, e.waitOn, e.retryAt)
 			}
-			if c.memParked[w]&bit != 0 && e.cause != waitForward && e.cause != waitDrain {
+			if c.memParked[w]&bit != 0 && !e.cause.memoryBound() {
 				fail("is memory-parked for a wait no memory event can change")
 			}
 			if p := e.waitOn; p != 0 {
@@ -188,7 +192,7 @@ func wakeChecker(t *testing.T, c *Core) func() {
 				fail("is parked with no wait record")
 			case !c.parked(e):
 				fail("is neither awake nor parked")
-			case e.retryTimed:
+			case !e.cause.memoryBound():
 				if filedAt[pos] > e.retryAt {
 					fail("is time-bound but filed after its retryAt (or not at all)")
 				}
@@ -206,16 +210,20 @@ func wakeChecker(t *testing.T, c *Core) func() {
 
 // mirrorChecker returns a check, run at the end of a cycle, that the copies
 // the memory-side searches read instead of ROB entries agree with the
-// entries: every store-queue slot mirrors its store (seq, allocation index,
-// footprint, address resolution) and the slots hold exactly the in-flight
-// stores in order; the load-queue slots hold exactly the in-flight loads in
-// order, with their footprints, and the executed bitmap marks exactly the
-// executed ones; every op's loadIndex is the LQ index of the first load
-// younger than it (its own, for a load); each line filter counts exactly the
-// footprints of its queue (the load filter: of the executed loads); every
-// non-zero dependents-row word has its row-summary bit; and every occupancy
-// bit of the predictor's tables (if it has any) says whether its set holds a
-// valid entry.
+// entries: the store ring holds at most SQ in-flight and SQ committed
+// stores, with the started drains a prefix of the committed ones, and
+// consecutive allocation indices from its head; every in-flight slot mirrors
+// its store (seq, allocation index, footprint, address resolution) and those
+// slots hold exactly the in-flight stores in order; every committed slot is
+// resolved and older than the ROB head; the load-queue slots hold exactly
+// the in-flight loads in order, with their footprints, and the executed
+// bitmap marks exactly the executed ones; every op's loadIndex is the LQ
+// index of the first load younger than it (its own, for a load); the store
+// filter counts exactly the footprints of all sbLen+sqLen store-ring slots
+// and the load filter those of the executed loads; every non-zero
+// dependents-row word has its row-summary bit; and every occupancy bit of
+// the predictor's tables (if it has any) says whether its set holds a valid
+// entry.
 func mirrorChecker(t *testing.T, c *Core) func() {
 	var tables []*mdp.AssocTable
 	if o, ok := c.pred.(interface{ Tables() []*mdp.AssocTable }); ok {
@@ -223,7 +231,7 @@ func mirrorChecker(t *testing.T, c *Core) func() {
 	}
 	return func() {
 		t.Helper()
-		var sq, sb, ld lineFilter
+		var st, ld lineFilter
 		stores, loads, executed := 0, uint64(0), 0
 		for seq := c.headSeq; seq < c.tailSeq; seq++ {
 			e := c.entry(seq)
@@ -259,17 +267,29 @@ func mirrorChecker(t *testing.T, c *Core) func() {
 		if stores != c.sqLen {
 			t.Fatalf("cycle %d: %d in-flight stores, %d store-queue slots", c.cycle, stores, c.sqLen)
 		}
-		for i := 0; i < c.sqLen; i++ {
-			s, first := c.sqAt(i), c.sqAt(0)
-			e := c.entry(s.seq)
-			want := sqSlot{seq: e.seq, storeIndex: e.storeIndex, addr: e.inst.Addr, size: e.inst.Size, resolved: e.addrResolved}
-			if e.kind != isa.Store || *s != want || s.storeIndex != first.storeIndex+uint64(i) || s.seq < c.headSeq {
-				t.Fatalf("cycle %d: store-queue slot %d is %+v, its entry holds %+v", c.cycle, i, *s, want)
-			}
-			sq.add(s.addr, s.size)
+		if c.sqLen > c.cfg.SQ || c.sbLen > c.cfg.SQ || c.sbStarted > c.sbLen {
+			t.Fatalf("cycle %d: store ring holds %d in-flight and %d committed stores (%d draining), SQ %d",
+				c.cycle, c.sqLen, c.sbLen, c.sbStarted, c.cfg.SQ)
 		}
-		for i := 0; i < c.sbLen; i++ {
-			sb.add(c.sbAt(i).addr, c.sbAt(i).size)
+		for i := 0; i < c.sbLen+c.sqLen; i++ {
+			s := c.stAt(i)
+			st.add(s.addr, s.size)
+			if s.storeIndex != c.stAt(0).storeIndex+uint64(i) {
+				t.Fatalf("cycle %d: store-ring slot %d holds allocation index %d, its head %d",
+					c.cycle, i, s.storeIndex, c.stAt(0).storeIndex)
+			}
+			if i < c.sbLen {
+				if !s.resolved || s.seq >= c.headSeq {
+					t.Fatalf("cycle %d: store-buffer slot %d is %+v: unresolved, or not committed (head %d)",
+						c.cycle, i, *s, c.headSeq)
+				}
+				continue
+			}
+			e := c.entry(s.seq)
+			want := storeSlot{seq: e.seq, storeIndex: e.storeIndex, addr: e.inst.Addr, size: e.inst.Size, resolved: e.addrResolved}
+			if e.kind != isa.Store || *s != want || s.seq < c.headSeq {
+				t.Fatalf("cycle %d: store-queue slot %d is %+v, its entry holds %+v", c.cycle, i-c.sbLen, *s, want)
+			}
 		}
 		words := uint64(len(c.awake))
 		for p, sum := range c.depSum {
@@ -279,9 +299,9 @@ func mirrorChecker(t *testing.T, c *Core) func() {
 				}
 			}
 		}
-		if sq != c.sqLines || sb != c.sbLines || ld != c.ldLines {
-			t.Fatalf("cycle %d: a line filter differs from its queue's footprints (sq %v, sb %v, ld %v)",
-				c.cycle, sq == c.sqLines, sb == c.sbLines, ld == c.ldLines)
+		if st != c.stLines || ld != c.ldLines {
+			t.Fatalf("cycle %d: a line filter differs from its queue's footprints (store ring %v, loads %v)",
+				c.cycle, st == c.stLines, ld == c.ldLines)
 		}
 		for i, tb := range tables {
 			for set := uint32(0); set < uint32(tb.Sets()); set++ {

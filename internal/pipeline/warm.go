@@ -37,12 +37,13 @@ type warmBase struct {
 //     (including in-flight fills — the cycle clock keeps advancing so their
 //     absolute completion cycles stay meaningful), SVW filter state, and the
 //     monotonic sequence numbers (committed producers must stay readable
-//     as "ready" — producerReady treats seq < headSeq as architectural).
+//     as "ready" — producerReady treats seq < headSeq as architectural);
+//     seqBase moves to headSeq, so the slice's first micro-op is index 0.
 //   - Reset: the trace binding and its prefix structures (the
 //     divergent-branch and store counts are slice-local — squash rebuilds
 //     history from the slice's entries, so histories and counts must
-//     restart with the measured slice), the rename table, fetch/commit
-//     cursors, and the verification drain map
+//     restart with the measured slice), the rename table, the fetch
+//     state, and the verification drain map
 //     (a following verified run must see warm-written bytes as initial
 //     memory, matching oracle.NewIntervalChecker's provider translation).
 //   - Snapshotted: cumulative component counters, so finalizeStats reports
@@ -91,7 +92,7 @@ func (c *Core) settleStoreBuffer() error {
 		c.cycle++
 		if c.cycle-start > c.opt.WatchdogCycles {
 			return &DeadlockError{Cycle: c.cycle, Budget: c.opt.WatchdogCycles,
-				CommitIdx: c.nextCommitIdx, TraceLen: 0, Dump: c.stateDump()}
+				CommitIdx: c.traceIdx(c.headSeq), TraceLen: 0, Dump: c.stateDump()}
 		}
 		c.drainStoreBuffer()
 	}
@@ -115,9 +116,9 @@ func (c *Core) resetTraceState() {
 	clear(c.readyAt)
 	c.clearWake()
 	c.wheelAt = c.cycle
-	c.nextFetch, c.maxFetched, c.fetchStores = 0, 0, 0
+	c.seqBase = c.headSeq
+	c.maxFetched, c.fetchStores = 0, 0
 	c.fetchBlockedTil, c.fetchStallSeq = 0, 0
-	c.nextCommitIdx = 0
 	if c.vdrained != nil {
 		clear(c.vdrained)
 		for i := range c.vprov {
