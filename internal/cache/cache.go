@@ -1,8 +1,10 @@
 // Package cache models the memory hierarchy of Table I: private L1I/L1D and
-// L2, a shared L3, and main memory, with per-level MSHRs, LRU replacement,
-// and an IP-stride L1D prefetcher. The model is latency oriented: the
-// pipeline asks at which cycle an access completes; tag state, inclusion,
-// and miss-status handling evolve as accesses are performed in order.
+// L2, a shared L3, and main memory, with L1D MSHRs, LRU replacement, and an
+// IP-stride L1D prefetcher. Only the L1D's misses contend for MSHRs; the
+// L1I, L2 and L3 MSHR counts of config.Machine are not modelled. The model
+// is latency oriented: the pipeline asks at which cycle an access completes;
+// tag state, inclusion, and miss-status handling evolve as accesses are
+// performed in order.
 //
 // LRU order is kept as per-way use stamps (see Recency), so a hit writes
 // one byte; the MDP prediction tables (package mdp) share the mechanism.
@@ -23,7 +25,7 @@ type Level struct {
 	tags []uint64 // sets × ways line tags; 0 = invalid
 	lru  Recency
 
-	mshrs []uint64 // busy-until cycle per MSHR
+	mshrs []uint64 // busy-until cycle per MSHR; only the L1D has any (see New)
 
 	Hits, Misses uint64
 }
@@ -43,7 +45,6 @@ func NewLevel(name string, c config.Cache) *Level {
 		hitLatency: c.HitLatency,
 		tags:       make([]uint64, sets*c.Ways),
 		lru:        NewRecency(sets, c.Ways),
-		mshrs:      make([]uint64, c.MSHRs),
 	}
 	return l
 }
@@ -69,53 +70,54 @@ func (l *Level) set(line uint64) int { return int(line % uint64(l.sets)) }
 
 // Lookup probes the tags without changing state; reports presence.
 func (l *Level) Lookup(addr uint64) bool {
-	line := l.line(addr)
-	base := l.set(line) * l.ways
-	for w := 0; w < l.ways; w++ {
-		if l.tags[base+w] == line+1 {
-			return true
-		}
-	}
-	return false
+	_, _, hit := l.probe(addr)
+	return hit
 }
 
-// access probes and on hit refreshes LRU. Returns hit.
-func (l *Level) access(addr uint64) bool {
+// probe walks addr's set s once without changing state. It returns the way
+// holding the line and true, or else the way a fill replaces — the first
+// invalid way, else the least recently used one — and false. Only install
+// writes a tag, into the way a probe returned, so a set's valid ways are a
+// prefix of it and the walk stops at the first invalid way.
+func (l *Level) probe(addr uint64) (s, way int, hit bool) {
 	line := l.line(addr)
-	s := l.set(line)
+	s = l.set(line)
 	tags := l.tags[s*l.ways : (s+1)*l.ways]
+	stamps := l.lru.Stamps(s)[:len(tags)]
+	// oldest packs the oldest stamp seen with its way, so one branch-free
+	// min tracks both (valid ways' stamps are distinct).
+	oldest := ^uint16(0)
 	for w, t := range tags {
-		if t == line+1 {
-			l.lru.Touch(s, w)
-			return true
+		switch {
+		case t == line+1:
+			return s, w, true
+		case t == 0:
+			return s, w, false
 		}
+		oldest = min(oldest, uint16(stamps[w])<<8|uint16(w))
 	}
-	return false
+	return s, int(oldest & 0xff), false
 }
 
-// Fill installs the line in the first invalid way, else the least recently
-// used one. Returns the evicted line (+1 encoded) or 0 if an invalid way was
-// used.
-func (l *Level) Fill(addr uint64) uint64 {
+// access is probe that, on a hit, marks the way most recently used.
+func (l *Level) access(addr uint64) (way int, hit bool) {
+	s, way, hit := l.probe(addr)
+	if hit {
+		l.lru.Touch(s, way)
+	}
+	return way, hit
+}
+
+// install puts addr's line, which missed, into way of its set — the victim
+// the missing probe returned — and marks it most recently used. It returns
+// the evicted line (+1 encoded), or 0 if the way was invalid.
+func (l *Level) install(addr uint64, way int) uint64 {
 	line := l.line(addr)
 	s := l.set(line)
-	tags, stamps := l.tags[s*l.ways:(s+1)*l.ways], l.lru.Stamps(s)
-	victim := 0
-	for w, t := range tags {
-		if t == 0 {
-			victim = w
-			break
-		}
-		if stamps[w] < stamps[victim] {
-			victim = w
-		}
-	}
-	evicted := tags[victim]
-	tags[victim] = line + 1
-	l.lru.Touch(s, victim)
-	if evicted == line+1 {
-		return 0
-	}
+	i := s*l.ways + way
+	evicted := l.tags[i]
+	l.tags[i] = line + 1
+	l.lru.Touch(s, way)
 	return evicted
 }
 

@@ -10,16 +10,31 @@ func smallCache() config.Cache {
 	return config.Cache{SizeKB: 1, Ways: 2, LineBytes: 64, HitLatency: 3, MSHRs: 2}
 }
 
+// fill installs addr's line as a missing access does, into the victim way
+// the access found, and returns the evicted line (+1 encoded, 0 if none). A
+// line already present is only touched.
+func fill(l *Level, addr uint64) uint64 {
+	if way, hit := l.access(addr); !hit {
+		return l.install(addr, way)
+	}
+	return 0
+}
+
+func hits(l *Level, addr uint64) bool {
+	_, hit := l.access(addr)
+	return hit
+}
+
 func TestLevelHitAfterFill(t *testing.T) {
 	l := NewLevel("T", smallCache())
-	if l.access(0x1000) {
+	if hits(l, 0x1000) {
 		t.Error("cold access should miss")
 	}
-	l.Fill(0x1000)
-	if !l.access(0x1000) || !l.access(0x1030) {
+	fill(l, 0x1000)
+	if !hits(l, 0x1000) || !hits(l, 0x1030) {
 		t.Error("same line should hit after fill")
 	}
-	if l.access(0x1040) {
+	if hits(l, 0x1040) {
 		t.Error("next line should miss")
 	}
 }
@@ -30,10 +45,10 @@ func TestLevelLRUEviction(t *testing.T) {
 	a := uint64(0x0000) // set 0
 	b := a + sets*64    // set 0, different tag
 	c := a + 2*sets*64  // set 0, third tag
-	l.Fill(a)
-	l.Fill(b)
+	fill(l, a)
+	fill(l, b)
 	l.access(a) // make a MRU
-	l.Fill(c)   // must evict b (LRU)
+	fill(l, c)  // must evict b (LRU)
 	if !l.Lookup(a) {
 		t.Error("recently used line evicted")
 	}
@@ -46,7 +61,8 @@ func TestLevelLRUEviction(t *testing.T) {
 }
 
 func TestMSHRContentionDelays(t *testing.T) {
-	l := NewLevel("T", smallCache()) // 2 MSHRs
+	l := NewLevel("T", smallCache())
+	l.mshrs = make([]uint64, 2)
 	// Two misses fill both MSHRs until cycle 50.
 	if s := l.reserveMSHR(10, 50); s != 10 {
 		t.Errorf("first reservation start = %d, want 10", s)
@@ -103,7 +119,7 @@ func TestHierarchyL2Hit(t *testing.T) {
 	// Evict from L1D by filling its set (lines that alias modulo #sets).
 	setStride := uint64(h.L1D.sets) * 64
 	for i := uint64(1); i <= uint64(m.L1D.Ways); i++ {
-		h.L1D.Fill(addr + i*setStride)
+		fill(h.L1D, addr+i*setStride)
 	}
 	done := h.Load(10000, 0x400, addr)
 	lat := done - 10000
@@ -127,6 +143,13 @@ func TestFetchPath(t *testing.T) {
 	warm := h.Fetch(100, pc)
 	if warm != 100+uint64(m.L1I.HitLatency) {
 		t.Errorf("warm fetch done at %d", warm)
+	}
+	// The cold fetch's next-line prefetch installed the following line.
+	if !h.L1I.Lookup(pc + 64) {
+		t.Error("next line not prefetched into L1I")
+	}
+	if len(h.L1I.mshrs)+len(h.L2.mshrs)+len(h.L3.mshrs) != 0 {
+		t.Error("only the L1D reserves MSHRs, so only it should hold MSHR state")
 	}
 }
 

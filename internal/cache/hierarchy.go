@@ -4,7 +4,7 @@ import "repro/internal/config"
 
 // inflightSlots sizes the direct-mapped outstanding-fill table. It far
 // exceeds any realistic population of simultaneously outstanding lines
-// (bounded by MSHRs × levels), so conflict evictions — which merely turn a
+// (bounded by the L1D's MSHRs), so conflict evictions — which merely turn a
 // secondary miss into a full miss — are rare.
 const inflightSlots = 4096
 
@@ -45,6 +45,7 @@ func New(m config.Machine) *Hierarchy {
 		memLatency: m.MemLatency,
 		inflight:   make([]inflightFill, inflightSlots),
 	}
+	h.L1D.mshrs = make([]uint64, m.L1D.MSHRs)
 	if m.PrefetchDegree > 0 {
 		h.pf = NewStridePrefetcher(256, m.PrefetchDegree, m.L1D.LineBytes)
 	}
@@ -91,10 +92,11 @@ func (h *Hierarchy) StoreDrain(cycle uint64, addr uint64) uint64 {
 }
 
 // dataAccess walks L1D→L2→L3→memory, filling on the way back. The returned
-// cycle includes MSHR contention at the missing levels.
+// cycle includes L1D MSHR contention.
 func (h *Hierarchy) dataAccess(cycle uint64, addr uint64) uint64 {
 	line := addr >> h.L1D.lineShift
-	if h.L1D.access(addr) {
+	victim, hit := h.L1D.access(addr)
+	if hit {
 		h.L1D.Hits++
 		return cycle + uint64(h.L1D.hitLatency)
 	}
@@ -106,7 +108,7 @@ func (h *Hierarchy) dataAccess(cycle uint64, addr uint64) uint64 {
 	}
 	lat := uint64(h.L1D.hitLatency + h.beyondL1(addr))
 	start := h.L1D.reserveMSHR(cycle, cycle+lat)
-	h.L1D.Fill(addr)
+	h.L1D.install(addr, victim)
 	*slot = inflightFill{line: line + 1, done: start + lat}
 	return start + lat
 }
@@ -115,20 +117,21 @@ func (h *Hierarchy) dataAccess(cycle uint64, addr uint64) uint64 {
 // and misses and filling the missing levels on the way back, and returns
 // the latency past the L1.
 func (h *Hierarchy) beyondL1(addr uint64) int {
-	if h.L2.access(addr) {
+	l2Victim, hit := h.L2.access(addr)
+	if hit {
 		h.L2.Hits++
 		return h.L2.hitLatency
 	}
 	h.L2.Misses++
 	lat := h.L2.hitLatency + h.L3.hitLatency
-	if h.L3.access(addr) {
+	if l3Victim, hit := h.L3.access(addr); hit {
 		h.L3.Hits++
 	} else {
 		h.L3.Misses++
 		lat += h.memLatency
-		h.L3.Fill(addr)
+		h.L3.install(addr, l3Victim)
 	}
-	h.L2.Fill(addr)
+	h.L2.install(addr, l2Victim)
 	return lat
 }
 
@@ -138,17 +141,19 @@ func (h *Hierarchy) beyondL1(addr uint64) int {
 // installs the next line off the critical path, updating tag state but
 // charging no fetch latency.
 func (h *Hierarchy) Fetch(cycle uint64, pc uint64) uint64 {
-	if next := pc + uint64(64); !h.L1I.Lookup(next) {
+	next := pc + 64
+	if _, victim, hit := h.L1I.probe(next); !hit {
 		h.beyondL1(next)
-		h.L1I.Fill(next)
+		h.L1I.install(next, victim)
 	}
-	if h.L1I.access(pc) {
+	victim, hit := h.L1I.access(pc)
+	if hit {
 		h.L1I.Hits++
 		return cycle + uint64(h.L1I.hitLatency)
 	}
 	h.L1I.Misses++
 	lat := h.L1I.hitLatency + h.beyondL1(pc)
-	h.L1I.Fill(pc)
+	h.L1I.install(pc, victim)
 	return cycle + uint64(lat)
 }
 

@@ -9,7 +9,7 @@ package cache
 // at least 255-ways touches until the next renumbering.
 //
 // The owner keeps validity: its victim is the first invalid way, else the
-// valid way with the oldest stamp (see Level.Fill). Every valid way has been
+// valid way with the oldest stamp (see Level.probe). Every valid way has been
 // touched since the last Reset, so its stamp is unique in its set.
 type Recency struct {
 	ways  int

@@ -21,12 +21,12 @@ func (levelOps) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(ops)
 }
 
-// TestLevelRecencyMatchesModel drives random accesses, fills, probes and
-// resets through a 4-set, 4-way level — with hundreds of touches per set
-// between resets — and requires every hit, and every fill's evicted line, to
-// match a reference model: per set, the lines held in way order and a
-// recency list of ways; a fill replaces the first empty way, else the least
-// recently used one.
+// TestLevelRecencyMatchesModel drives random accesses, missing fills,
+// probes and resets through a 4-set, 4-way level — with hundreds of touches
+// per set between resets — and requires every hit and its way, every miss's
+// victim way, and every fill's evicted line to match a reference model: per
+// set, the lines held in way order and a recency list of ways; a fill
+// replaces the first empty way, else the least recently used one.
 func TestLevelRecencyMatchesModel(t *testing.T) {
 	cfg := config.Cache{SizeKB: 1, Ways: 4, LineBytes: 64, HitLatency: 1, MSHRs: 1}
 	maxTouches := 0 // most touches one set saw between resets
@@ -74,16 +74,20 @@ func TestLevelRecencyMatchesModel(t *testing.T) {
 			case op%1021 == 0:
 				l.Reset()
 				reset()
-			case k < 14:
+			case k < 30:
 				w := find(s, line)
-				if hit := l.access(addr); hit != (w >= 0) {
-					t.Logf("op %d: access hit %v, model %v", i, hit, w >= 0)
+				way, hit := l.access(addr)
+				if hit != (w >= 0) || hit && way != w {
+					t.Logf("op %d: access hit %v in way %d, model way %d", i, hit, way, w)
 					return false
 				}
-				if w >= 0 {
+				if hit {
 					touch(s, w)
+					break
 				}
-			case k < 30:
+				if k < 14 {
+					break // an access that does not fill
+				}
 				v := -1
 				for w, h := range held[s] {
 					if h == 0 {
@@ -94,12 +98,12 @@ func TestLevelRecencyMatchesModel(t *testing.T) {
 				if v < 0 {
 					v = order[s][ways-1]
 				}
-				want := held[s][v]
-				if want == line+1 {
-					want = 0
+				if way != v {
+					t.Logf("op %d: miss victim way %d, model %d", i, way, v)
+					return false
 				}
-				if got := l.Fill(addr); got != want {
-					t.Logf("op %d: Fill evicted %d, model %d", i, got, want)
+				if got := l.install(addr, way); got != held[s][v] {
+					t.Logf("op %d: install evicted %d, model %d", i, got, held[s][v])
 					return false
 				}
 				held[s][v] = line + 1

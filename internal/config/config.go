@@ -27,8 +27,7 @@ type Machine struct {
 	Year int // release year, for the Fig. 1 / Fig. 2 timelines
 
 	// Front end.
-	FetchWidth  int
-	DecodeWidth int
+	FetchWidth int
 	// Penalty in cycles to refill the front end after a redirect
 	// (branch misprediction or memory-order-violation squash).
 	RedirectPenalty int
@@ -64,9 +63,9 @@ func (m Machine) Validate() error {
 		name string
 		v    int
 	}{
-		{"FetchWidth", m.FetchWidth}, {"DecodeWidth", m.DecodeWidth},
-		{"CommitWidth", m.CommitWidth}, {"IssuePorts", m.IssuePorts},
-		{"LoadPorts", m.LoadPorts}, {"StorePorts", m.StorePorts},
+		{"FetchWidth", m.FetchWidth}, {"CommitWidth", m.CommitWidth},
+		{"IssuePorts", m.IssuePorts}, {"LoadPorts", m.LoadPorts},
+		{"StorePorts", m.StorePorts},
 		{"ROB", m.ROB}, {"IQ", m.IQ}, {"LQ", m.LQ}, {"SQ", m.SQ},
 		{"SBDrainPerCycle", m.SBDrainPerCycle},
 		{"RedirectPenalty", m.RedirectPenalty},
@@ -100,7 +99,7 @@ func (m Machine) Validate() error {
 func AlderLake() Machine {
 	return Machine{
 		Name: "alderlake", Year: 2021,
-		FetchWidth: 6, DecodeWidth: 6, RedirectPenalty: 17,
+		FetchWidth: 6, RedirectPenalty: 17,
 		CommitWidth: 12, IssuePorts: 12, LoadPorts: 3, StorePorts: 2,
 		ROB: 512, IQ: 204, LQ: 192, SQ: 114,
 		SBDrainPerCycle: 2,
@@ -118,7 +117,7 @@ func AlderLake() Machine {
 func Nehalem() Machine {
 	return Machine{
 		Name: "nehalem", Year: 2008,
-		FetchWidth: 4, DecodeWidth: 4, RedirectPenalty: 14,
+		FetchWidth: 4, RedirectPenalty: 14,
 		CommitWidth: 4, IssuePorts: 6, LoadPorts: 1, StorePorts: 1,
 		ROB: 128, IQ: 36, LQ: 48, SQ: 36,
 		SBDrainPerCycle: 1,
@@ -155,7 +154,7 @@ func Skylake() Machine {
 	m := Haswell()
 	m.Name, m.Year = "skylake", 2015
 	m.ROB, m.IQ, m.LQ, m.SQ = 224, 97, 72, 56
-	m.FetchWidth, m.DecodeWidth, m.CommitWidth = 5, 5, 8
+	m.FetchWidth, m.CommitWidth = 5, 8
 	m.RedirectPenalty = 16
 	return m
 }
@@ -165,7 +164,7 @@ func SunnyCove() Machine {
 	m := Skylake()
 	m.Name, m.Year = "sunnycove", 2019
 	m.ROB, m.IQ, m.LQ, m.SQ = 352, 160, 128, 72
-	m.FetchWidth, m.DecodeWidth, m.CommitWidth = 5, 5, 10
+	m.FetchWidth, m.CommitWidth = 5, 10
 	m.IssuePorts, m.LoadPorts, m.StorePorts = 10, 2, 2
 	m.L1D = Cache{SizeKB: 48, Ways: 12, LineBytes: 64, HitLatency: 5, MSHRs: 32}
 	return m

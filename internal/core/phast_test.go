@@ -8,12 +8,27 @@ import (
 	"repro/internal/mdp"
 )
 
-func newBound(t *testing.T, cfg Config) (*PHAST, *histutil.Reg, *histutil.Reg) {
+// newBound builds a PHAST and its decode/commit history registers, both
+// bound to the divergent-branch stream div and advanced to its end.
+func newBound(t *testing.T, cfg Config, div ...histutil.Entry) (*PHAST, *histutil.Reg, *histutil.Reg) {
 	t.Helper()
 	p := New(cfg)
-	d, c := histutil.NewReg(2048), histutil.NewReg(2048)
-	p.Bind(d, c)
+	d, c := bindHists(p, 2048, div)
 	return p, d, c
+}
+
+// bindHists binds p to fresh registers of the given capacity, both bound to
+// div and advanced to its end.
+func bindHists(p mdp.Predictor, capacity int, div []histutil.Entry) (*histutil.Reg, *histutil.Reg) {
+	d, c := histutil.NewReg(capacity), histutil.NewReg(capacity)
+	p.Bind(d, c)
+	for _, r := range []*histutil.Reg{d, c} {
+		r.Bind(div)
+		for range div {
+			r.Advance()
+		}
+	}
+	return d, c
 }
 
 func TestDefaultSizeIsTableII(t *testing.T) {
@@ -65,13 +80,12 @@ func TestTableForTruncation(t *testing.T) {
 }
 
 func TestTrainPredictRoundTrip(t *testing.T) {
-	p, d, c := newBound(t, DefaultConfig())
 	// Build a path of 3 divergent branches.
+	var div []histutil.Entry
 	for i := 0; i < 3; i++ {
-		e := histutil.NewEntry(false, i%2 == 0, uint64(0x10+i))
-		d.Push(e)
-		c.Push(e)
+		div = append(div, histutil.NewEntry(false, i%2 == 0, uint64(0x10+i)))
 	}
+	p, d, c := newBound(t, DefaultConfig(), div...)
 	ld := mdp.LoadInfo{PC: 0x4000, BranchCount: 3, StoreCount: 10}
 	if got := p.Predict(ld, d); got.Kind != mdp.NoDep {
 		t.Fatal("cold PHAST should predict no dependence")
@@ -93,12 +107,11 @@ func TestTrainPredictRoundTrip(t *testing.T) {
 }
 
 func TestLongerHistoryWins(t *testing.T) {
-	p, d, c := newBound(t, DefaultConfig())
+	var div []histutil.Entry
 	for i := 0; i < 8; i++ {
-		e := histutil.NewEntry(false, true, uint64(i))
-		d.Push(e)
-		c.Push(e)
+		div = append(div, histutil.NewEntry(false, true, uint64(i)))
 	}
+	p, d, c := newBound(t, DefaultConfig(), div...)
 	ld := mdp.LoadInfo{PC: 0x4000, BranchCount: 8, StoreCount: 20}
 	// Train a short-history entry (length 1 -> table 0) and a longer one
 	// (length 5 -> table 2, lengths 0,2,4): the longer match must provide.
@@ -153,25 +166,27 @@ func TestPHASTPathSensitivity(t *testing.T) {
 	// Two paths to the same load PC train different distances; predictions
 	// must follow the live path. Property-checked over arbitrary path pairs.
 	f := func(seed uint8) bool {
-		p := New(DefaultConfig())
-		d, c := histutil.NewReg(64), histutil.NewReg(64)
-		p.Bind(d, c)
 		// Each occurrence is a fixed prefix branch P followed by the path
 		// branch (A or B), so the 2-entry context of the load is exactly
-		// [P, A] or [P, B] on every walk.
+		// [P, A] or [P, B] on every walk. The stream holds the four walks
+		// in the order the occurrences below take them.
 		prefix := histutil.NewEntry(true, true, uint64(seed)+17)
 		pathA := histutil.NewEntry(false, true, uint64(seed))
 		pathB := histutil.NewEntry(false, false, uint64(seed)+1)
+		div := []histutil.Entry{prefix, pathA, prefix, pathB, prefix, pathA, prefix, pathB}
 
+		p := New(DefaultConfig())
+		d, c := histutil.NewReg(64), histutil.NewReg(64)
+		p.Bind(d, c)
+		d.Bind(div)
+		c.Bind(div)
 		var branchCount uint64
-		push := func(e histutil.Entry) {
-			d.Push(e)
-			c.Push(e)
-			branchCount++
-		}
-		occurrence := func(path histutil.Entry, dist int, train bool) mdp.Prediction {
-			push(prefix)
-			push(path)
+		occurrence := func(dist int, train bool) mdp.Prediction {
+			for range 2 {
+				d.Advance()
+				c.Advance()
+				branchCount++
+			}
 			ld := mdp.LoadInfo{PC: 0x4000, BranchCount: branchCount, StoreCount: 10}
 			pred := p.Predict(ld, d)
 			if train {
@@ -183,10 +198,10 @@ func TestPHASTPathSensitivity(t *testing.T) {
 			}
 			return pred
 		}
-		occurrence(pathA, 0, true)
-		occurrence(pathB, 1, true)
-		gotA := occurrence(pathA, 0, false)
-		gotB := occurrence(pathB, 1, false)
+		occurrence(0, true)          // path A
+		occurrence(1, true)          // path B
+		gotA := occurrence(0, false) // path A
+		gotB := occurrence(1, false) // path B
 		return gotA.Kind == mdp.Distance && gotA.Dist == 0 &&
 			gotB.Kind == mdp.Distance && gotB.Dist == 1
 	}
@@ -197,13 +212,11 @@ func TestPHASTPathSensitivity(t *testing.T) {
 
 func TestUnlimitedPHASTExactLengthTraining(t *testing.T) {
 	u := NewUnlimitedPHAST(0)
-	d, c := histutil.NewReg(2048), histutil.NewReg(2048)
-	u.Bind(d, c)
+	var div []histutil.Entry
 	for i := 0; i < 10; i++ {
-		e := histutil.NewEntry(false, i%2 == 0, uint64(i))
-		d.Push(e)
-		c.Push(e)
+		div = append(div, histutil.NewEntry(false, i%2 == 0, uint64(i)))
 	}
+	d, c := bindHists(u, 2048, div)
 	ld := mdp.LoadInfo{PC: 0x4000, BranchCount: 10, StoreCount: 30}
 	// N = 4 divergent branches between store and load: trains at length 5.
 	st := mdp.StoreInfo{PC: 0x5000, BranchCount: 6, StoreIndex: 25}
@@ -222,13 +235,11 @@ func TestUnlimitedPHASTExactLengthTraining(t *testing.T) {
 
 func TestUnlimitedPHASTMaxHistCap(t *testing.T) {
 	u := NewUnlimitedPHAST(8)
-	d, c := histutil.NewReg(2048), histutil.NewReg(2048)
-	u.Bind(d, c)
+	var div []histutil.Entry
 	for i := 0; i < 40; i++ {
-		e := histutil.NewEntry(false, true, uint64(i))
-		d.Push(e)
-		c.Push(e)
+		div = append(div, histutil.NewEntry(false, true, uint64(i)))
 	}
+	d, c := bindHists(u, 2048, div)
 	ld := mdp.LoadInfo{PC: 0x4000, BranchCount: 40, StoreCount: 50}
 	st := mdp.StoreInfo{BranchCount: 10, StoreIndex: 45} // length 31 -> capped to 8
 	u.TrainViolation(ld, st, 4, mdp.Outcome{}, c)
@@ -242,8 +253,7 @@ func TestUnlimitedPHASTMaxHistCap(t *testing.T) {
 
 func TestUnlimitedPHASTConfidence(t *testing.T) {
 	u := NewUnlimitedPHAST(0)
-	d, c := histutil.NewReg(64), histutil.NewReg(64)
-	u.Bind(d, c)
+	d, c := bindHists(u, 64, nil)
 	ld := mdp.LoadInfo{PC: 0x4000, BranchCount: 0, StoreCount: 10}
 	u.TrainViolation(ld, mdp.StoreInfo{StoreIndex: 8}, 1, mdp.Outcome{}, c)
 	pred := u.Predict(ld, d)
@@ -285,8 +295,7 @@ func TestPHASTFewTablesVariantStillLearns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Histories = cfg.Histories[:2] // lengths {0, 2} only
 	p := New(cfg)
-	d, c := histutil.NewReg(64), histutil.NewReg(64)
-	p.Bind(d, c)
+	d, c := bindHists(p, 64, nil)
 	ld := mdp.LoadInfo{PC: 0x4000, BranchCount: 20, StoreCount: 10}
 	// A long-history conflict truncates to the longest available table.
 	st := mdp.StoreInfo{BranchCount: 2, StoreIndex: 8}

@@ -32,25 +32,26 @@ func rotl(x uint64, k, w int) uint64 {
 	return ((x << k) | (x >> (w - k))) & (1<<w - 1)
 }
 
-// update advances the fold by one pushed entry; leaving is the entry that
-// just aged out of the window (zero during cold start). Both rotations act
-// on values already reduced to Width bits, so a zero rotation needs no
-// special case (the right shift by Width yields zero).
-func (f *Fold) update(pushed, leaving Entry) {
+// update advances the fold by one entry: entering is the new youngest
+// entry, and leaving is the entry that just aged out of the window (zero
+// during cold start). Both rotations act on values already reduced to Width
+// bits, so a zero rotation needs no special case (the right shift by Width
+// yields zero).
+func (f *Fold) update(entering, leaving Entry) {
 	if f.Len == 0 {
 		return // zero-length history folds to 0 forever
 	}
 	w := uint(f.Width)
 	l := uint64(leaving) & f.mask
 	v := f.val ^ (l<<f.leave|l>>(w-f.leave))&f.mask
-	f.val = (v<<1|v>>(w-1))&f.mask ^ uint64(pushed)&f.mask
+	f.val = (v<<1|v>>(w-1))&f.mask ^ uint64(entering)&f.mask
 }
 
 // NewFold registers an incrementally maintained fold of the last length
 // entries into width bits. Length must not exceed the register capacity and
 // width must be in (0, 64].
 func (r *Reg) NewFold(length, width int) *Fold {
-	if length > len(r.buf) {
+	if length > r.cap {
 		panic("histutil: fold length exceeds register capacity")
 	}
 	if width <= 0 || width > 64 {
@@ -63,11 +64,9 @@ func (r *Reg) NewFold(length, width int) *Fold {
 	if length > 0 {
 		f.leave = uint((length - 1) % width)
 	}
-	// Fast-forward over already-pushed history so late registration agrees
-	// with the reference fold.
-	if r.count > 0 {
-		f.val = FoldEntries(r.Last(length), width)
-	}
+	// Fold the history already behind the position, so late registration
+	// agrees with the reference fold.
+	f.val = FoldEntries(r.last(length), width)
 	r.folds = append(r.folds, f)
 	return f
 }

@@ -1,7 +1,7 @@
 // Package histutil implements the context-history machinery shared by the
 // path-sensitive memory dependence predictors: the global divergent-branch
-// history register, history folding, and the PC hash functions from §IV-B of
-// the PHAST paper.
+// history register (a view of a stream of history entries), history folding,
+// and the PC hash functions from §IV-B of the PHAST paper.
 //
 // Each history entry describes one divergent branch with a fixed number of
 // bits so histories of any length can be processed in parallel in hardware:
@@ -52,62 +52,74 @@ func (e Entry) Taken() bool { return e&(1<<5) != 0 }
 // Dest returns the recorded low destination bits.
 func (e Entry) Dest() uint8 { return uint8(e) & ((1 << TargetBits) - 1) }
 
-// Reg is a global history register of divergent-branch entries. The core
-// keeps two instances: one updated at decode (used for predictions) and one
-// updated at commit (used to train the predictor with a squash-free history).
+// Reg is a global history register of divergent-branch entries, kept as a
+// view of an entry stream: it is bound to the entries of every divergent
+// branch, oldest first (in the core, the trace's DivEntries), and holds only
+// its position in them; its history is the entries before that position.
+// The core binds three registers to its trace's one stream: one advanced at
+// decode (used for predictions), one advanced at commit (used to train the
+// predictor with a squash-free history), and one moved to a load's position
+// for detect-time training. A register never writes its stream, so one
+// stream can back any number of registers, on any goroutines.
 //
-// The register also exposes Count, the running number of divergent branches
-// pushed, which implements the paper's global branch counter: loads and
-// stores copy it at decode, and the history length of a conflict is the
-// difference of the two copies plus one.
+// The register also exposes Count, its position, which implements the
+// paper's global branch counter: loads and stores copy it at decode, and the
+// history length of a conflict is the difference of the two copies plus one.
 type Reg struct {
-	buf   []Entry
-	head  int    // next write position
-	count uint64 // total entries ever pushed
+	div   []Entry // the bound stream; read, never written
+	count uint64  // the position: entries div[:count] are the history
 	folds []*Fold
+	cap   int
 }
 
-// NewReg returns a history register able to serve histories up to capacity
-// entries long. Capacity must cover the longest history any predictor uses.
+// NewReg returns an unbound history register able to serve histories up to
+// capacity entries long. Capacity must cover the longest history any
+// predictor uses.
 func NewReg(capacity int) *Reg {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Reg{buf: make([]Entry, capacity)}
+	return &Reg{cap: max(capacity, 1)}
 }
 
-// Push records a divergent branch as the new youngest history entry and
-// advances every registered fold.
-func (r *Reg) Push(e Entry) {
-	// Capture leaving entries before the ring slot is overwritten (a fold of
-	// length == capacity evicts exactly the slot being written).
+// Bind binds the register to the entry stream div (oldest first) at
+// position 0: no history, zero count. Registered folds stay registered and
+// read 0 (an empty history folds to 0), so a predictor bound once keeps
+// seeing the register's history across rebinds. Bind(nil) unbinds it.
+func (r *Reg) Bind(div []Entry) {
+	r.div = div
+	r.Seek(0)
+}
+
+// Advance moves the register one entry on: the stream's next entry becomes
+// the youngest history entry, and every registered fold advances by it.
+func (r *Reg) Advance() {
+	entering := r.div[r.count]
 	for _, f := range r.folds {
 		var leaving Entry
 		if f.Len > 0 && r.count >= uint64(f.Len) {
-			pos := r.head - f.Len
-			if pos < 0 {
-				pos += len(r.buf)
-			}
-			leaving = r.buf[pos]
+			leaving = r.div[r.count-uint64(f.Len)]
 		}
-		f.update(e, leaving)
-	}
-	r.buf[r.head] = e
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
+		f.update(entering, leaving)
 	}
 	r.count++
 }
 
-// Count returns the total number of entries ever pushed (the global
-// divergent-branch counter).
-func (r *Reg) Count() uint64 { return r.count }
+// Seek moves the register to position k, the history of a micro-op that k
+// divergent branches precede, and recomputes every registered fold. The
+// core uses it to rewind the decode-time history on a squash — the hardware
+// equivalent of restoring a history checkpoint. With no folds registered it
+// is O(1).
+func (r *Reg) Seek(k uint64) {
+	if k > uint64(len(r.div)) {
+		panic("histutil: seek beyond the bound stream")
+	}
+	r.count = k
+	for _, f := range r.folds {
+		f.val = FoldEntries(r.last(f.Len), f.Width)
+	}
+}
 
-// Reset empties the register: no history, zero count. Registered folds stay
-// registered and are recomputed (an empty history folds to 0), so a
-// predictor bound once keeps seeing the register's history across resets.
-func (r *Reg) Reset() { r.ResetTo(nil, 0) }
+// Count returns the register's position: the number of divergent branches
+// in its history (the global divergent-branch counter).
+func (r *Reg) Count() uint64 { return r.count }
 
 // DropFolds unregisters every fold, for rebinding the register to another
 // predictor, which registers its own.
@@ -116,46 +128,22 @@ func (r *Reg) DropFolds() {
 	r.folds = r.folds[:0]
 }
 
-// ResetTo restores the register to hold exactly the given entries (oldest
-// first, at most capacity retained) with the given logical count, and
-// recomputes every registered fold. The core uses it to rewind the
-// decode-time history on a squash — the hardware equivalent of restoring a
-// history checkpoint.
-func (r *Reg) ResetTo(entries []Entry, count uint64) {
-	if len(entries) > len(r.buf) {
-		entries = entries[len(entries)-len(r.buf):]
-	}
-	// Reads only ever touch the min(count, capacity) youngest slots. Slots
-	// beyond len(entries) are reachable only when count exceeds the entries
-	// provided, and must then read as zero (cold history); otherwise stale
-	// contents are unobservable and zeroing them would be wasted work.
-	if count > uint64(len(entries)) {
-		for i := len(entries); i < len(r.buf); i++ {
-			r.buf[i] = 0
-		}
-	}
-	copy(r.buf, entries)
-	r.head = len(entries) % len(r.buf)
-	r.count = count
-	for _, f := range r.folds {
-		n := f.Len
-		if n > len(entries) {
-			n = len(entries)
-		}
-		f.val = FoldEntries(entries[len(entries)-n:], f.Width)
-	}
-}
-
 // Cap returns the longest history the register can reproduce.
-func (r *Reg) Cap() int { return len(r.buf) }
+func (r *Reg) Cap() int { return r.cap }
 
-// Last returns the n youngest entries, oldest first. It panics if n exceeds
-// the register capacity; if fewer than n entries were ever pushed, the
-// missing leading entries are zero (cold history).
-func (r *Reg) Last(n int) []Entry {
-	if n > len(r.buf) {
+// last returns the up to n youngest entries the stream holds, oldest first:
+// fewer than n only during cold start. It panics if n exceeds the capacity.
+func (r *Reg) last(n int) []Entry {
+	if n > r.cap {
 		panic("histutil: history request exceeds register capacity")
 	}
+	return r.div[r.count-min(r.count, uint64(n)) : r.count]
+}
+
+// Last returns the n youngest entries, oldest first. It panics if n exceeds
+// the register capacity; if fewer than n entries precede the position, the
+// missing leading entries are zero (cold history).
+func (r *Reg) Last(n int) []Entry {
 	out := make([]Entry, n)
 	r.LastInto(out)
 	return out
@@ -164,56 +152,18 @@ func (r *Reg) Last(n int) []Entry {
 // LastInto fills dst with the len(dst) youngest entries, oldest first,
 // without allocating.
 func (r *Reg) LastInto(dst []Entry) {
-	n := len(dst)
-	if n > len(r.buf) {
-		panic("histutil: history request exceeds register capacity")
-	}
-	avail := n
-	if r.count < uint64(n) {
-		avail = int(r.count)
-	}
-	for i := 0; i < n-avail; i++ {
-		dst[i] = 0
-	}
-	pos := r.head - avail
-	if pos < 0 {
-		pos += len(r.buf)
-	}
-	for i := n - avail; i < n; i++ {
-		dst[i] = r.buf[pos]
-		pos++
-		if pos == len(r.buf) {
-			pos = 0
-		}
-	}
+	src := r.last(len(dst))
+	pad := len(dst) - len(src)
+	clear(dst[:pad])
+	copy(dst[pad:], src)
 }
 
 // Fold compresses the n youngest entries into width bits: the XOR of each
 // entry left-rotated by its age (youngest = age 0). This is the reference
 // form of the incrementally maintained Fold type; the two always agree. A
-// zero-length history folds to 0. Width must be in (0, 64].
-func (r *Reg) Fold(n, width int) uint64 {
-	if width <= 0 || width > 64 {
-		panic("histutil: fold width out of range")
-	}
-	if n == 0 {
-		return 0
-	}
-	var folded uint64
-	avail := n
-	if r.count < uint64(n) {
-		avail = int(r.count)
-	}
-	pos := r.head
-	for age := 0; age < avail; age++ {
-		pos--
-		if pos < 0 {
-			pos += len(r.buf)
-		}
-		folded ^= rotl(uint64(r.buf[pos]), age, width)
-	}
-	return folded & (1<<width - 1)
-}
+// zero-length history folds to 0, and so do the zero entries of a cold
+// history. Width must be in (0, 64].
+func (r *Reg) Fold(n, width int) uint64 { return FoldEntries(r.last(n), width) }
 
 // FoldEntries folds an explicit entry slice (oldest first) into width bits,
 // with the same layout as Reg.Fold. It is the reference implementation used
@@ -238,24 +188,11 @@ func (r *Reg) Key(n int) string { return string(r.AppendKey(nil, n)) }
 // AppendKey appends Key(n) to b. Built into a reused buffer, a key probes a
 // map (m[string(b)]) without allocating.
 func (r *Reg) AppendKey(b []byte, n int) []byte {
-	if n > len(r.buf) {
-		panic("histutil: history request exceeds register capacity")
-	}
+	src := r.last(n)
 	b = append(b, byte(n), byte(n>>8))
-	b = append(b, make([]byte, n)...) // missing leading entries stay zero
-	avail := int(min(r.count, uint64(n)))
-	dst := b[len(b)-avail:]
-	pos := r.head - avail
-	if pos < 0 {
-		// The entries wrap: the older part ends the ring.
-		pos += len(r.buf)
-		for i, e := range r.buf[pos:] {
-			dst[i] = byte(e)
-		}
-		dst, pos = dst[len(r.buf)-pos:], 0
-	}
-	for i := range dst {
-		dst[i] = byte(r.buf[pos+i])
+	b = append(b, make([]byte, n-len(src))...) // missing leading entries stay zero
+	for _, e := range src {
+		b = append(b, byte(e))
 	}
 	return b
 }

@@ -1,9 +1,39 @@
 package histutil
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// advanced returns a register of the given capacity bound to entries and
+// advanced to their end.
+func advanced(capacity int, entries ...Entry) *Reg {
+	r := NewReg(capacity)
+	r.Bind(entries)
+	for range entries {
+		r.Advance()
+	}
+	return r
+}
+
+// randomStream returns n pseudo-random 7-bit entries.
+func randomStream(rng *rand.Rand, n int) []Entry {
+	div := make([]Entry, n)
+	for i := range div {
+		div[i] = Entry(rng.Intn(1 << EntryBits))
+	}
+	return div
+}
+
+// prefixLast is the reference history: the n entries of div before
+// position k, oldest first, zero-padded in front during cold start.
+func prefixLast(div []Entry, k uint64, n int) []Entry {
+	out := make([]Entry, n)
+	lo := k - min(k, uint64(n))
+	copy(out[n-int(k-lo):], div[lo:k])
+	return out
+}
 
 func TestEntryPacking(t *testing.T) {
 	e := NewEntry(true, false, 0b10110)
@@ -17,10 +47,7 @@ func TestEntryPacking(t *testing.T) {
 }
 
 func TestRegLastOrdering(t *testing.T) {
-	r := NewReg(4)
-	for i := 1; i <= 6; i++ {
-		r.Push(Entry(i))
-	}
+	r := advanced(4, 1, 2, 3, 4, 5, 6)
 	got := r.Last(4)
 	want := []Entry{3, 4, 5, 6} // oldest first
 	for i := range want {
@@ -34,8 +61,7 @@ func TestRegLastOrdering(t *testing.T) {
 }
 
 func TestRegColdStartZeroFill(t *testing.T) {
-	r := NewReg(8)
-	r.Push(7)
+	r := advanced(8, 7)
 	got := r.Last(4)
 	want := []Entry{0, 0, 0, 7}
 	for i := range want {
@@ -57,18 +83,15 @@ func TestRegLastPanicsBeyondCap(t *testing.T) {
 // TestFoldMatchesReference is the core fold invariant: the incrementally
 // maintained Fold always equals the reference FoldEntries over the window.
 func TestFoldMatchesReference(t *testing.T) {
-	f := func(seed uint32, lens []uint8) bool {
+	f := func(seed int64, lens []uint8) bool {
 		r := NewReg(64)
+		r.Bind(randomStream(rand.New(rand.NewSource(seed)), 200))
 		var folds []*Fold
 		for _, l := range lens {
 			folds = append(folds, r.NewFold(int(l)%65, 7+int(l)%18))
 		}
-		x := uint64(seed) | 1
 		for i := 0; i < 200; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			r.Push(Entry(x & 0x7f))
+			r.Advance()
 			for _, fd := range folds {
 				want := FoldEntries(r.Last(fd.Len), fd.Width)
 				if fd.Value() != want {
@@ -85,9 +108,14 @@ func TestFoldMatchesReference(t *testing.T) {
 
 // TestFoldRegAgreement: the on-demand Reg.Fold equals FoldEntries.
 func TestFoldRegAgreement(t *testing.T) {
+	div := make([]Entry, 100)
+	for i := range div {
+		div[i] = Entry(i * 37 % 128)
+	}
 	r := NewReg(32)
-	for i := 0; i < 100; i++ {
-		r.Push(Entry(i * 37 % 128))
+	r.Bind(div)
+	for i := range div {
+		r.Advance()
 		for _, n := range []int{0, 1, 5, 31} {
 			for _, w := range []int{7, 13, 23} {
 				if got, want := r.Fold(n, w), FoldEntries(r.Last(n), w); got != want {
@@ -99,113 +127,78 @@ func TestFoldRegAgreement(t *testing.T) {
 }
 
 func TestFoldLateRegistration(t *testing.T) {
-	r := NewReg(16)
-	for i := 0; i < 10; i++ {
-		r.Push(Entry(i + 1))
-	}
-	f := r.NewFold(8, 12) // registered after pushes: must fast-forward
+	r := advanced(16, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	f := r.NewFold(8, 12) // registered after advancing: must fast-forward
 	if got, want := f.Value(), FoldEntries(r.Last(8), 12); got != want {
 		t.Errorf("late-registered fold = %#x, want %#x", got, want)
 	}
 }
 
-func TestResetTo(t *testing.T) {
-	r := NewReg(8)
-	f := r.NewFold(4, 10)
-	for i := 0; i < 20; i++ {
-		r.Push(Entry(i % 128))
-	}
-	entries := []Entry{9, 8, 7}
-	r.ResetTo(entries, 3)
-	if r.Count() != 3 {
-		t.Errorf("Count after ResetTo = %d, want 3", r.Count())
-	}
-	got := r.Last(3)
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("Last after ResetTo = %v, want %v", got, entries)
-		}
-	}
-	if want := FoldEntries(entries, 10); f.Value() != want {
-		t.Errorf("fold after ResetTo = %#x, want %#x", f.Value(), want)
-	}
-	// Folds must keep tracking correctly after the reset.
-	r.Push(42)
-	if want := FoldEntries(r.Last(4), 10); f.Value() != want {
-		t.Errorf("fold after ResetTo+Push = %#x, want %#x", f.Value(), want)
-	}
-}
-
-// TestResetKeepsFolds: Reset empties the register but leaves registered
-// folds attached, so they track the history pushed after it (a warm-up
-// boundary resets the core's registers without rebinding the predictor);
-// DropFolds detaches them.
+// TestResetKeepsFolds: binding a register to another stream resets it to
+// position 0 but leaves registered folds attached, so they track the new
+// stream's history (a warm-up boundary rebinds the core's registers without
+// rebinding the predictor); DropFolds detaches them.
 func TestResetKeepsFolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
 	r := NewReg(16)
 	f := r.NewFold(6, 5)
-	for i := 0; i < 30; i++ {
-		r.Push(Entry(i*7 + 1))
+	r.Bind(randomStream(rng, 30))
+	for range 30 {
+		r.Advance()
 	}
-	r.Reset()
+	r.Bind(randomStream(rng, 11))
 	if r.Count() != 0 || f.Value() != 0 {
-		t.Fatalf("after Reset: count %d, fold %#x; want 0, 0", r.Count(), f.Value())
+		t.Fatalf("after Bind: count %d, fold %#x; want 0, 0", r.Count(), f.Value())
 	}
 	for i := 0; i < 10; i++ {
-		r.Push(Entry(i*3 + 2))
+		r.Advance()
 		if want := r.Fold(6, 5); f.Value() != want {
-			t.Fatalf("fold after Reset and %d pushes = %#x, want %#x", i+1, f.Value(), want)
+			t.Fatalf("fold after Bind and %d advances = %#x, want %#x", i+1, f.Value(), want)
 		}
 	}
 	r.DropFolds()
 	before := f.Value()
-	r.Push(99)
+	r.Advance()
 	if f.Value() != before {
 		t.Error("a dropped fold still moves with the register")
 	}
 }
 
-func TestResetToTruncatesToCapacity(t *testing.T) {
-	r := NewReg(4)
-	entries := []Entry{1, 2, 3, 4, 5, 6}
-	r.ResetTo(entries, 6)
-	got := r.Last(4)
-	want := []Entry{3, 4, 5, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Last after big ResetTo = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestKeyDistinguishesLengthAndContent(t *testing.T) {
 	r := NewReg(16)
-	r.Push(1)
-	r.Push(2)
+	r.Bind([]Entry{1, 2, 3})
+	r.Advance()
+	r.Advance()
 	if r.Key(1) == r.Key(2) {
 		t.Error("keys of different lengths must differ")
 	}
 	k2 := r.Key(2)
-	r.Push(3)
+	r.Advance()
 	if r.Key(2) == k2 {
 		t.Error("keys of different content must differ")
 	}
 }
 
 // TestAppendKeyMatchesLast: a key is the length in two bytes, then the
-// entries of Last(n), at every length, before and after the ring wraps.
+// entries of Last(n), at every length, during cold start and past capacity.
 func TestAppendKeyMatchesLast(t *testing.T) {
+	div := make([]Entry, 20)
+	for i := range div {
+		div[i] = Entry(i + 1)
+	}
 	r := NewReg(8)
-	for i := 0; i < 20; i++ {
+	r.Bind(div)
+	for i := range div {
 		for n := 0; n <= r.Cap(); n++ {
 			want := []byte{byte(n), byte(n >> 8)}
 			for _, e := range r.Last(n) {
 				want = append(want, byte(e))
 			}
 			if got := r.AppendKey([]byte("pc"), n); string(got) != "pc"+string(want) {
-				t.Fatalf("after %d pushes, AppendKey(%d) = %v, want pc+%v", i, n, got, want)
+				t.Fatalf("after %d advances, AppendKey(%d) = %v, want pc+%v", i, n, got, want)
 			}
 		}
-		r.Push(Entry(i + 1))
+		r.Advance()
 	}
 }
 
@@ -247,52 +240,85 @@ func TestPow2(t *testing.T) {
 func TestFoldZeroLength(t *testing.T) {
 	r := NewReg(8)
 	f := r.NewFold(0, 16)
+	r.Bind(randomStream(rand.New(rand.NewSource(2)), 10))
 	for i := 0; i < 10; i++ {
-		r.Push(Entry(i))
+		r.Advance()
 		if f.Value() != 0 {
 			t.Fatal("zero-length fold must stay 0")
 		}
 	}
 }
 
-// TestResetToThenPushEquivalence: a register rebuilt with ResetTo must be
-// indistinguishable (Last, Fold, registered folds) from a fresh register
-// that saw the same entries — the property squash-time history rewind
-// depends on.
-func TestResetToThenPushEquivalence(t *testing.T) {
-	f := func(pre, post []byte) bool {
-		a := NewReg(32)
-		fa := a.NewFold(12, 17)
-		b := NewReg(32)
-		fb := b.NewFold(12, 17)
-
-		entries := make([]Entry, 0, len(pre))
-		for _, v := range pre {
-			e := Entry(v & 0x7f)
-			entries = append(entries, e)
-			b.Push(e)
+// TestViewMatchesStreamPrefix is the view invariant: a register bound to a
+// stream and driven by any sequence of Advance and Seek calls — seeks to 0,
+// past the capacity, forward and back — holds exactly the history of its
+// position: Count, Last, LastInto, AppendKey, Fold and every registered fold
+// (zero length and full capacity included) agree with the stream prefix.
+func TestViewMatchesStreamPrefix(t *testing.T) {
+	const capacity = 32
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		div := randomStream(rng, 1+rng.Intn(4*capacity))
+		r := NewReg(capacity)
+		var folds []*Fold
+		for _, n := range []int{0, 1, 5, 17, capacity} {
+			folds = append(folds, r.NewFold(n, 1+rng.Intn(64)))
 		}
-		// a gets the same prefix via ResetTo instead of pushes.
-		a.ResetTo(entries, uint64(len(entries)))
-
-		for _, v := range post {
-			e := Entry(v & 0x7f)
-			a.Push(e)
-			b.Push(e)
-		}
-		if fa.Value() != fb.Value() {
-			return false
-		}
-		n := 12
-		la, lb := a.Last(n), b.Last(n)
-		for i := range la {
-			if la[i] != lb[i] {
+		r.Bind(div)
+		var k uint64
+		for op := 0; op < 300; op++ {
+			switch x := rng.Intn(10); {
+			case x < 6 && k < uint64(len(div)):
+				r.Advance()
+				k++
+			case x < 7:
+				k = 0
+				r.Seek(k)
+			default:
+				k = uint64(rng.Intn(len(div) + 1))
+				r.Seek(k)
+			}
+			if r.Count() != k {
+				t.Logf("op %d: Count %d, want %d", op, r.Count(), k)
+				return false
+			}
+			for _, fd := range folds {
+				if want := FoldEntries(prefixLast(div, k, fd.Len), fd.Width); fd.Value() != want {
+					t.Logf("op %d at %d: fold(%d,%d) = %#x, want %#x", op, k, fd.Len, fd.Width, fd.Value(), want)
+					return false
+				}
+			}
+			n := rng.Intn(capacity + 1)
+			want := prefixLast(div, k, n)
+			got := make([]Entry, n)
+			r.LastInto(got)
+			key := []byte{byte(n), byte(n >> 8)}
+			for i, e := range want {
+				key = append(key, byte(e))
+				if got[i] != e || r.Last(n)[i] != e {
+					t.Logf("op %d at %d: Last(%d) = %v, want %v", op, k, n, got, want)
+					return false
+				}
+			}
+			if r.Key(n) != string(key) || r.Fold(n, 23) != FoldEntries(want, 23) {
+				t.Logf("op %d at %d: Key or Fold of length %d disagrees with the prefix", op, k, n)
 				return false
 			}
 		}
-		return a.Fold(20, 23) == b.Fold(20, 23) && a.Key(9) == b.Key(9)
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+func TestSeekBeyondStreamPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Seek beyond the bound stream should panic")
+		}
+	}()
+	r := NewReg(4)
+	r.Bind([]Entry{1, 2})
+	r.Seek(3)
 }

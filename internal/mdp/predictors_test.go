@@ -6,11 +6,23 @@ import (
 	"repro/internal/histutil"
 )
 
-// newHists builds bound decode/commit history registers for a predictor.
-func newHists(p Predictor) (*histutil.Reg, *histutil.Reg) {
+// newHists builds decode/commit history registers for a predictor, both
+// bound to the divergent-branch stream div at position 0.
+func newHists(p Predictor, div ...histutil.Entry) (*histutil.Reg, *histutil.Reg) {
 	d, c := histutil.NewReg(2048), histutil.NewReg(2048)
 	p.Bind(d, c)
+	d.Bind(div)
+	c.Bind(div)
 	return d, c
+}
+
+// advance moves every register n entries along its stream.
+func advance(n int, regs ...*histutil.Reg) {
+	for _, r := range regs {
+		for range n {
+			r.Advance()
+		}
+	}
 }
 
 func TestStoreSetsLearnsAndSerialises(t *testing.T) {
@@ -124,20 +136,20 @@ func TestNoSQConfidenceHalvesOnFalseDep(t *testing.T) {
 
 func TestNoSQPathSensitiveWins(t *testing.T) {
 	n := NewNoSQ(DefaultNoSQConfig())
-	d, c := newHists(n)
+	div := []histutil.Entry{histutil.NewEntry(false, true, 0x10)}
+	for i := 0; i < 8; i++ {
+		div = append(div, histutil.NewEntry(false, false, 0x20))
+	}
+	d, c := newHists(n, div...)
 	ld := LoadInfo{PC: 0x1000, StoreCount: 20}
 	// Path 1 trains distance 3.
-	d.Push(histutil.NewEntry(false, true, 0x10))
-	c.Push(histutil.NewEntry(false, true, 0x10))
+	advance(1, d, c)
 	n.TrainViolation(ld, StoreInfo{StoreIndex: 16}, 3, Outcome{}, c)
 	if p := n.Predict(ld, d); p.Kind != Distance || p.Dist != 3 {
 		t.Fatalf("path 1 should give distance 3, got %+v", p)
 	}
 	// Path 2 trains distance 5: the path-sensitive table disambiguates.
-	for i := 0; i < 8; i++ {
-		d.Push(histutil.NewEntry(false, false, 0x20))
-		c.Push(histutil.NewEntry(false, false, 0x20))
-	}
+	advance(8, d, c)
 	n.TrainViolation(ld, StoreInfo{StoreIndex: 14}, 5, Outcome{}, c)
 	if p := n.Predict(ld, d); p.Kind != Distance || p.Dist != 5 {
 		t.Fatalf("path 2 should give distance 5, got %+v", p)
@@ -245,13 +257,14 @@ func TestSimplePredictors(t *testing.T) {
 
 func TestUnlimitedNoSQExactHistories(t *testing.T) {
 	u := NewUnlimitedNoSQ(4)
-	d, c := newHists(u)
-	ld := LoadInfo{PC: 0x1000, StoreCount: 10}
+	var div []histutil.Entry
 	for i := 0; i < 4; i++ {
-		e := histutil.NewEntry(false, i%2 == 0, uint64(i))
-		d.Push(e)
-		c.Push(e)
+		div = append(div, histutil.NewEntry(false, i%2 == 0, uint64(i)))
 	}
+	div = append(div, histutil.NewEntry(true, true, 7))
+	d, c := newHists(u, div...)
+	ld := LoadInfo{PC: 0x1000, StoreCount: 10}
+	advance(4, d, c)
 	u.TrainViolation(ld, StoreInfo{StoreIndex: 8}, 1, Outcome{}, c)
 	if p := u.Predict(ld, d); p.Kind != Distance || p.Dist != 1 {
 		t.Fatalf("trained context should predict, got %+v", p)
@@ -262,7 +275,7 @@ func TestUnlimitedNoSQExactHistories(t *testing.T) {
 	// A different history misses the path-sensitive table (exact keys), so
 	// the prediction falls back to the path-insensitive one — the NoSQ
 	// design's behaviour, not aliasing.
-	d.Push(histutil.NewEntry(true, true, 7))
+	advance(1, d)
 	p := u.Predict(ld, d)
 	if p.Kind != Distance || p.Path == nil || p.Path.Key != "" {
 		t.Errorf("changed history should fall back to the path-insensitive table, got %+v", p)
@@ -271,14 +284,16 @@ func TestUnlimitedNoSQExactHistories(t *testing.T) {
 
 func TestUnlimitedMDPTAGEPathGrowth(t *testing.T) {
 	u := NewUnlimitedMDPTAGE()
-	d, c := newHists(u)
+	var div []histutil.Entry
+	for i := 0; i < 20; i++ {
+		div = append(div, histutil.NewEntry(false, i%3 == 0, uint64(i)))
+	}
+	d, c := newHists(u, div...)
 	ld := LoadInfo{PC: 0x1000, StoreCount: 10}
 	// Distinct 6-branch contexts each allocate a fresh entry — the path
 	// explosion of §III-C.
 	for i := 0; i < 20; i++ {
-		e := histutil.NewEntry(false, i%3 == 0, uint64(i))
-		d.Push(e)
-		c.Push(e)
+		advance(1, d, c)
 		u.TrainViolation(ld, StoreInfo{StoreIndex: 8}, 1, Outcome{}, c)
 	}
 	if u.Paths() < 15 {

@@ -274,15 +274,15 @@ type Core struct {
 	// only predictors declaring NeedsOracle (the Ideal oracle) consume them.
 	needOracle bool
 
-	decodeHist *histutil.Reg
-	commitHist *histutil.Reg
-	// scratchHist reconstructs a load's exact history for detect-time
-	// training (the §IV-A1 ablation); it carries no registered folds.
-	// scratchK memoises the divergent-branch count it currently holds, so
-	// consecutive training events replay only the delta instead of
-	// rebuilding all HistCap entries.
+	// The history registers are views of the bound trace's divergent-branch
+	// entries (pre.DivEntries), which hold every micro-op's history once:
+	// decodeHist advances at fetch and seeks back on a squash, commitHist
+	// advances at commit. scratchHist seeks to a load's branchCount to give
+	// its exact history to detect-time training (the §IV-A1 ablation); it
+	// carries no registered folds, so a seek is O(1).
+	decodeHist  *histutil.Reg
+	commitHist  *histutil.Reg
 	scratchHist *histutil.Reg
-	scratchK    uint64
 
 	tr *trace.Trace
 	// pre holds the trace's divergent-branch history entries, shared
@@ -521,10 +521,7 @@ func (c *Core) Reset(pred mdp.Predictor) error {
 		return err
 	}
 	c.mem.Reset()
-	c.decodeHist.Reset()
-	c.commitHist.Reset()
-	c.scratchHist.Reset()
-	c.scratchK = 0
+	c.bindHist(nil)
 	c.br, c.bp = nil, nil
 	c.pred = pred
 	no, ok := pred.(interface{ NeedsOracle() bool })
@@ -1009,6 +1006,7 @@ const firstPredicted = 1
 // a WarmContext — from a pass of the held unit, which continues it.
 func (c *Core) bindTrace(tr *trace.Trace) error {
 	c.tr, c.pre = tr, tr.Pre()
+	c.bindHist(c.pre.DivEntries)
 	if c.bp != nil {
 		c.br = c.bp.Pass(tr.Insts, firstPredicted)
 	} else {
@@ -1118,30 +1116,17 @@ func (c *Core) finalizeStats() {
 // e.g. PHAST's conflict-length histogram).
 func (c *Core) Predictor() mdp.Predictor { return c.pred }
 
-// histAt rebuilds, in the scratch register, the divergent-branch history of
-// a micro-op that k divergent branches precede (its branchCount). The
-// scratch register is memoised on k: repeat queries are free, forward
-// movement replays only the delta entries (the scratch has no registered
-// folds, so each push is O(1)), and only rewinds or long jumps pay the full
-// rebuild.
-func (c *Core) histAt(k uint64) *histutil.Reg {
-	switch {
-	case k == c.scratchK:
-		// Memoised: already holds exactly this history.
-	case k > c.scratchK && k-c.scratchK <= uint64(c.scratchHist.Cap()):
-		for _, e := range c.pre.DivEntries[c.scratchK:k] {
-			c.scratchHist.Push(e)
-		}
-	default:
-		c.rewindHist(c.scratchHist, k)
-	}
-	c.scratchK = k
-	return c.scratchHist
+// bindHist binds the history registers to div at position 0 (nil unbinds
+// them, so a reset core holds no trace).
+func (c *Core) bindHist(div []histutil.Entry) {
+	c.decodeHist.Bind(div)
+	c.commitHist.Bind(div)
+	c.scratchHist.Bind(div)
 }
 
-// rewindHist resets r to the history of a micro-op that k divergent
-// branches precede: the youngest entries up to r's capacity, count k.
-func (c *Core) rewindHist(r *histutil.Reg, k uint64) {
-	lo := k - min(k, uint64(r.Cap()))
-	r.ResetTo(c.pre.DivEntries[lo:k], k)
+// histAt returns, in the scratch register, the divergent-branch history of
+// a micro-op that k divergent branches precede (its branchCount).
+func (c *Core) histAt(k uint64) *histutil.Reg {
+	c.scratchHist.Seek(k)
+	return c.scratchHist
 }

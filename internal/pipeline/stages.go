@@ -3,7 +3,6 @@ package pipeline
 import (
 	"repro/internal/isa"
 	"repro/internal/mdp"
-	"repro/internal/trace"
 )
 
 // fetchStage fetches, decodes and dispatches up to the front-end width of
@@ -59,7 +58,7 @@ func (c *Core) fetchStage() bool {
 		}
 		if in.IsBranch() {
 			if in.Divergent() {
-				c.decodeHist.Push(trace.EntryOf(in))
+				c.decodeHist.Advance()
 			}
 			// The branch predictor trains once per static occurrence; after
 			// a squash the front end restores its checkpointed state rather
@@ -309,7 +308,7 @@ func (c *Core) commitStage() bool {
 			c.commitLoad(e)
 		}
 		if in.Divergent() {
-			c.commitHist.Push(trace.EntryOf(in))
+			c.commitHist.Advance()
 		}
 		if c.opt.Verify != nil {
 			if err := c.verifyCommit(e); err != nil {
@@ -447,7 +446,7 @@ func (c *Core) squash(ld *robEntry) {
 	// branches older than the re-fetched load, or re-dispatched loads predict
 	// with future branches in their context.
 	c.fetchStores = ld.storeCount
-	c.rewindHist(c.decodeHist, ld.branchCount)
+	c.decodeHist.Seek(ld.branchCount)
 }
 
 // drainStoreBuffer writes committed stores to the cache and frees their

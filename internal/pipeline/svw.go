@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"repro/internal/histutil"
-	"repro/internal/isa"
 	"repro/internal/mdp"
 )
 
@@ -179,5 +178,3 @@ func (c *Core) noteCommittedStore(e *robEntry) {
 	}
 	c.committedStores++
 }
-
-var _ = isa.Overlap // keep the import for documentation cross-references

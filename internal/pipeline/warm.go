@@ -108,10 +108,7 @@ func (c *Core) resetTraceState() {
 		panic("pipeline: warm-up ended with in-flight state")
 	}
 	c.tr, c.pre = nil, nil
-	c.decodeHist.Reset()
-	c.commitHist.Reset()
-	c.scratchHist.Reset()
-	c.scratchK = 0
+	c.bindHist(nil)
 	c.lastWriter = [isa.NumRegs]uint64{}
 	clear(c.readyAt)
 	c.clearWake()
