@@ -7,8 +7,9 @@ all: build test
 # Full pre-merge gate: gofmt-clean sources + vet (of the root module and of
 # the phastbench module, which has its own go.mod) + build + race-enabled tests
 # (the one-batch figure tests three more times, to shake out ordering races
-# in the batch slicing) + the fault-injection suite under -race + 10 seconds
-# each of the two pipeline fuzz targets + a cached-vs-uncached paperfigs
+# in the batch slicing, and the shared single-flight memo ten more) + the
+# fault-injection suite under -race + 10 seconds each of the two pipeline
+# fuzz targets + a cached-vs-uncached paperfigs
 # smoke proving the persistent run cache reproduces byte-identical tables
 # with zero re-simulations, one iteration of every per-layer benchmark, the
 # phastbench self-test, and the full-suite results regenerated and compared
@@ -23,6 +24,7 @@ check:
 	go build ./...
 	go test -race ./...
 	go test -race -count=3 -run 'FigureTables|Batch' ./internal/experiments
+	go test -race -count=10 ./internal/memo
 	$(MAKE) chaos
 	$(MAKE) fuzz-smoke
 	$(MAKE) examples

@@ -11,7 +11,7 @@ import (
 	"repro/internal/workload"
 )
 
-// histCap is the core's history capacity (pipeline.Options.HistCap).
+// histCap is the core's history capacity (pipeline.HistCap).
 const histCap = 2048
 
 // boundRegs returns a decode register carrying the folds the predictor

@@ -59,9 +59,6 @@ type Options struct {
 	Filter FilterMode
 	// BranchPredictor names the direction predictor (default "tagescl").
 	BranchPredictor string
-	// HistCap is the divergent-branch history register capacity
-	// (default 2048, covering MDP-TAGE's 2000-branch histories).
-	HistCap int
 	// TrainAtDetect trains the predictor when a mispeculation is detected
 	// (at store address resolution) instead of at commit — the §IV-A1
 	// ablation. Early training can learn stores that are not the youngest
@@ -86,8 +83,12 @@ type Options struct {
 
 // DefaultOptions returns the options every headline experiment uses.
 func DefaultOptions() Options {
-	return Options{Filter: FilterFwd, BranchPredictor: "tagescl", HistCap: 2048}
+	return Options{Filter: FilterFwd, BranchPredictor: "tagescl"}
 }
+
+// HistCap is the divergent-branch history register capacity, covering
+// MDP-TAGE's 2000-branch histories.
+const HistCap = 2048
 
 type entryState uint8
 
@@ -454,9 +455,6 @@ func New(cfg config.Machine, pred mdp.Predictor, opt Options) (*Core, error) {
 	if opt.BranchPredictor == "" {
 		opt.BranchPredictor = "tagescl"
 	}
-	if opt.HistCap == 0 {
-		opt.HistCap = 2048
-	}
 	if opt.MaxCycles == 0 {
 		opt.MaxCycles = 400_000_000
 	}
@@ -467,9 +465,9 @@ func New(cfg config.Machine, pred mdp.Predictor, opt Options) (*Core, error) {
 		cfg:         cfg,
 		opt:         opt,
 		mem:         cache.New(cfg),
-		decodeHist:  histutil.NewReg(opt.HistCap),
-		commitHist:  histutil.NewReg(opt.HistCap),
-		scratchHist: histutil.NewReg(opt.HistCap),
+		decodeHist:  histutil.NewReg(HistCap),
+		commitHist:  histutil.NewReg(HistCap),
+		scratchHist: histutil.NewReg(HistCap),
 		rob:         make([]robEntry, pow2ceil(cfg.ROB)),
 		robCap:      uint64(cfg.ROB),
 		st:          make([]storeSlot, pow2ceil(2*cfg.SQ)),

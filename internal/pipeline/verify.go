@@ -49,7 +49,6 @@ type CommitCheck func(ev *CommitEvent) error
 type OptionsKey struct {
 	Filter          FilterMode
 	BranchPredictor string
-	HistCap         int
 	TrainAtDetect   bool
 	MaxCycles       uint64
 	WatchdogCycles  uint64
@@ -60,7 +59,6 @@ func (o Options) Key() OptionsKey {
 	return OptionsKey{
 		Filter:          o.Filter,
 		BranchPredictor: o.BranchPredictor,
-		HistCap:         o.HistCap,
 		TrainAtDetect:   o.TrainAtDetect,
 		MaxCycles:       o.MaxCycles,
 		WatchdogCycles:  o.WatchdogCycles,

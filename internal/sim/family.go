@@ -46,7 +46,7 @@ func tableSize(def int) *argRule { return &argRule{def: def, min: 16, max: 65536
 
 // maxHistory bounds the history lengths of the unlimited predictors: the
 // history register cannot reproduce a longer one.
-var maxHistory = pipeline.DefaultOptions().HistCap
+const maxHistory = pipeline.HistCap
 
 // fourWay is one 4-way set-associative table of entries entryBits wide,
 // probed parallel times per access.

@@ -6,6 +6,7 @@ package sim
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/mdp"
+	"repro/internal/memo"
 	"repro/internal/oracle"
 	"repro/internal/parsim"
 	"repro/internal/pipeline"
@@ -141,31 +143,24 @@ func (cfg Config) Normalized() Config {
 	return cfg
 }
 
-// traceCache is the trace intern pool: workload generation is deterministic,
-// so (app, n, seed) fully determines a stream's content and every run of the
-// same workload can share one immutable *Trace — along with its lazily built
-// prefix structures (trace.Prefixes), which the timing model would otherwise
-// recompute per run. Capacity covers a full-suite sweep at one instruction
-// count with headroom for mixed lengths.
-var traceCache = struct {
-	sync.Mutex
-	entries map[string]*traceEntry
-	order   []string
-}{entries: map[string]*traceEntry{}}
-
-// traceEntry single-flights one stream's generation: the cache lock only
-// covers the map, and the first caller of a key generates outside it while
-// concurrent callers of the same key block on the Once (not on each other's
-// unrelated generations — a parallel sweep's first wave used to serialise
-// every distinct workload behind one mutex hold).
-type traceEntry struct {
-	once sync.Once
-	t    *trace.Trace
+// streamKey names one interned stream. Workload generation is
+// deterministic, so (app, n, seed) fully determines a generated stream; a
+// truncated view of an uploaded stream is keyed by its trace app and length,
+// with seed 0.
+type streamKey struct {
+	app  string
+	n    int
+	seed int64
 }
 
-const traceCacheCap = 32
+// streams is the trace intern pool: every run of one workload shares one
+// immutable *Trace, along with its lazily built structures (Trace.Pre,
+// Trace.BranchOutcomes), which the timing model would otherwise recompute per
+// run. Its capacity covers a full-suite sweep at one instruction count with
+// headroom for mixed lengths.
+var streams = memo.New[streamKey, *trace.Trace](32)
 
-// Intern-pool counters, readable via Counters / PublishMetrics.
+// Intern-pool counters, published by PublishMetrics.
 var (
 	traceInternHits   atomic.Uint64
 	traceInternMisses atomic.Uint64
@@ -186,30 +181,28 @@ func TraceFor(app string, n int, seed int64) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%s/%d/%d", app, n, seed)
-	traceCache.Lock()
-	e, ok := traceCache.entries[key]
-	if ok {
+	return intern(streamKey{app: app, n: n, seed: seed}, func() (*trace.Trace, error) {
+		return trace.Generate(prog, n, seed), nil
+	})
+}
+
+// intern returns k's stream from the pool, building it on a miss, and
+// counts the hit or miss.
+func intern(k streamKey, build func() (*trace.Trace, error)) (*trace.Trace, error) {
+	tr, hit, err := streams.Get(k, build)
+	if hit {
 		traceInternHits.Add(1)
 	} else {
 		traceInternMisses.Add(1)
-		e = &traceEntry{}
-		if len(traceCache.order) >= traceCacheCap {
-			delete(traceCache.entries, traceCache.order[0])
-			traceCache.order = traceCache.order[1:]
-		}
-		traceCache.entries[key] = e
-		traceCache.order = append(traceCache.order, key)
 	}
-	traceCache.Unlock()
-	e.once.Do(func() { e.t = trace.Generate(prog, n, seed) })
-	return e.t, nil
+	return tr, err
 }
 
-// PrewarmTrace interns the (app, n, seed) stream and precomputes its prefix
-// structures (trace.Prefixes), so a following batch of runs over the same
-// workload starts from a fully warm shared trace instead of racing to build
-// it on the first run's critical path.
+// PrewarmTrace interns the (app, n, seed) stream and builds its prefixes
+// (trace.Prefixes), so a following batch of runs over the same workload
+// does not race to build them on the first run's critical path. It does not
+// build the branch outcomes (Trace.BranchOutcomes): the first run builds
+// those for its own direction predictor.
 func PrewarmTrace(app string, n int, seed int64) error {
 	tr, err := TraceFor(app, n, seed)
 	if err != nil {
@@ -333,51 +326,91 @@ func Run(cfg Config) (*stats.Run, error) {
 // as a typed *SimError, so one broken run poisons one result, never the
 // process. The row names the predictor as cfg spells it, not in the
 // canonical spelling Normalized keys the run under.
-func RunContext(ctx context.Context, cfg Config) (run *stats.Run, err error) {
+func RunContext(ctx context.Context, cfg Config) (*stats.Run, error) {
+	r, _, err := run(ctx, cfg, false)
+	return r, err
+}
+
+// RunCore is like Run but also returns the core, so callers can inspect
+// predictor internals (conflict-length histograms, path counts). The core is
+// always freshly built — ownership passes to the caller, never to the pool.
+// A run split into intervals has no one core to return, so Intervals > 1
+// fails as ErrConfig. Failures return as typed *SimErrors, like RunContext.
+func RunCore(cfg Config) (*stats.Run, *pipeline.Core, error) {
+	return run(context.Background(), cfg, true)
+}
+
+// verifier is the architectural oracle a verified run binds to its core
+// (oracle.Checker). newChecker builds it; a test substitutes a checker that
+// misses retirements to reach the completeness check below.
+type verifier interface {
+	Check(ev *pipeline.CommitEvent) error
+	Committed() int
+}
+
+var newChecker = func(tr *trace.Trace) verifier { return oracle.NewChecker(tr) }
+
+// run is the one run path behind RunContext and RunCore. own asks for a
+// fresh core that passes to the caller; otherwise a sequential run borrows a
+// pooled core (see corePool) unless the oracle checks it: a verified core's
+// callback closes over run-local checker state, so it is always fresh and
+// never pooled. The core is returned only when own.
+func run(ctx context.Context, cfg Config, own bool) (r *stats.Run, c *pipeline.Core, err error) {
 	spelled := cfg.Predictor
 	cfg = cfg.Normalized()
 	defer func() {
 		if v := recover(); v != nil {
-			run, err = nil, newPanicError(cfg, v, debug.Stack())
+			r, c, err = nil, nil, newPanicError(cfg, v, debug.Stack())
 		}
 	}()
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, wrapError(cfg, cerr)
+		return nil, nil, wrapError(cfg, cerr)
+	}
+	if own && cfg.Intervals > 1 {
+		return nil, nil, &SimError{Kind: ErrConfig, Config: cfg, Err: errors.New("sim: RunCore simulates one core; Intervals > 1 is not supported")}
 	}
 	machine, pred, tr, err := runSetup(cfg)
 	if err != nil {
-		return nil, &SimError{Kind: ErrConfig, Config: cfg, Err: err}
+		return nil, nil, &SimError{Kind: ErrConfig, Config: cfg, Err: err}
 	}
 	opt := pipelineOptions(cfg)
 	if cfg.Intervals > 1 {
-		run, rerr := runIntervals(ctx, cfg, machine, opt, tr)
-		if rerr != nil {
-			return nil, wrapError(cfg, rerr)
+		if r, err = runIntervals(ctx, cfg, machine, opt, tr); err != nil {
+			return nil, nil, wrapError(cfg, err)
 		}
-		run.Predictor = cmp.Or(spelled, cfg.Predictor)
-		return run, nil
+		r.Predictor = cmp.Or(spelled, cfg.Predictor)
+		return r, nil, nil
 	}
+	var ck verifier
 	if cfg.Verify {
-		run, rerr := runVerified(ctx, machine, pred, opt, tr)
-		if rerr != nil {
-			return nil, wrapError(cfg, rerr)
-		}
-		run.Predictor = cmp.Or(spelled, cfg.Predictor)
-		return run, nil
+		ck = newChecker(tr)
+		opt.Verify = ck.Check
 	}
+	pooled := !own && ck == nil
 	key := coreKey{machine: machine, opt: opt.Key()}
-	c, err := getCore(key, opt, pred)
+	if pooled {
+		c, err = getCore(key, opt, pred)
+	} else {
+		c, err = pipeline.New(machine, pred, opt)
+	}
 	if err != nil {
-		return nil, &SimError{Kind: ErrConfig, Config: cfg, Err: err}
+		return nil, nil, &SimError{Kind: ErrConfig, Config: cfg, Err: err}
 	}
-	run, rerr := c.RunContext(ctx, tr)
-	if rerr != nil {
+	r, err = c.RunContext(ctx, tr)
+	if err == nil && ck != nil && ck.Committed() != tr.Len() {
+		err = &oracle.DivergenceError{Cycle: r.Cycles, TraceIdx: ck.Committed(),
+			Reason: fmt.Sprintf("run finished but only %d of %d micro-ops were verified", ck.Committed(), tr.Len())}
+	}
+	if err != nil {
 		// The core is mid-run; drop it rather than pooling dirty state.
-		return nil, wrapError(cfg, rerr)
+		return nil, nil, wrapError(cfg, err)
 	}
-	putCore(key, c)
-	run.Predictor = cmp.Or(spelled, cfg.Predictor)
-	return run, nil
+	if pooled {
+		putCore(key, c)
+		c = nil
+	}
+	r.Predictor = cmp.Or(spelled, cfg.Predictor)
+	return r, c, nil
 }
 
 // runIntervals executes one simulation as Config.Intervals concurrent
@@ -409,61 +442,6 @@ func runIntervals(ctx context.Context, cfg Config, machine config.Machine, opt p
 	if err != nil {
 		return nil, err
 	}
-	run := res.Run
-	return &run, nil
-}
-
-// runVerified executes one simulation with the architectural oracle checking
-// the retirement stream. The core is always fresh and never pooled: its
-// Verify callback closes over run-local checker state.
-func runVerified(ctx context.Context, machine config.Machine, pred mdp.Predictor, opt pipeline.Options, tr *trace.Trace) (*stats.Run, error) {
-	ck := oracle.NewChecker(tr)
-	opt.Verify = ck.Check
-	c, err := pipeline.New(machine, pred, opt)
-	if err != nil {
-		return nil, err
-	}
-	run, err := c.RunContext(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
-	if got, want := ck.Committed(), tr.Len(); got != want {
-		return nil, &oracle.DivergenceError{Cycle: run.Cycles, TraceIdx: got,
-			Reason: fmt.Sprintf("run finished but only %d of %d micro-ops were verified", got, want)}
-	}
-	return run, nil
-}
-
-// RunCore is like Run but also returns the core, so callers can inspect
-// predictor internals (conflict-length histograms, path counts). The core is
-// always freshly built — ownership passes to the caller, never to the pool.
-// Failures return as typed *SimErrors, like RunContext.
-func RunCore(cfg Config) (run *stats.Run, core *pipeline.Core, err error) {
-	spelled := cfg.Predictor
-	cfg = cfg.Normalized()
-	defer func() {
-		if v := recover(); v != nil {
-			run, core, err = nil, nil, newPanicError(cfg, v, debug.Stack())
-		}
-	}()
-	machine, pred, tr, err := runSetup(cfg)
-	if err != nil {
-		return nil, nil, &SimError{Kind: ErrConfig, Config: cfg, Err: err}
-	}
-	opt := pipelineOptions(cfg)
-	var ck *oracle.Checker
-	if cfg.Verify {
-		ck = oracle.NewChecker(tr)
-		opt.Verify = ck.Check
-	}
-	c, err := pipeline.New(machine, pred, opt)
-	if err != nil {
-		return nil, nil, &SimError{Kind: ErrConfig, Config: cfg, Err: err}
-	}
-	run, rerr := c.Run(tr)
-	if rerr != nil {
-		return nil, nil, wrapError(cfg, rerr)
-	}
-	run.Predictor = cmp.Or(spelled, cfg.Predictor)
-	return run, c, nil
+	r := res.Run
+	return &r, nil
 }

@@ -3,6 +3,10 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/oracle"
+	"repro/internal/pipeline"
+	"repro/internal/trace"
 )
 
 // TestNewPredictorSpecs: every family builds at its default and at each
@@ -93,6 +97,44 @@ func TestRunCoreExposesPredictor(t *testing.T) {
 	}
 	if c.Predictor().Name() != "unlimited-phast" {
 		t.Error("RunCore must expose the bound predictor")
+	}
+}
+
+// TestRunCoreRejectsIntervals: RunCore returns one core, so an
+// interval-split run fails as a typed config error instead of silently
+// simulating sequentially.
+func TestRunCoreRejectsIntervals(t *testing.T) {
+	_, c, err := RunCore(Config{App: "511.povray", Predictor: "none", Instructions: 5000, Intervals: 2})
+	if KindOf(err) != ErrConfig || c != nil {
+		t.Fatalf("RunCore with Intervals 2: err %v, core returned %v; want a config error and no core", err, c != nil)
+	}
+}
+
+// dropLast is a checker that never sees the retirement of micro-op last.
+type dropLast struct {
+	verifier
+	last int
+}
+
+func (d dropLast) Check(ev *pipeline.CommitEvent) error {
+	if ev.TraceIdx == d.last {
+		return nil
+	}
+	return d.verifier.Check(ev)
+}
+
+// TestVerifiedRunsCheckCompleteness: a verified run whose oracle did not
+// see every micro-op retire fails as ErrVerify, through RunCore as through
+// Run.
+func TestVerifiedRunsCheckCompleteness(t *testing.T) {
+	defer func(f func(*trace.Trace) verifier) { newChecker = f }(newChecker)
+	newChecker = func(tr *trace.Trace) verifier { return dropLast{oracle.NewChecker(tr), tr.Len() - 1} }
+	cfg := Config{App: "511.povray", Predictor: "none", Instructions: 5000, Verify: true}
+	if _, err := Run(cfg); KindOf(err) != ErrVerify {
+		t.Errorf("Run: err %v, want a verify error", err)
+	}
+	if _, _, err := RunCore(cfg); KindOf(err) != ErrVerify {
+		t.Errorf("RunCore: err %v, want a verify error", err)
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/contentaddr"
+	"repro/internal/memo"
 	"repro/internal/trace"
 )
 
@@ -40,79 +40,40 @@ func TraceDigest(app string) (digest string, ok bool, err error) {
 	return digest, true, nil
 }
 
-// providedTraces registers uploaded streams by digest for this process.
-// Content addressing makes the registry safe to share across every
-// consumer in the process (including multi-node in-process fleet tests):
-// two providers of one digest are by construction providing the same
-// immutable stream. Bounded like the trace intern pool.
-var providedTraces = struct {
-	sync.Mutex
-	entries map[string]*trace.Trace
-	order   []string
-}{entries: map[string]*trace.Trace{}}
-
-const providedTracesCap = 32
+// provided registers uploaded streams by digest for this process. Content
+// addressing makes the registry safe to share across every consumer in the
+// process (including multi-node in-process fleet tests): two providers of
+// one digest are by construction providing the same immutable stream.
+// Bounded like the trace intern pool.
+var provided = memo.New[string, *trace.Trace](32)
 
 // ProvideTrace registers the decoded stream for a digest, making
 // Config.App "trace:<digest>" runnable. The caller vouches that tr is the
 // decode of the canonical bytes hashing to digest; re-providing a digest is
 // a cheap no-op.
 func ProvideTrace(digest string, tr *trace.Trace) {
-	providedTraces.Lock()
-	defer providedTraces.Unlock()
-	if _, ok := providedTraces.entries[digest]; ok {
-		return
-	}
-	if len(providedTraces.order) >= providedTracesCap {
-		delete(providedTraces.entries, providedTraces.order[0])
-		providedTraces.order = providedTraces.order[1:]
-	}
-	providedTraces.entries[digest] = tr
-	providedTraces.order = append(providedTraces.order, digest)
+	// The build cannot fail, so there is no error to handle.
+	_, _, _ = provided.Get(digest, func() (*trace.Trace, error) { return tr, nil })
 }
 
 // TraceProvided reports whether a digest's stream is already registered.
-func TraceProvided(digest string) bool {
-	providedTraces.Lock()
-	defer providedTraces.Unlock()
-	_, ok := providedTraces.entries[digest]
-	return ok
-}
+func TraceProvided(digest string) bool { return provided.Has(digest) }
 
 // traceForDigest resolves a trace app's stream: the registered full stream,
 // truncated to n micro-ops when the run asks for fewer (the same
 // "Instructions = stream length" contract synthetic workloads have; a run
 // asking for more than the trace holds gets the whole trace). Seed has no
-// effect on an uploaded stream. Truncated variants are interned in the
-// ordinary trace cache so they share prefix structures across runs.
+// effect on an uploaded stream. Truncated views are interned in the
+// ordinary trace pool so they share prefix structures across runs.
 func traceForDigest(app, digest string, n int) (*trace.Trace, error) {
-	providedTraces.Lock()
-	full := providedTraces.entries[digest]
-	providedTraces.Unlock()
-	if full == nil {
+	full, ok := provided.Peek(digest)
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTraceUnavailable, digest)
 	}
 	if n <= 0 || n >= full.Len() {
 		return full, nil
 	}
-	key := fmt.Sprintf("%s/%d/0", app, n)
-	traceCache.Lock()
-	e, ok := traceCache.entries[key]
-	if ok {
-		traceInternHits.Add(1)
-	} else {
-		traceInternMisses.Add(1)
-		e = &traceEntry{}
-		if len(traceCache.order) >= traceCacheCap {
-			delete(traceCache.entries, traceCache.order[0])
-			traceCache.order = traceCache.order[1:]
-		}
-		traceCache.entries[key] = e
-		traceCache.order = append(traceCache.order, key)
-	}
-	traceCache.Unlock()
-	e.once.Do(func() {
-		e.t = &trace.Trace{Name: full.Name, Insts: full.Insts[:n]}
+	return intern(streamKey{app: app, n: n}, func() (*trace.Trace, error) {
+		return &trace.Trace{Name: full.Name, Insts: full.Insts[:n]}, nil
 	})
-	return e.t, nil
 }

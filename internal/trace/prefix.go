@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"sync"
-
 	"repro/internal/bpred"
 	"repro/internal/histutil"
 	"repro/internal/isa"
@@ -54,13 +52,10 @@ func EntryOf(in *isa.Inst) histutil.Entry {
 	return histutil.NewEntry(in.Class.IndirectTarget(), in.Taken, dest)
 }
 
-// branchMemo is one entry of a trace's branch-outcome memo.
-type branchMemo struct {
+// branchKey names one entry of a trace's branch-outcome memo.
+type branchKey struct {
 	dir  string
 	from int
-	once sync.Once
-	out  *bpred.Outcomes
-	err  error
 }
 
 // BranchOutcomes returns the outcomes of a fresh prediction unit with
@@ -71,26 +66,12 @@ type branchMemo struct {
 // trace. Safe for concurrent use: concurrent first uses build once, and a
 // hit allocates nothing. The result must be treated as read-only.
 func (t *Trace) BranchOutcomes(dir string, from int) (*bpred.Outcomes, error) {
-	t.branchMu.Lock()
-	var m *branchMemo
-	for _, x := range t.branches {
-		if x.dir == dir && x.from == from {
-			m = x
-			break
-		}
-	}
-	if m == nil {
-		m = &branchMemo{dir: dir, from: from}
-		t.branches = append(t.branches, m)
-	}
-	t.branchMu.Unlock()
-	m.once.Do(func() {
+	out, _, err := t.branches.Get(branchKey{dir: dir, from: from}, func() (*bpred.Outcomes, error) {
 		d, err := bpred.NewDir(dir)
 		if err != nil {
-			m.err = err
-			return
+			return nil, err
 		}
-		m.out = bpred.NewUnit(d).Pass(t.Insts, from)
+		return bpred.NewUnit(d).Pass(t.Insts, from), nil
 	})
-	return m.out, m.err
+	return out, err
 }

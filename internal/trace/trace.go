@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/bpred"
 	"repro/internal/isa"
+	"repro/internal/memo"
 	"repro/internal/workload"
 )
 
@@ -27,8 +29,7 @@ type Trace struct {
 	preOnce sync.Once
 	pre     *Prefixes
 
-	branchMu sync.Mutex
-	branches []*branchMemo
+	branches memo.Cache[branchKey, *bpred.Outcomes] // unbounded
 }
 
 // Generate produces the first n micro-ops of a program's stream.

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/atomicfile"
 	"repro/internal/contentaddr"
+	"repro/internal/memo"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -90,25 +91,12 @@ type Store struct {
 	mu    sync.Mutex
 	usage map[string]int64 // tenant -> charged bytes, lazily loaded from disk
 
-	// interned decoded traces, so repeated runs by digest share one
+	// traces interns decoded traces, so repeated runs by digest share one
 	// immutable *trace.Trace (and its prefix structures) instead of
-	// re-decoding per run. Mirrors sim's intern pool.
-	intern struct {
-		sync.Mutex
-		entries map[string]*internEntry
-		order   []string
-	}
+	// re-decoding per run. New bounds it at 16; a full scenario mix over
+	// uploaded traces stays far below that.
+	traces *memo.Cache[string, *trace.Trace]
 }
-
-type internEntry struct {
-	once sync.Once
-	t    *trace.Trace
-	err  error
-}
-
-// internCap bounds decoded traces held in memory; a full scenario mix over
-// uploaded traces stays far below it.
-const internCap = 16
 
 // Counter names bumped on a registry attached via SetMetrics.
 const (
@@ -136,10 +124,8 @@ func New(dir string, opt Options) *Store {
 	case opt.TenantQuotaBytes < 0:
 		opt.TenantQuotaBytes = 1<<63 - 1
 	}
-	s := &Store{dir: dir, maxTrace: opt.MaxTraceBytes, tenantQuota: opt.TenantQuotaBytes,
-		usage: map[string]int64{}}
-	s.intern.entries = map[string]*internEntry{}
-	return s
+	return &Store{dir: dir, maxTrace: opt.MaxTraceBytes, tenantQuota: opt.TenantQuotaBytes,
+		usage: map[string]int64{}, traces: memo.New[string, *trace.Trace](16)}
 }
 
 // Dir returns the store's root directory.
@@ -329,48 +315,23 @@ func (s *Store) Has(digest string) bool {
 }
 
 // Trace returns the decoded stream stored under digest, interned so
-// concurrent and repeated runs share one immutable *trace.Trace.
+// concurrent and repeated runs share one immutable *trace.Trace. A failed
+// read or decode is not interned, so a later call retries after the peer
+// tier repairs the store.
 func (s *Store) Trace(digest string) (*trace.Trace, error) {
-	s.intern.Lock()
-	e, ok := s.intern.entries[digest]
-	if ok {
+	tr, hit, err := s.traces.Get(digest, func() (*trace.Trace, error) {
+		data, err := s.Get(digest)
+		if err != nil {
+			return nil, err
+		}
+		return trace.Decode(bytes.NewReader(data))
+	})
+	if hit {
 		s.count(CounterInternHits, 1)
 	} else {
 		s.count(CounterInternMiss, 1)
-		e = &internEntry{}
-		if len(s.intern.order) >= internCap {
-			delete(s.intern.entries, s.intern.order[0])
-			s.intern.order = s.intern.order[1:]
-		}
-		s.intern.entries[digest] = e
-		s.intern.order = append(s.intern.order, digest)
 	}
-	s.intern.Unlock()
-	e.once.Do(func() {
-		data, err := s.Get(digest)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.t, e.err = trace.Decode(bytes.NewReader(data))
-	})
-	if e.err != nil {
-		// Drop the failed entry so a later fetch can retry after the peer
-		// tier repairs the store.
-		s.intern.Lock()
-		if s.intern.entries[digest] == e {
-			delete(s.intern.entries, digest)
-			for i, d := range s.intern.order {
-				if d == digest {
-					s.intern.order = append(s.intern.order[:i], s.intern.order[i+1:]...)
-					break
-				}
-			}
-		}
-		s.intern.Unlock()
-		return nil, e.err
-	}
-	return e.t, nil
+	return tr, err
 }
 
 // TenantUsage returns a tenant's charged stored bytes.
