@@ -2,9 +2,23 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
+)
+
+// The ablation sweeps. Each is also a ready-made autotuner job under
+// examples/jobspecs/ (trainpoint.json, confidence.json, history.json), and
+// TestExampleSpecsMirrorAblations keeps the two the same sweep.
+var (
+	// trainPoints is every headline predictor trained at commit and at
+	// detection.
+	trainPoints = Space{Predictors: sim.PredictorNames(), TrainAtDetect: []bool{false, true}}
+	// confMaxes are PHAST confidence ceilings.
+	confMaxes = Space{Predictors: []string{"phast-conf:1", "phast-conf:3", "phast-conf:7", "phast-conf:15"}}
+	// tableCounts are prefixes of PHAST's history length sequence.
+	tableCounts = Space{Predictors: []string{"phast-tables:1", "phast-tables:2", "phast-tables:4", "phast-tables:6", "phast-tables:8"}}
 )
 
 // AblationTrainPoint reproduces the §IV-A1 update-point analysis: every
@@ -16,17 +30,12 @@ func AblationTrainPoint(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Ablation — predictor update point (IPC vs ideal)",
 		"predictor", "at detection", "at commit")
-	preds := sim.PredictorNames()
-	var variants []sim.Config
-	for _, pred := range preds {
-		variants = append(variants, sim.Config{Predictor: pred, TrainAtDetect: true}, sim.Config{Predictor: pred})
-	}
-	ideal, grid, err := r.vsIdeal(variants)
+	ideal, grid, err := r.vsIdeal(trainPoints.Variants())
 	if err != nil {
 		return err
 	}
-	for i, pred := range preds {
-		t.AddRowf(pred, GeoIPCvsIdeal(grid[2*i], ideal), GeoIPCvsIdeal(grid[2*i+1], ideal))
+	for i, pred := range trainPoints.Predictors {
+		t.AddRowf(pred, GeoIPCvsIdeal(grid[2*i+1], ideal), GeoIPCvsIdeal(grid[2*i], ideal))
 	}
 	fmt.Fprintln(o.Out, t)
 	return nil
@@ -36,34 +45,28 @@ func AblationTrainPoint(r *Runner) error {
 // silences aliased or data-dependent entries (§IV-A2). ConfMax 0 disables
 // predictions entirely; 1 gives one strike; 15 is the paper's 4-bit counter.
 func AblationConfidence(r *Runner) error {
-	t := stats.NewTable("Ablation — PHAST confidence ceiling (IPC vs ideal)",
-		"conf max", "IPC/ideal")
-	return sweepVsIdeal(r, t, "phast-conf:%d", []int{1, 3, 7, 15})
+	return argTable(r, confMaxes, stats.NewTable("Ablation — PHAST confidence ceiling (IPC vs ideal)",
+		"conf max", "IPC/ideal"))
 }
 
 // AblationHistoryTables sweeps the number of PHAST tables (prefixes of the
 // geometric length sequence), quantifying what each extra history length
 // buys — the design-choice study behind the (0..32) sequence of §IV-B.
 func AblationHistoryTables(r *Runner) error {
-	t := stats.NewTable("Ablation — PHAST history length set (IPC vs ideal)",
-		"lengths", "IPC/ideal")
-	return sweepVsIdeal(r, t, "phast-tables:%d", []int{1, 2, 4, 6, 8})
+	return argTable(r, tableCounts, stats.NewTable("Ablation — PHAST history length set (IPC vs ideal)",
+		"lengths", "IPC/ideal"))
 }
 
-// sweepVsIdeal adds one row per value v to t: v and the geometric-mean IPC
-// versus ideal of the predictor spec fmt.Sprintf(format, v), all run as one
-// batch; it then prints t.
-func sweepVsIdeal(r *Runner, t *stats.Table, format string, values []int) error {
-	specs := make([]string, len(values))
-	for i, v := range values {
-		specs[i] = fmt.Sprintf(format, v)
-	}
-	ideal, grid, err := r.vsIdeal(predVariants("alderlake", specs...))
+// argTable adds one row per predictor spec of sp to t, its argument and
+// its geometric-mean IPC versus ideal, and prints t.
+func argTable(r *Runner, sp Space, t *stats.Table) error {
+	ideal, grid, err := r.vsIdeal(sp.Variants())
 	if err != nil {
 		return err
 	}
-	for i, v := range values {
-		t.AddRowf(v, GeoIPCvsIdeal(grid[i], ideal))
+	for i, spec := range sp.Predictors {
+		_, arg, _ := strings.Cut(spec, ":")
+		t.AddRowf(arg, GeoIPCvsIdeal(grid[i], ideal))
 	}
 	fmt.Fprintln(r.Opt().Out, t)
 	return nil
@@ -77,21 +80,25 @@ func AblationFilter(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Ablation — mis-speculation filtering (IPC vs ideal)",
 		"predictor", "none", "svw", "fwd")
-	preds := sim.PredictorNames()
-	var variants []sim.Config
-	for _, pred := range preds {
-		variants = append(variants,
-			sim.Config{Predictor: pred, FwdFilterOff: true},
-			sim.Config{Predictor: pred, SVWFilter: true},
-			sim.Config{Predictor: pred})
-	}
-	ideal, grid, err := r.vsIdeal(variants)
+	ideal, grid, err := r.vsIdeal(filterModes(headline))
 	if err != nil {
 		return err
 	}
-	for i, pred := range preds {
+	for i, pred := range headline.Predictors {
 		t.AddRowf(pred, GeoIPCvsIdeal(grid[3*i], ideal), GeoIPCvsIdeal(grid[3*i+1], ideal), GeoIPCvsIdeal(grid[3*i+2], ideal))
 	}
 	fmt.Fprintln(o.Out, t)
 	return nil
+}
+
+// filterModes crosses every variant of sp with the three filter modes of
+// abl-filter, in its column order: none, SVW, forwarding filter.
+func filterModes(sp Space) []sim.Config {
+	var out []sim.Config
+	for _, v := range sp.Variants() {
+		none, svw := v, v
+		none.FwdFilterOff, svw.SVWFilter = true, true
+		out = append(out, none, svw, v)
+	}
+	return out
 }

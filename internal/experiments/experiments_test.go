@@ -58,7 +58,7 @@ func TestRunnerMemoises(t *testing.T) {
 func TestRunAppsOrder(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	grid, err := r.RunGrid(predVariants("alderlake", "ideal", "none"))
+	grid, err := r.RunGrid(Space{Predictors: []string{"ideal", "none"}}.Variants())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/energy"
@@ -22,18 +23,17 @@ func Fig12(r *Runner) error {
 		Title: "Fig. 12 (chart) — IPC vs ideal, No FWD vs FWD", Width: 50,
 		Baseline: 1.0, Min: 0.8, Max: 1.01,
 	}
-	preds := sim.PredictorNames()
 	var variants []sim.Config
-	for _, pred := range preds {
-		variants = append(variants,
-			sim.Config{Machine: "alderlake", Predictor: pred, FwdFilterOff: true},
-			sim.Config{Machine: "alderlake", Predictor: pred})
+	for _, v := range headline.Variants() {
+		noFwd := v
+		noFwd.FwdFilterOff = true
+		variants = append(variants, noFwd, v)
 	}
 	ideal, grid, err := r.vsIdeal(variants)
 	if err != nil {
 		return err
 	}
-	for i, pred := range preds {
+	for i, pred := range headline.Predictors {
 		noFwd, fwd := GeoIPCvsIdeal(grid[2*i], ideal), GeoIPCvsIdeal(grid[2*i+1], ideal)
 		t.AddRowf(pred, noFwd, fwd)
 		chart.Add(pred+" no-fwd", noFwd)
@@ -44,32 +44,41 @@ func Fig12(r *Runner) error {
 	return nil
 }
 
+// headline is the paper's headline comparison: every finite predictor at
+// its Table II size (Figs. 12 and 14–16).
+var headline = Space{Predictors: sim.PredictorNames()}
+
+// budgets is Fig. 13's sweep: every headline family at each of its storage
+// budgets, in family order. examples/jobspecs/geometry.json searches
+// PHAST's part of it.
+var budgets = func() Space {
+	var sp Space
+	for _, f := range sim.Families() {
+		if f.Headline {
+			sp.Predictors = append(sp.Predictors, f.BudgetSpecs()...)
+		}
+	}
+	return sp
+}()
+
 // Fig13 reproduces the performance-versus-storage trade-off sweep.
 func Fig13(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Fig. 13 — performance vs storage", "predictor", "size KB", "IPC/ideal")
 	sc := viz.Scatter{Title: "Fig. 13 (chart) — IPC/ideal by storage budget", XLabel: "KB", Width: 44}
-	var families, specs []string
-	for _, f := range sim.Families() {
-		if !f.Headline {
-			continue
-		}
-		for _, spec := range f.BudgetSpecs() {
-			families, specs = append(families, f.Name), append(specs, spec)
-		}
-	}
-	ideal, grid, err := r.vsIdeal(predVariants("alderlake", specs...))
+	ideal, grid, err := r.vsIdeal(budgets.Variants())
 	if err != nil {
 		return err
 	}
-	for i, spec := range specs {
+	for i, spec := range budgets.Predictors {
 		pred, err := sim.NewPredictor(spec)
 		if err != nil {
 			return err
 		}
+		family, _, _ := strings.Cut(spec, ":")
 		geo := GeoIPCvsIdeal(grid[i], ideal)
 		t.AddRowf(spec, float64(pred.SizeBits())/8192, geo)
-		sc.Add(families[i], float64(pred.SizeBits())/8192, geo)
+		sc.Add(family, float64(pred.SizeBits())/8192, geo)
 	}
 	fmt.Fprintln(o.Out, t)
 	fmt.Fprintln(o.Out, sc.String())
@@ -80,13 +89,12 @@ func Fig13(r *Runner) error {
 // split into memory order violations (FN) and false dependencies (FP).
 func Fig14(r *Runner) error {
 	o := r.Opt()
-	preds := sim.PredictorNames()
 	header := []string{"app"}
-	for _, p := range preds {
+	for _, p := range headline.Predictors {
 		header = append(header, p+" FN", p+" FP")
 	}
 	t := stats.NewTable("Fig. 14 — MPKI of the evaluated predictors", header...)
-	grid, err := r.RunGrid(predVariants("alderlake", preds...))
+	grid, err := r.RunGrid(headline.Variants())
 	if err != nil {
 		return err
 	}
@@ -111,8 +119,8 @@ func Fig14(r *Runner) error {
 // plus the headline geomeans and speedups of PHAST over each baseline.
 func Fig15(r *Runner) error {
 	o := r.Opt()
-	preds := sim.PredictorNames()
-	ideal, grid, err := r.vsIdeal(predVariants("alderlake", preds...))
+	preds := headline.Predictors
+	ideal, grid, err := r.vsIdeal(headline.Variants())
 	if err != nil {
 		return err
 	}
@@ -172,12 +180,11 @@ func Fig16(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Fig. 16 — predictor energy (nJ, suite total)",
 		"predictor", "pJ/access", "reads nJ", "writes nJ", "total nJ")
-	preds := sim.PredictorNames()
-	grid, err := r.RunGrid(predVariants("alderlake", preds...))
+	grid, err := r.RunGrid(headline.Variants())
 	if err != nil {
 		return err
 	}
-	for i, p := range preds {
+	for i, p := range headline.Predictors {
 		runs := grid[i]
 		var reads, writes uint64
 		for _, run := range runs {

@@ -42,7 +42,7 @@ func Fig01(r *Runner) error {
 			timeline, specs = append(timeline, f), append(specs, f.Name)
 		}
 	}
-	grid, err := r.RunGrid(predVariants("nehalem", specs...))
+	grid, err := r.RunGrid(onMachine("nehalem", Space{Predictors: specs}.Variants()))
 	if err != nil {
 		return err
 	}
@@ -66,7 +66,7 @@ func Fig02a(r *Runner) error {
 	gens := config.Generations()
 	var variants []sim.Config
 	for _, m := range gens {
-		variants = append(variants, predVariants(m.Name, fig2Predictors...)...)
+		variants = append(variants, onMachine(m.Name, Space{Predictors: fig2Predictors}.Variants())...)
 	}
 	grid, err := r.RunGrid(variants)
 	if err != nil {
@@ -94,7 +94,7 @@ func Fig02b(r *Runner) error {
 	preds := append([]string{"ideal"}, fig2Predictors...)
 	var variants []sim.Config
 	for _, m := range gens {
-		variants = append(variants, predVariants(m.Name, preds...)...)
+		variants = append(variants, onMachine(m.Name, Space{Predictors: preds}.Variants())...)
 	}
 	grid, err := r.RunGrid(variants)
 	if err != nil {

@@ -22,7 +22,7 @@ func Fig06(r *Runner) error {
 		specs = append(specs, fmt.Sprintf("unlimited-nosq:%d", h))
 	}
 	specs = append(specs, "unlimited-mdptage", "unlimited-phast")
-	ideal, grid, err := r.vsIdeal(predVariants("alderlake", specs...))
+	ideal, grid, err := r.vsIdeal(Space{Predictors: specs}.Variants())
 	if err != nil {
 		return err
 	}
@@ -41,7 +41,7 @@ func Fig06(r *Runner) error {
 // perfect predictor (headline: ≈0.5% geomean gap).
 func Fig07(r *Runner) error {
 	o := r.Opt()
-	ideal, grid, err := r.vsIdeal(predVariants("alderlake", "unlimited-phast"))
+	ideal, grid, err := r.vsIdeal(Space{Predictors: []string{"unlimited-phast"}}.Variants())
 	if err != nil {
 		return err
 	}
@@ -61,7 +61,7 @@ func Fig07(r *Runner) error {
 // violations and false dependencies.
 func Fig08(r *Runner) error {
 	o := r.Opt()
-	grid, err := r.RunGrid(predVariants("alderlake", "unlimited-phast"))
+	grid, err := r.RunGrid(Space{Predictors: []string{"unlimited-phast"}}.Variants())
 	if err != nil {
 		return err
 	}
@@ -81,7 +81,7 @@ func Fig08(r *Runner) error {
 // Fig09 reproduces the paths-registered-per-app figure for UnlimitedPHAST.
 func Fig09(r *Runner) error {
 	o := r.Opt()
-	grid, err := r.RunGrid(predVariants("alderlake", "unlimited-phast"))
+	grid, err := r.RunGrid(Space{Predictors: []string{"unlimited-phast"}}.Variants())
 	if err != nil {
 		return err
 	}
@@ -165,7 +165,7 @@ func Fig11(r *Runner) error {
 			specs[i], labels[i] = fmt.Sprintf("unlimited-phast:%d", cap), fmt.Sprintf("%d", cap)
 		}
 	}
-	ideal, grid, err := r.vsIdeal(predVariants("alderlake", specs...))
+	ideal, grid, err := r.vsIdeal(Space{Predictors: specs}.Variants())
 	if err != nil {
 		return err
 	}

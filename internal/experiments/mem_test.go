@@ -52,7 +52,7 @@ func TestMemoryGrowthRunner(t *testing.T) {
 	})
 	base := heapMB()
 	for _, pred := range []string{"ideal", "phast", "storesets", "nosq", "unlimited-phast"} {
-		if _, err := r.RunGrid(predVariants("alderlake", pred)); err != nil {
+		if _, err := r.RunGrid(Space{Predictors: []string{pred}}.Variants()); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%-16s heap %.1f MB", pred, heapMB())

@@ -123,7 +123,7 @@ func TestFailFastCancelsSiblings(t *testing.T) {
 			t.Errorf("results[%d]: kind %s, want %s (%v)", i, kind, sim.ErrCancelled, results[i].Err)
 		}
 	}
-	grid, err := r.RunGrid(predVariants("", "warp-drive", "none"))
+	grid, err := r.RunGrid(Space{Predictors: []string{"warp-drive", "none"}}.Variants())
 	if kind := sim.KindOf(err); kind != sim.ErrConfig {
 		t.Errorf("batch error: kind %s, want the root cause %s (%v)", kind, sim.ErrConfig, err)
 	}
@@ -181,7 +181,7 @@ func TestSubmitAfterCloseFailsGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
-	if _, err := r.RunGrid(predVariants("", "none")); !errors.Is(err, errSchedulerClosed) {
+	if _, err := r.RunGrid(Space{Predictors: []string{"none"}}.Variants()); !errors.Is(err, errSchedulerClosed) {
 		t.Errorf("RunGrid after Close: want errSchedulerClosed, got %v", err)
 	}
 	cfgs := []sim.Config{{App: "519.lbm", Predictor: "none", Instructions: 5_000}}

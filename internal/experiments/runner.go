@@ -475,18 +475,53 @@ func (r *Runner) RunGrid(variants []sim.Config) ([][]*stats.Run, error) {
 // vsIdeal runs the ideal oracle on alderlake and then every variant as one
 // RunGrid batch, and returns the ideal runs and each variant's runs.
 func (r *Runner) vsIdeal(variants []sim.Config) (ideal []*stats.Run, runs [][]*stats.Run, err error) {
-	grid, err := r.RunGrid(append(predVariants("alderlake", "ideal"), variants...))
+	grid, err := r.RunGrid(append([]sim.Config{{Predictor: "ideal"}}, variants...))
 	if err != nil {
 		return nil, nil, err
 	}
 	return grid[0], grid[1:], nil
 }
 
-// predVariants returns one grid variant per predictor spec on machine.
-func predVariants(machine string, preds ...string) []sim.Config {
-	variants := make([]sim.Config, len(preds))
-	for i, p := range preds {
-		variants[i] = sim.Config{Machine: machine, Predictor: p}
+// Space is a sweep over predictor configurations: predictor specs crossed
+// with the training point. It is the one description of a sweep: every
+// paperfigs grid expands through it, and it is the "space" of an autotuner
+// job (internal/jobs).
+type Space struct {
+	// Predictors are sim predictor specs ("phast", "storesets",
+	// "phast:256", "phast-conf:7", ...).
+	Predictors []string `json:"predictors,omitempty"`
+	// TrainAtDetect crosses every predictor with these training-point
+	// values (the §IV-A1 update-point ablation). Empty means {false}.
+	TrainAtDetect []bool `json:"train_at_detect,omitempty"`
+}
+
+// Variants expands the space into RunGrid variants, App and Machine left
+// blank, in canonical order: predictor-major, each predictor crossed with
+// the train-point values in listed order. Duplicates keep their first
+// position, so a variant's index (a job's candidate index) is stable.
+func (sp Space) Variants() []sim.Config {
+	tads := sp.TrainAtDetect
+	if len(tads) == 0 {
+		tads = []bool{false}
+	}
+	seen := map[sim.Config]bool{}
+	out := make([]sim.Config, 0, len(sp.Predictors)*len(tads))
+	for _, p := range sp.Predictors {
+		for _, tad := range tads {
+			v := sim.Config{Predictor: p, TrainAtDetect: tad}
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
+// onMachine moves every variant to machine and returns them.
+func onMachine(machine string, variants []sim.Config) []sim.Config {
+	for i := range variants {
+		variants[i].Machine = machine
 	}
 	return variants
 }

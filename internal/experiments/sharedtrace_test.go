@@ -37,7 +37,7 @@ func TestBatchSharesOneTrace(t *testing.T) {
 	defer r.Close()
 	preds := []string{"phast", "storesets", "nosq", "mdptage", "storevector", "cht", "none", "ideal"}
 	misses, hits := internDelta(func() {
-		if _, err := r.RunGrid(predVariants("", preds...)); err != nil {
+		if _, err := r.RunGrid(Space{Predictors: preds}.Variants()); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -126,7 +126,7 @@ func (o Options) norm() Options {
 // cache-warm and kill-resumed executions.
 type Trial struct {
 	Rung          int      `json:"rung"`
-	Candidate     int      `json:"candidate"` // index into Spec.Candidates()
+	Candidate     int      `json:"candidate"` // index into Spec.Space.Variants()
 	Predictor     string   `json:"predictor"`
 	TrainAtDetect bool     `json:"train_at_detect,omitempty"`
 	Instructions  int      `json:"instructions"`
@@ -263,7 +263,7 @@ func NewController(opt Options) (*Controller, error) {
 			continue
 		}
 		var cp checkpoint
-		if err := json.Unmarshal(data, &cp); err != nil || cp.Version != checkpointVersion || cp.ID == "" {
+		if err := json.Unmarshal(data, &cp); err != nil || cp.Version != checkpointVersion || !cp.sound() {
 			// A torn or foreign file; the atomic write protocol means this
 			// is not one of ours — leave it alone and move on.
 			continue
@@ -271,6 +271,27 @@ func NewController(opt Options) (*Controller, error) {
 		c.jobs[cp.ID] = &Job{cp: cp}
 	}
 	return c, nil
+}
+
+// sound reports whether a loaded checkpoint is one this controller can
+// resume: its spec validates and still digests to its ID (a spec naming a
+// since-removed field decodes to a different one), and every candidate
+// index it holds falls inside the spec's variant list.
+func (cp *checkpoint) sound() bool {
+	if cp.Spec.Validate() != nil || DigestSpec(cp.Tenant, cp.Spec) != cp.ID {
+		return false
+	}
+	n := len(cp.Spec.Space.Variants())
+	idx := append(append([]int(nil), cp.Selected...), cp.Frontier...)
+	for _, t := range cp.Trials {
+		idx = append(idx, t.Candidate)
+	}
+	for _, i := range idx {
+		if i < 0 || i >= n {
+			return false
+		}
+	}
+	return true
 }
 
 // SetOnTrial installs the per-trial observer (the serving layer's results-
@@ -378,7 +399,7 @@ func (c *Controller) Submit(tenant string, spec Spec) (*Status, error) {
 			return nil, &TenantBusyError{Tenant: tenant, Active: n, Cap: cap}
 		}
 	}
-	selected := selectInitial(norm, len(norm.Candidates()))
+	selected := selectInitial(norm, len(norm.Space.Variants()))
 	j := &Job{cp: checkpoint{
 		Version:  checkpointVersion,
 		ID:       id,
@@ -503,7 +524,7 @@ func (c *Controller) statusLocked(j *Job) *Status {
 		Tenant:              cp.Tenant,
 		State:               cp.State,
 		Strategy:            cp.Spec.Strategy,
-		SpaceSize:           len(cp.Spec.Candidates()),
+		SpaceSize:           len(cp.Spec.Space.Variants()),
 		Selected:            len(cp.Selected),
 		Rungs:               len(plan),
 		NextRung:            cp.NextRung,
@@ -583,7 +604,7 @@ func (c *Controller) run(j *Job) {
 	baseElapsed := time.Duration(j.cp.ElapsedMS) * time.Millisecond
 	j.mu.Unlock()
 
-	cands := spec.Candidates()
+	cands := spec.Space.Variants()
 	plan := planRungs(spec, lenSelected(j))
 	started := c.opt.Now()
 	elapsed := func() time.Duration { return baseElapsed + c.opt.Now().Sub(started) }
@@ -708,7 +729,7 @@ func (c *Controller) snapshotBest(j *Job) *Trial {
 // finish renders the winner — the same per-app runs the winning trial
 // scored, recalled from the cache, through the same table renderer
 // paperfigs uses — and lands the job StateDone with its result digest.
-func (c *Controller) finish(j *Job, spec Spec, cands []Candidate, best *Trial, exhausted bool, elapsed time.Duration) {
+func (c *Controller) finish(j *Job, spec Spec, cands []sim.Config, best *Trial, exhausted bool, elapsed time.Duration) {
 	cand := cands[best.Candidate]
 	cfgs := make([]sim.Config, len(spec.Apps))
 	for i, app := range spec.Apps {

@@ -2,9 +2,13 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -98,7 +102,7 @@ func testController(t *testing.T, b Backend, opt Options) *Controller {
 
 func testSpec() Spec {
 	return Spec{
-		Space:        Space{PhastTables: []int{1, 2, 4, 8}},
+		Space:        experiments.Space{Predictors: []string{"phast-tables:1", "phast-tables:2", "phast-tables:4", "phast-tables:8"}},
 		Strategy:     "halving",
 		Halving:      Halving{Eta: 2, Rungs: 2, MinInstructions: 2000},
 		Instructions: 8000,
@@ -241,6 +245,61 @@ func TestJobResume(t *testing.T) {
 	}
 }
 
+// TestUnsoundCheckpointsSkipped loads checkpoints that a resume could not
+// run: specs naming the removed phast_sets/phast_tables axes (written before
+// the space became a predictor list) and candidate indices outside the
+// spec's variants. NewController skips each, as it skips a torn file, so
+// ResumeAll neither panics nor resumes them; a sound checkpoint beside them
+// still resumes.
+func TestUnsoundCheckpointsSkipped(t *testing.T) {
+	dir := t.TempDir()
+	norm := testSpec().Normalized([]string{"511.povray", "541.leela"}, 8000)
+	write := func(id string, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	running := func(tenant string, edit func(*checkpoint)) string {
+		cp := checkpoint{Version: checkpointVersion, ID: DigestSpec(tenant, norm), Tenant: tenant,
+			Spec: norm, State: StateRunning, Selected: []int{0, 1, 2, 3}, Frontier: []int{0, 1, 2, 3}}
+		edit(&cp)
+		data, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(cp.ID, data)
+		return cp.ID
+	}
+	old := func(id, space string) string {
+		write(id, []byte(`{"version":1,"id":"`+id+`","tenant":"acme","spec":{"space":`+space+
+			`,"strategy":"halving","halving":{"eta":2,"rungs":2,"min_instructions":2000},`+
+			`"apps":["511.povray"],"machine":"alderlake","instructions":8000},`+
+			`"state":"running","selected":[0,1,2,3],"next_rung":1,"frontier":[2,3]}`))
+		return id
+	}
+	unsound := []string{
+		old(strings.Repeat("a", 64), `{"phast_tables":[1,2,4,8],"train_at_detect":[false]}`),
+		old(strings.Repeat("b", 64), `{"predictors":["storesets"],"phast_sets":[64,256,1024],"train_at_detect":[false]}`),
+		running("frontier", func(cp *checkpoint) { cp.NextRung, cp.Frontier = 1, []int{7} }),
+		running("selected", func(cp *checkpoint) { cp.Selected = []int{-1} }),
+		running("trials", func(cp *checkpoint) { cp.Trials = []Trial{{Candidate: 4}} }),
+	}
+	sound := running("sound", func(*checkpoint) {})
+
+	c := testController(t, &fakeBackend{}, Options{Dir: dir})
+	if n := c.ResumeAll(); n != 1 {
+		t.Fatalf("resumed %d jobs, want only the sound one", n)
+	}
+	for _, id := range unsound {
+		if _, err := c.Get(id); !errors.Is(err, ErrUnknownJob) {
+			t.Errorf("unsound checkpoint %s.. loaded (err %v)", id[:8], err)
+		}
+	}
+	if st := waitDone(t, c, sound); st.State != StateDone {
+		t.Fatalf("sound checkpoint ended %s (error %q)", st.State, st.Error)
+	}
+}
+
 func waitDoneSubmit(t *testing.T, c *Controller, tenant string, spec Spec) *Status {
 	t.Helper()
 	st, err := c.Submit(tenant, spec)
@@ -364,7 +423,7 @@ func TestTenantMaxActive(t *testing.T) {
 // wins; if every candidate fails the job lands failed with a message.
 func TestJobFailures(t *testing.T) {
 	spec := Spec{
-		Space:        Space{Predictors: []string{"storesets", "nosq"}},
+		Space:        experiments.Space{Predictors: []string{"storesets", "nosq"}},
 		Instructions: 8000,
 	}
 	b := &fakeBackend{failPred: "storesets"}
@@ -383,7 +442,7 @@ func TestJobFailures(t *testing.T) {
 
 	all := &fakeBackend{failPred: "nosq"}
 	c2 := testController(t, all, Options{})
-	st2, err := c2.Submit("acme", Spec{Space: Space{Predictors: []string{"nosq"}}, Instructions: 8000})
+	st2, err := c2.Submit("acme", Spec{Space: experiments.Space{Predictors: []string{"nosq"}}, Instructions: 8000})
 	if err != nil {
 		t.Fatal(err)
 	}

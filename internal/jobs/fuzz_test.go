@@ -27,6 +27,12 @@ func FuzzJobSpec(f *testing.F) {
 		`[1,2,3]`,
 		`"just a string"`,
 		`{"space":{"predictors":[`,
+		// The three seeds above that name the removed phast_sets,
+		// phast_tables and phast_conf axes now exercise the unknown-field
+		// rejection; these are their explicit-predictor equivalents.
+		`{"space":{"predictors":["phast-tables:1","phast-tables:2","phast-tables:4","phast-tables:8"],"train_at_detect":[false,true]},"strategy":"halving","halving":{"eta":2,"rungs":3,"min_instructions":2000},"instructions":8000,"apps":["511.povray"],"seed":7}`,
+		`{"space":{"predictors":["phast:64","phast:256","phast:1024","phast-conf:3","phast-conf:7","phast-conf:15"]},"strategy":"random","seed":42,"budget":{"max_configs":4,"wall_clock_ms":60000}}`,
+		`{"space":{"predictors":["phast-tables:0"]}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -43,7 +49,7 @@ func FuzzJobSpec(f *testing.F) {
 		// An accepted spec must be safe end-to-end: normalize, expand,
 		// select, plan, digest — all bounded, none panicking.
 		norm := spec.Normalized([]string{"511.povray"}, 10_000)
-		cands := norm.Candidates()
+		cands := norm.Space.Variants()
 		if len(cands) == 0 || len(cands) > MaxCandidates {
 			t.Fatalf("accepted spec expands to %d candidates", len(cands))
 		}

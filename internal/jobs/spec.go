@@ -2,14 +2,14 @@
 // ablation sweeps (history lengths, table geometry, confidence bits, train
 // points) into resumable asynchronous search jobs behind POST /v1/jobs.
 //
-// A job is a Spec — a parameter space over sim.Config knobs, a search
-// strategy (grid, random, successive halving on Muops-weighted IPC), a seed
-// and a budget — owned by a tenant. The Controller expands the spec into
-// deterministic trial batches through experiments.Runner, so every trial
-// lands in the content-addressed run cache and coalesces fleet-wide, and
-// checkpoints job state atomically to disk after every rung: a killed
-// daemon resumes the job without re-simulating anything the cache already
-// holds. Jobs are keyed by the canonical digest of (tenant, normalized
+// A job is a Spec — an experiments.Space of predictor configurations (the
+// sweep description paperfigs runs too), a search strategy (grid, random,
+// successive halving on Muops-weighted IPC), a seed and a budget — owned
+// by a tenant. The Controller expands the spec into deterministic trial
+// batches through experiments.Runner, so every trial lands in the
+// content-addressed run cache and coalesces fleet-wide, and checkpoints
+// job state atomically to disk after every rung: a killed daemon resumes
+// the job without re-simulating anything the cache already holds. Jobs are keyed by the canonical digest of (tenant, normalized
 // spec), so resubmitting the same spec under the same tenant is idempotent.
 //
 // See DESIGN.md §18 for the job model, checkpoint format and idempotency
@@ -22,9 +22,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"repro/internal/config"
+	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -35,7 +35,7 @@ import (
 const (
 	// MaxCandidates bounds the expanded candidate set of one job.
 	MaxCandidates = 512
-	// MaxAxis bounds the length of each space axis.
+	// MaxAxis bounds the space's predictor list.
 	MaxAxis = 64
 	// MaxApps bounds a job's workload list.
 	MaxApps = 16
@@ -56,28 +56,6 @@ func (e *SpecError) Error() string { return "jobs: bad spec: " + e.Msg }
 
 func specErrf(format string, args ...any) error {
 	return &SpecError{Msg: fmt.Sprintf(format, args...)}
-}
-
-// Space is the parameter space a job searches: explicit predictor specs
-// plus expansion axes over the PHAST knobs the paper ablates, crossed with
-// the training-point knob. Candidates enumerate deterministically:
-// predictors, then phast_sets (table geometry), then phast_tables (history
-// lengths), then phast_conf (confidence ceiling), each crossed with every
-// train_at_detect value in order; duplicates keep their first position.
-type Space struct {
-	// Predictors are explicit sim predictor specs ("phast", "storesets",
-	// "nosq", "phast:256", ...).
-	Predictors []string `json:"predictors,omitempty"`
-	// PhastSets expands to "phast:<sets>" — the table-geometry axis.
-	PhastSets []int `json:"phast_sets,omitempty"`
-	// PhastTables expands to "phast-tables:<n>" — the history-length axis
-	// (first n of the 8 history lengths).
-	PhastTables []int `json:"phast_tables,omitempty"`
-	// PhastConf expands to "phast-conf:<c>" — the confidence-ceiling axis.
-	PhastConf []int `json:"phast_conf,omitempty"`
-	// TrainAtDetect crosses every predictor with these training-point
-	// values (the §IV-A1 update-point ablation). Empty means {false}.
-	TrainAtDetect []bool `json:"train_at_detect,omitempty"`
 }
 
 // Budget bounds a job's footprint.
@@ -108,8 +86,10 @@ type Halving struct {
 // are filled by Normalized before the spec is digested, so two specs
 // describing the same search hash identically.
 type Spec struct {
-	Space    Space  `json:"space"`
-	Strategy string `json:"strategy,omitempty"` // grid | random | halving (default grid)
+	// Space is the sweep searched; its variants are the candidates, and a
+	// candidate's index into Space.Variants() is the search's tie-breaker.
+	Space    experiments.Space `json:"space"`
+	Strategy string            `json:"strategy,omitempty"` // grid | random | halving (default grid)
 	// Seed drives the search's stochastic parts (the random strategy's
 	// sample). It never reaches trial configs: trials use each app's
 	// default stream, so jobs with different search seeds share cached runs.
@@ -124,12 +104,6 @@ type Spec struct {
 	// Instructions is the full-fidelity per-run stream length (default: the
 	// controller's).
 	Instructions int `json:"instructions,omitempty"`
-}
-
-// Candidate is one point of the expanded space.
-type Candidate struct {
-	Predictor     string `json:"predictor"`
-	TrainAtDetect bool   `json:"train_at_detect,omitempty"`
 }
 
 // ParseSpecJSON strictly decodes and validates a job spec. Every rejection
@@ -188,10 +162,22 @@ func (s Spec) Validate() error {
 			return specErrf("%v", err)
 		}
 	}
-	if err := s.Space.validate(); err != nil {
-		return err
+	sp := s.Space
+	if len(sp.Predictors) > MaxAxis {
+		return specErrf("%d predictors (max %d)", len(sp.Predictors), MaxAxis)
 	}
-	n := len(s.Candidates())
+	for _, spec := range sp.Predictors {
+		if err := sim.CheckPredictor(spec); err != nil {
+			return specErrf("predictors: %v", err)
+		}
+	}
+	if len(sp.TrainAtDetect) > 2 {
+		return specErrf("train_at_detect lists %d values (max 2)", len(sp.TrainAtDetect))
+	}
+	if len(sp.TrainAtDetect) == 2 && sp.TrainAtDetect[0] == sp.TrainAtDetect[1] {
+		return specErrf("duplicate train_at_detect value")
+	}
+	n := len(s.Space.Variants())
 	if n == 0 {
 		return specErrf("space selects no candidates")
 	}
@@ -215,55 +201,6 @@ func (s Spec) Validate() error {
 		return specErrf("halving.min_instructions %d out of range [500, %d]", h.MinInstructions, MaxInstructions)
 	}
 	return nil
-}
-
-func (sp Space) validate() error {
-	for _, vals := range [][]int{sp.PhastSets, sp.PhastTables, sp.PhastConf} {
-		if len(vals) > MaxAxis {
-			return specErrf("space axis of %d values (max %d)", len(vals), MaxAxis)
-		}
-	}
-	if len(sp.Predictors) > MaxAxis {
-		return specErrf("%d explicit predictors (max %d)", len(sp.Predictors), MaxAxis)
-	}
-	for _, ax := range sp.axes() {
-		for _, spec := range ax.specs {
-			if err := sim.CheckPredictor(spec); err != nil {
-				return specErrf("%s: %v", ax.name, err)
-			}
-		}
-	}
-	if len(sp.TrainAtDetect) > 2 {
-		return specErrf("train_at_detect lists %d values (max 2)", len(sp.TrainAtDetect))
-	}
-	if len(sp.TrainAtDetect) == 2 && sp.TrainAtDetect[0] == sp.TrainAtDetect[1] {
-		return specErrf("duplicate train_at_detect value")
-	}
-	return nil
-}
-
-// axis is one predictor axis of a Space, expanded into sim predictor specs
-// and named as in the JSON spec, which is how rejections report it.
-type axis struct {
-	name  string
-	specs []string
-}
-
-// axes expands the space's predictor axes in candidate order.
-func (sp Space) axes() []axis {
-	specs := func(prefix string, vals []int) []string {
-		out := make([]string, len(vals))
-		for i, v := range vals {
-			out[i] = prefix + strconv.Itoa(v)
-		}
-		return out
-	}
-	return []axis{
-		{"predictors", sp.Predictors},
-		{"phast_sets", specs("phast:", sp.PhastSets)},
-		{"phast_tables", specs("phast-tables:", sp.PhastTables)},
-		{"phast_conf", specs("phast-conf:", sp.PhastConf)},
-	}
 }
 
 // Normalized fills every defaultable field with the value the controller
@@ -303,46 +240,12 @@ func (s Spec) Normalized(defApps []string, defInsts int) Spec {
 	return s
 }
 
-// Candidates expands the space in canonical order: explicit predictors,
-// then the phast_sets, phast_tables and phast_conf axes, each crossed with
-// every train_at_detect value in listed order. Duplicate candidates keep
-// their first position, so the candidate index — the deterministic
-// tie-breaker everywhere in the search — is stable.
-func (s Spec) Candidates() []Candidate {
-	tads := s.Space.TrainAtDetect
-	if len(tads) == 0 {
-		tads = []bool{false}
-	}
-	var preds []string
-	for _, ax := range s.Space.axes() {
-		preds = append(preds, ax.specs...)
-	}
-	seen := map[Candidate]bool{}
-	out := make([]Candidate, 0, len(preds)*len(tads))
-	for _, p := range preds {
-		for _, tad := range tads {
-			c := Candidate{Predictor: p, TrainAtDetect: tad}
-			if seen[c] {
-				continue
-			}
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Config builds the sim config of one trial: candidate cand over app at the
-// given stream length. The search seed deliberately does not propagate —
-// trial runs must share cache entries across jobs.
-func (s Spec) Config(cand Candidate, app string, insts int) sim.Config {
-	return sim.Config{
-		App:           app,
-		Machine:       s.Machine,
-		Predictor:     cand.Predictor,
-		Instructions:  insts,
-		TrainAtDetect: cand.TrainAtDetect,
-	}
+// Config builds the sim config of one trial: candidate v (a variant of the
+// space) over app at the given stream length. The search seed deliberately
+// does not propagate — trial runs must share cache entries across jobs.
+func (s Spec) Config(v sim.Config, app string, insts int) sim.Config {
+	v.App, v.Machine, v.Instructions = app, s.Machine, insts
+	return v
 }
 
 // digestPrefix versions the job-identity preimage; bump it if the digested

@@ -7,30 +7,35 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 // TestCandidatesOrder pins the canonical expansion order the whole search
-// keys on: explicit predictors, then the phast_sets/phast_tables/phast_conf
-// axes, each crossed with every train_at_detect value, duplicates keeping
-// their first position.
+// keys on: predictor-major, each predictor crossed with every
+// train_at_detect value in listed order, duplicates keeping their first
+// position; and that a trial config is the candidate with the spec's
+// machine, the app and the rung's stream length filled in.
 func TestCandidatesOrder(t *testing.T) {
-	s := Spec{Space: Space{
-		Predictors:    []string{"storesets", "phast:64"},
-		PhastSets:     []int{64, 256},
-		PhastTables:   []int{2},
-		PhastConf:     []int{15},
-		TrainAtDetect: []bool{false, true},
+	s := Spec{Machine: "skylake", Space: experiments.Space{
+		Predictors:    []string{"storesets", "phast:64", "phast:256", "phast:64", "phast-conf:15"},
+		TrainAtDetect: []bool{true, false},
 	}}
-	want := []Candidate{
-		{Predictor: "storesets"}, {Predictor: "storesets", TrainAtDetect: true},
-		{Predictor: "phast:64"}, {Predictor: "phast:64", TrainAtDetect: true},
-		// "phast:64" from phast_sets is a duplicate of the explicit one.
-		{Predictor: "phast:256"}, {Predictor: "phast:256", TrainAtDetect: true},
-		{Predictor: "phast-tables:2"}, {Predictor: "phast-tables:2", TrainAtDetect: true},
-		{Predictor: "phast-conf:15"}, {Predictor: "phast-conf:15", TrainAtDetect: true},
+	want := []sim.Config{
+		{Predictor: "storesets", TrainAtDetect: true}, {Predictor: "storesets"},
+		{Predictor: "phast:64", TrainAtDetect: true}, {Predictor: "phast:64"},
+		{Predictor: "phast:256", TrainAtDetect: true}, {Predictor: "phast:256"},
+		// The second "phast:64" is a duplicate of the first.
+		{Predictor: "phast-conf:15", TrainAtDetect: true}, {Predictor: "phast-conf:15"},
 	}
-	if got := s.Candidates(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Candidates() =\n%v\nwant\n%v", got, want)
+	cands := s.Space.Variants()
+	if !reflect.DeepEqual(cands, want) {
+		t.Fatalf("Space.Variants() =\n%v\nwant\n%v", cands, want)
+	}
+	got := s.Config(cands[2], "511.povray", 4000)
+	if got != (sim.Config{App: "511.povray", Machine: "skylake", Predictor: "phast:64", Instructions: 4000, TrainAtDetect: true}) {
+		t.Fatalf("Config = %+v", got)
 	}
 }
 
@@ -38,7 +43,7 @@ func TestCandidatesOrder(t *testing.T) {
 // spec hash identically; tenant, knobs and search seed all split the digest.
 func TestDigestSpec(t *testing.T) {
 	apps := []string{"511.povray"}
-	base := Spec{Space: Space{PhastTables: []int{1, 2}}, Strategy: "halving"}
+	base := Spec{Space: experiments.Space{Predictors: []string{"phast-tables:1", "phast-tables:2"}}, Strategy: "halving"}
 	norm := base.Normalized(apps, 10_000)
 	if a, b := DigestSpec("acme", norm), DigestSpec("acme", norm); a != b {
 		t.Fatalf("digest not stable: %s vs %s", a, b)
@@ -61,11 +66,29 @@ func TestDigestSpec(t *testing.T) {
 	}
 }
 
+// TestDigestSpecPinned pins the job ID of examples/jobspecs/trainpoint.json
+// under a fixed tenant and suite: a job ID names its checkpoint on disk, so
+// a change to how specs encode must not move the ID of an existing spec.
+func TestDigestSpecPinned(t *testing.T) {
+	data, err := os.ReadFile("../../examples/jobspecs/trainpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseSpecJSON(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "dd95750a682f3f514aa4eb4eb325aec3a96caa07acf179998f8a0377c51698c1"
+	if got := DigestSpec("acme", spec.Normalized([]string{"511.povray", "519.lbm"}, 20_000)); got != want {
+		t.Fatalf("DigestSpec = %s, want %s", got, want)
+	}
+}
+
 // TestNormalizedDefaults pins the defaulting rules, in particular that grid
 // zeroes the halving knobs (they must not split digests of identical grids).
 func TestNormalizedDefaults(t *testing.T) {
 	apps := []string{"511.povray", "541.leela"}
-	n := Spec{Space: Space{Predictors: []string{"phast"}}, Strategy: "halving"}.Normalized(apps, 20_000)
+	n := Spec{Space: experiments.Space{Predictors: []string{"phast"}}, Strategy: "halving"}.Normalized(apps, 20_000)
 	if n.Halving != (Halving{Eta: 2, Rungs: 3, MinInstructions: 2000}) {
 		t.Fatalf("halving defaults = %+v", n.Halving)
 	}
@@ -75,7 +98,7 @@ func TestNormalizedDefaults(t *testing.T) {
 	if !reflect.DeepEqual(n.Space.TrainAtDetect, []bool{false}) {
 		t.Fatalf("train_at_detect default = %v", n.Space.TrainAtDetect)
 	}
-	g := Spec{Space: Space{Predictors: []string{"phast"}}, Halving: Halving{Eta: 4}}.Normalized(apps, 20_000)
+	g := Spec{Space: experiments.Space{Predictors: []string{"phast"}}, Halving: Halving{Eta: 4}}.Normalized(apps, 20_000)
 	if g.Strategy != "grid" || g.Halving != (Halving{}) {
 		t.Fatalf("grid normalization kept halving knobs: %+v", g)
 	}
@@ -153,7 +176,10 @@ func TestExampleSpecsParse(t *testing.T) {
 // well-formed trace-digest app (existence is a run-time question).
 func TestParseSpecJSONAccepts(t *testing.T) {
 	body := `{
-		"space": {"phast_tables": [1, 2, 4, 8], "train_at_detect": [false, true]},
+		"space": {
+			"predictors": ["phast-tables:1", "phast-tables:2", "phast-tables:4", "phast-tables:8"],
+			"train_at_detect": [false, true]
+		},
 		"strategy": "halving", "seed": 3,
 		"budget": {"max_configs": 6},
 		"halving": {"eta": 2, "rungs": 2},
@@ -164,7 +190,7 @@ func TestParseSpecJSONAccepts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(spec.Candidates()); got != 8 {
+	if got := len(spec.Space.Variants()); got != 8 {
 		t.Fatalf("candidates = %d, want 8", got)
 	}
 }

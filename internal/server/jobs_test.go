@@ -165,7 +165,7 @@ func pollJobDone(t *testing.T, ts *httptest.Server, id string) *jobs.Status {
 }
 
 const lifecycleSpec = `{
-	"space": {"phast_tables": [1, 2, 4, 8]},
+	"space": {"predictors": ["phast-tables:1", "phast-tables:2", "phast-tables:4", "phast-tables:8"]},
 	"strategy": "halving",
 	"halving": {"eta": 2, "rungs": 2}
 }`
@@ -298,7 +298,7 @@ func TestJobsTenantCapHTTP(t *testing.T) {
 	if status := postSpec(t, ts, "acme", lifecycleSpec, &st); status != http.StatusOK {
 		t.Fatalf("first job status = %d", status)
 	}
-	second := `{"space": {"phast_conf": [3, 7]}}`
+	second := `{"space": {"predictors": ["phast-conf:3", "phast-conf:7"]}}`
 	var eresp errorResponse
 	if status := postSpec(t, ts, "acme", second, &eresp); status != http.StatusTooManyRequests || eresp.Error.Kind != KindQuotaExceeded {
 		t.Fatalf("over-cap POST = %d %+v, want 429 quota_exceeded", status, eresp)
@@ -337,7 +337,7 @@ func TestJobsCancelMidJobLeaksNoGoroutines(t *testing.T) {
 	gate := make(chan struct{})
 	jb.setGate(gate)
 	var st jobs.Status
-	if status := postSpec(t, ts, "acme", `{"space": {"phast_conf": [3, 7, 15]}}`, &st); status != http.StatusOK {
+	if status := postSpec(t, ts, "acme", `{"space": {"predictors": ["phast-conf:3", "phast-conf:7", "phast-conf:15"]}}`, &st); status != http.StatusOK {
 		t.Fatalf("POST = %d", status)
 	}
 	<-jb.entered // the batch is in flight — cancel lands mid-job
@@ -359,7 +359,7 @@ func TestJobsCancelMidJobLeaksNoGoroutines(t *testing.T) {
 	jb.setGate(nil)
 	close(gate)
 	var again jobs.Status
-	if status := postSpec(t, ts, "acme", `{"space": {"phast_conf": [3, 7, 15]}}`, &again); status != http.StatusOK {
+	if status := postSpec(t, ts, "acme", `{"space": {"predictors": ["phast-conf:3", "phast-conf:7", "phast-conf:15"]}}`, &again); status != http.StatusOK {
 		t.Fatalf("resubmit POST = %d", status)
 	}
 	if again.ID != st.ID {
@@ -400,7 +400,10 @@ func TestJobsDoNotStarveInteractiveRuns(t *testing.T) {
 	defer ts.Close()
 
 	heavy := `{
-		"space": {"phast_conf": [1, 3, 7, 15], "train_at_detect": [false, true]},
+		"space": {
+			"predictors": ["phast-conf:1", "phast-conf:3", "phast-conf:7", "phast-conf:15"],
+			"train_at_detect": [false, true]
+		},
 		"instructions": 50000
 	}`
 	var st jobs.Status

@@ -66,10 +66,12 @@ simulated() { # port -> cluster member's runs.simulated counter
 cat >"$SMOKEDIR/spec.json" <<EOF
 {
   "space": {
-    "predictors": ["storesets", "nosq", "phast:128"],
-    "phast_sets": [64, 256, 1024],
-    "phast_tables": [1, 2, 4],
-    "phast_conf": [3, 7, 15]
+    "predictors": [
+      "storesets", "nosq", "phast:128",
+      "phast:64", "phast:256", "phast:1024",
+      "phast-tables:1", "phast-tables:2", "phast-tables:4",
+      "phast-conf:3", "phast-conf:7", "phast-conf:15"
+    ]
   },
   "strategy": "halving",
   "halving": {"eta": 2, "rungs": 3},
