@@ -72,8 +72,9 @@ fleet-smoke:
 
 # Self-healing smoke: kill -9 one member of a 3-node fleet mid-scenario and
 # restart it seconds later; asserts zero client-visible failures, per-seed
-# result digests byte-identical to a solo reference node, health/breaker
-# transitions recorded, and cluster-wide simulations bounded (DESIGN.md §16).
+# result digests byte-identical to a solo reference node, the failure
+# detector's down/up transitions recorded, and cluster-wide simulations
+# bounded (DESIGN.md §16).
 fleet-chaos:
 	sh scripts/fleet_chaos.sh
 

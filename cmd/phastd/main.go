@@ -22,12 +22,12 @@
 //	       -peers http://10.0.0.1:8091,http://10.0.0.2:8091,http://10.0.0.3:8091 \
 //	       -cache /var/cache/phast
 //
-// Fleet members self-heal (DESIGN.md §16): a per-peer health prober drives
-// Up/Suspect/Down state and remaps Down members' ring segments until they
-// recover; peer hops retry with budget-aware backoff behind per-peer
-// circuit breakers (-proxy-retries, -retry-backoff, -breaker-threshold,
-// -hedge-delay); GET /v1/cluster reports this member's view of fleet
-// health. Benchmark a node or a fleet with cmd/phastload.
+// Fleet members self-heal (DESIGN.md §16): one failure detector per peer,
+// fed by health probes (-probe-*) and by the outcome of every peer hop,
+// drives Up/Suspect/Down state and remaps Down members' ring segments until
+// the probes see them recover; peer hops retry with budget-aware backoff
+// (-proxy-retries, -retry-backoff); GET /v1/cluster reports this member's
+// view of fleet health. Benchmark a node or a fleet with cmd/phastload.
 //
 // With -trace-dir the daemon additionally ingests bring-your-own-workload
 // traces (DESIGN.md §17): POST /v1/traces stores a validated, content-
@@ -124,13 +124,10 @@ func main() {
 		vnodes       = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per member on the consistent-hash ring")
 		probeEvery   = flag.Duration("probe-interval", time.Second, "fleet health-probe period per peer")
 		probeTimeout = flag.Duration("probe-timeout", 0, "single health-probe timeout (0 = half the interval)")
-		downAfter    = flag.Int("probe-down-after", 3, "consecutive probe failures marking a peer Down (ring remap)")
+		downAfter    = flag.Int("probe-down-after", 3, "consecutive probe or peer-hop failures marking a peer Down (ring remap)")
 		upAfter      = flag.Int("probe-up-after", 1, "consecutive probe successes restoring a Down peer")
 		proxyRetries = flag.Int("proxy-retries", 3, "total attempts per proxied run, first try included")
 		retryBackoff = flag.Duration("retry-backoff", 50*time.Millisecond, "first retry backoff (doubles per retry, jittered)")
-		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive transport failures opening a peer's circuit breaker")
-		brkOpenFor   = flag.Duration("breaker-open-for", 2*time.Second, "open-breaker cooldown before half-opening")
-		hedgeDelay   = flag.Duration("hedge-delay", 0, "race the second peer-cache candidate after this delay (0 = off)")
 		traceDir     = flag.String("trace-dir", "", "uploaded-trace store directory (empty = trace ingestion disabled)")
 		traceMax     = flag.Int64("trace-max-bytes", 0, "per-trace upload size cap in bytes (0 = 64 MiB default)")
 		tenantQuota  = flag.Int64("tenant-quota-bytes", 0, "per-tenant stored trace bytes quota (0 = 256 MiB default, negative = unlimited)")
@@ -221,9 +218,6 @@ func main() {
 		ProbeUpAfter:        *upAfter,
 		ProxyAttempts:       *proxyRetries,
 		RetryBackoff:        *retryBackoff,
-		BreakerThreshold:    *brkThreshold,
-		BreakerOpenFor:      *brkOpenFor,
-		HedgeDelay:          *hedgeDelay,
 		TraceStore:          store,
 		Results:             results,
 		TenantMaxInflight:   *tenantMax,
@@ -264,7 +258,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Fleet failure detector: per-peer heartbeats drive the health-filtered
-	// ring until shutdown (no-op standalone).
+	// ring until shutdown, and are what readmits a peer that failed hops
+	// marked Down (no-op standalone).
 	srv.StartHealth(ctx)
 	shutdownDone := make(chan struct{})
 	go func() {

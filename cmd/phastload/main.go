@@ -1033,8 +1033,7 @@ var serverCounters = []string{
 	server.CounterRequests, server.CounterAccepted, server.CounterQueued,
 	server.CounterRejected, server.CounterCoalesced,
 	server.CounterProxied, server.CounterProxyErrors, server.CounterPeerRuns,
-	server.CounterRetries, server.CounterBreakerOpened, server.CounterBreakerShortCircuit,
-	server.CounterHedgeFired, server.CounterHedgeWins,
+	server.CounterRetries,
 	cluster.CounterProbeFail, cluster.CounterTransitionsDown, cluster.CounterTransitionsUp,
 	runcache.CounterPeerHits, runcache.CounterPeerMisses, runcache.CounterPeerErrors,
 	server.CounterPeerCacheServed,

@@ -201,8 +201,7 @@ func TestClosedLoopRun(t *testing.T) {
 	header := strings.Split("scenario,target,targets,mode,tenant,requests,unique,ok,rejected,failed,"+
 		"mismatched,failovers,elapsed_s,rps,p50_ms,p90_ms,p99_ms,max_ms,job_state,job_trials,"+
 		"server_requests,server_accepted,server_queued,server_rejected,server_coalesced,server_proxied,"+
-		"server_proxy_errors,server_peer_runs,server_retry_attempts,server_breaker_opened,"+
-		"server_breaker_shortcircuit,server_hedge_fired,server_hedge_wins,cluster_probe_fail,"+
+		"server_proxy_errors,server_peer_runs,server_retry_attempts,cluster_probe_fail,"+
 		"cluster_transitions_down,cluster_transitions_up,runcache_peer_hits,runcache_peer_misses,"+
 		"runcache_peer_errors,runcache_peer_served,server_trace_uploads,server_trace_fetched,"+
 		"server_peer_trace_served,server_trace_replicated,cache_hits_mem,cache_hits_disk,cache_misses,"+

@@ -1,12 +1,14 @@
-// Failure detection for the fleet: a heartbeat prober that drives per-peer
-// Up/Suspect/Down state and feeds the health-filtered ring view the server
-// routes by (Fleet.SetDown). The design is deliberately coordination-free,
-// matching the ring itself: every member probes every other member's
-// /healthz on its own timer and forms its own opinion of who is alive.
-// Opinions can disagree transiently — the peer-run protocol tolerates that
-// by construction (/v1/peer/run never re-proxies, so skewed views cost an
-// extra hop, never a loop), and the cache keys make any routing outcome
-// bit-exact.
+// Failure detection for the fleet: one per-peer Up/Suspect/Down state
+// machine that feeds the health-filtered ring view the server routes by
+// (Fleet.SetDown). It is the only record of a peer's health, fed two ways:
+// actively, by a heartbeat prober that GETs every other member's /healthz
+// on its own timer, and passively, by the outcome of every real peer hop
+// the server makes (Observe). The design is deliberately coordination-free,
+// matching the ring itself: every member forms its own opinion of who is
+// alive. Opinions can disagree transiently — the peer-run protocol
+// tolerates that by construction (/v1/peer/run never re-proxies, so skewed
+// views cost an extra hop, never a loop), and the cache keys make any
+// routing outcome bit-exact.
 //
 // State machine per peer:
 //
@@ -17,8 +19,9 @@
 // Suspect members are still live ring members (one dropped probe must not
 // reshuffle ownership); only Down members are removed from the live view,
 // and the ring's minimal-remapping property bounds how many keys move when
-// that happens. Recovery restores the exact prior ownership because the
-// live ring is always recomputed from the full membership.
+// that happens. No hop dials a Down member, so recovery is the probe
+// loop's job. Recovery restores the exact prior ownership because the live
+// ring is always recomputed from the full membership.
 package cluster
 
 import (
@@ -35,11 +38,12 @@ import (
 
 // Health-detector counter and gauge names (published to the server's shared
 // registry so probes and transitions land in /metrics next to the proxy and
-// breaker counters).
+// retry counters).
 const (
-	// CounterProbeOK counts successful peer health probes.
+	// CounterProbeOK counts successful peer health probes (probes only,
+	// not the hop outcomes Observe also receives).
 	CounterProbeOK = "cluster.probe.ok"
-	// CounterProbeFail counts failed peer health probes.
+	// CounterProbeFail counts failed peer health probes (probes only).
 	CounterProbeFail = "cluster.probe.fail"
 	// CounterTransitionsDown counts peer transitions into Down (a member
 	// removed from this node's live ring view).
@@ -58,12 +62,12 @@ type State int
 const (
 	// StateUp: the peer answers probes; it owns its ring segment.
 	StateUp State = iota
-	// StateSuspect: the peer missed at least one probe but fewer than
-	// DownAfter in a row. Still a live ring member — a single dropped
+	// StateSuspect: the peer failed at least one probe or hop but fewer
+	// than DownAfter in a row. Still a live ring member — a single dropped
 	// probe must not reshuffle ownership.
 	StateSuspect
-	// StateDown: the peer missed DownAfter consecutive probes. Removed
-	// from the live ring until it recovers.
+	// StateDown: the peer failed DownAfter consecutive probes or hops.
+	// Removed from the live ring until it recovers.
 	StateDown
 )
 
@@ -79,13 +83,12 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// PeerHealth is one peer's observable probe state, exposed via /v1/cluster.
+// PeerHealth is one peer's observable health, exposed via /v1/cluster.
 type PeerHealth struct {
 	Member           string
 	State            State
 	ConsecutiveFails int
 	LastError        string
-	LastProbe        time.Time
 }
 
 // ProbeFunc checks one member's health; nil error means healthy. The
@@ -114,10 +117,6 @@ type ProberOptions struct {
 	Metrics *stats.Metrics
 	// Probe overrides the health check (default: GET member/healthz).
 	Probe ProbeFunc
-	// OnTransition, when set, observes every state change — the server
-	// hooks breaker half-opening here (a probe success is the breaker's
-	// recovery signal).
-	OnTransition func(member string, from, to State)
 }
 
 func (o ProberOptions) norm() ProberOptions {
@@ -163,20 +162,19 @@ func HTTPHealthz(ctx context.Context, member string) error {
 	return nil
 }
 
-// peerState is one peer's mutable probe bookkeeping.
+// peerState is one peer's mutable health bookkeeping.
 type peerState struct {
-	state     State
-	fails     int // consecutive failures
-	succs     int // consecutive successes
-	lastErr   string
-	lastProbe time.Time
+	state   State
+	fails   int // consecutive failures
+	succs   int // consecutive successes
+	lastErr string
 }
 
 // Prober runs the failure detector for one fleet member: it probes every
-// peer (never self), maintains the per-peer state machine, and pushes the
-// Down set into the fleet's live ring on every transition across the
-// Up/Down boundary. Build with NewProber, start with Start, read with
-// States.
+// peer (never self), takes hop outcomes through Observe, maintains the
+// per-peer state machine, and pushes the Down set into the fleet's live
+// ring on every transition across the Up/Down boundary. Build with
+// NewProber, start with Start, read with States.
 type Prober struct {
 	fleet *Fleet
 	opt   ProberOptions
@@ -203,9 +201,6 @@ func NewProber(fleet *Fleet, opt ProberOptions) *Prober {
 	opt.Metrics.Set(GaugeLiveMembers, uint64(fleet.Size()))
 	return p
 }
-
-// Options returns the normalised options.
-func (p *Prober) Options() ProberOptions { return p.opt }
 
 // Start launches one probe loop per peer; loops exit when ctx is cancelled.
 // Each loop is phase-shifted by a deterministic per-peer jitter
@@ -250,12 +245,19 @@ func (p *Prober) probeOne(ctx context.Context, member string) {
 	if ctx.Err() != nil {
 		return // shutting down: a cancelled probe is not evidence
 	}
-	p.record(member, err)
+	if err == nil {
+		p.opt.Metrics.Add(CounterProbeOK, 1)
+	} else {
+		p.opt.Metrics.Add(CounterProbeFail, 1)
+	}
+	p.Observe(member, err)
 }
 
-// record applies one probe outcome to the peer's state machine and, when
-// the Up/Down boundary is crossed, recomputes the fleet's live ring.
-func (p *Prober) record(member string, probeErr error) {
+// Observe applies one outcome for member to its state machine — a probe's,
+// or a real peer hop's (err nil when the peer answered) — and, when the
+// Up/Down boundary is crossed, recomputes the fleet's live ring. Self and
+// unknown members are ignored. Safe for concurrent use.
+func (p *Prober) Observe(member string, err error) {
 	p.mu.Lock()
 	ps, ok := p.peers[member]
 	if !ok {
@@ -263,8 +265,7 @@ func (p *Prober) record(member string, probeErr error) {
 		return
 	}
 	from := ps.state
-	ps.lastProbe = time.Now()
-	if probeErr == nil {
+	if err == nil {
 		ps.fails, ps.succs, ps.lastErr = 0, ps.succs+1, ""
 		switch ps.state {
 		case StateSuspect:
@@ -275,9 +276,8 @@ func (p *Prober) record(member string, probeErr error) {
 			}
 		}
 	} else {
-		ps.fails, ps.succs, ps.lastErr = ps.fails+1, 0, probeErr.Error()
-		switch ps.state {
-		case StateUp:
+		ps.fails, ps.succs, ps.lastErr = ps.fails+1, 0, err.Error()
+		if ps.state == StateUp {
 			ps.state = StateSuspect
 		}
 		if ps.fails >= p.opt.DownAfter {
@@ -297,11 +297,6 @@ func (p *Prober) record(member string, probeErr error) {
 	}
 	p.mu.Unlock()
 
-	if probeErr == nil {
-		p.opt.Metrics.Add(CounterProbeOK, 1)
-	} else {
-		p.opt.Metrics.Add(CounterProbeFail, 1)
-	}
 	if changed {
 		switch {
 		case to == StateDown:
@@ -311,9 +306,6 @@ func (p *Prober) record(member string, probeErr error) {
 		}
 		if from == StateDown || to == StateDown {
 			p.opt.Metrics.Set(GaugeLiveMembers, uint64(p.fleet.Size()-len(down)))
-		}
-		if p.opt.OnTransition != nil {
-			p.opt.OnTransition(member, from, to)
 		}
 	}
 }
@@ -327,7 +319,7 @@ func (p *Prober) States() []PeerHealth {
 	for m, s := range p.peers {
 		out = append(out, PeerHealth{
 			Member: m, State: s.state, ConsecutiveFails: s.fails,
-			LastError: s.lastErr, LastProbe: s.lastProbe,
+			LastError: s.lastErr,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Member < out[j].Member })

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -41,13 +42,7 @@ func TestProberStateMachine(t *testing.T) {
 	fleet := testFleet(t, 3)
 	probe := &fakeProbe{dead: map[string]bool{}}
 	reg := stats.NewMetrics()
-	var transitions []string
-	p := NewProber(fleet, ProberOptions{
-		DownAfter: 3, UpAfter: 1, Metrics: reg, Probe: probe.fn,
-		OnTransition: func(m string, from, to State) {
-			transitions = append(transitions, fmt.Sprintf("%s:%s->%s", m, from, to))
-		},
-	})
+	p := NewProber(fleet, ProberOptions{DownAfter: 3, UpAfter: 1, Metrics: reg, Probe: probe.fn})
 
 	victim := fleet.Members()[1]
 	if victim == fleet.Self() {
@@ -130,19 +125,77 @@ func TestProberStateMachine(t *testing.T) {
 	if reg.Get(CounterTransitionsUp) != 1 {
 		t.Errorf("transitions.up = %d, want 1", reg.Get(CounterTransitionsUp))
 	}
+}
 
-	want := []string{
-		victim + ":up->suspect",
-		victim + ":suspect->down",
-		victim + ":down->up",
+// TestObserveDrivesStateMachine: hop outcomes reported through Observe
+// drive the same state machine the probes do. DownAfter consecutive
+// failures demote a peer Up → Suspect → Down and take it out of the live
+// ring (Fleet.SetDown); a success from Suspect restores Up; and a peer that
+// hops marked Down comes back Up after UpAfter successful probe passes.
+// Hop outcomes never touch the probe-only counters.
+func TestObserveDrivesStateMachine(t *testing.T) {
+	hopErr := errors.New("injected: connection refused")
+	type step struct {
+		probe bool  // a ProbeOnce pass (every peer healthy) instead of a hop
+		err   error // the hop's outcome
+		want  State
+		live  int // fleet.LiveSize() after the step
 	}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions = %v, want %v", transitions, want)
+	cases := []struct {
+		name               string
+		downAfter, upAfter int
+		steps              []step
+	}{
+		{"failures demote up, suspect, down", 3, 1, []step{
+			{err: hopErr, want: StateSuspect, live: 3},
+			{err: hopErr, want: StateSuspect, live: 3},
+			{err: hopErr, want: StateDown, live: 2},
+		}},
+		{"success from suspect restores up", 3, 1, []step{
+			{err: hopErr, want: StateSuspect, live: 3},
+			{err: hopErr, want: StateSuspect, live: 3},
+			{want: StateUp, live: 3},
+			{err: hopErr, want: StateSuspect, live: 3},
+		}},
+		{"hop-marked down recovers by probes", 2, 2, []step{
+			{err: hopErr, want: StateSuspect, live: 3},
+			{err: hopErr, want: StateDown, live: 2},
+			{probe: true, want: StateDown, live: 2},
+			{probe: true, want: StateUp, live: 3},
+		}},
 	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Errorf("transition[%d] = %s, want %s", i, transitions[i], want[i])
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fleet := testFleet(t, 3)
+			victim := fleet.Members()[1]
+			reg := stats.NewMetrics()
+			p := NewProber(fleet, ProberOptions{DownAfter: tc.downAfter, UpAfter: tc.upAfter,
+				Metrics: reg, Probe: (&fakeProbe{}).fn})
+			probes := 0
+			for i, st := range tc.steps {
+				if st.probe {
+					p.ProbeOnce(context.Background())
+					probes++
+				} else {
+					p.Observe(victim, st.err)
+				}
+				if got := p.StateOf(victim); got != st.want {
+					t.Fatalf("step %d: state = %s, want %s", i, got, st.want)
+				}
+				if got := fleet.LiveSize(); got != st.live {
+					t.Fatalf("step %d: live size = %d, want %d", i, got, st.live)
+				}
+				for _, m := range fleet.LiveMembers() {
+					if m == victim && st.want == StateDown {
+						t.Fatalf("step %d: down peer %s still in the live ring", i, victim)
+					}
+				}
+			}
+			// Two peers per pass, both healthy: only the probes count.
+			if ok, fail := reg.Get(CounterProbeOK), reg.Get(CounterProbeFail); ok != uint64(2*probes) || fail != 0 {
+				t.Errorf("probe counters ok=%d fail=%d, want %d and 0", ok, fail, 2*probes)
+			}
+		})
 	}
 }
 
@@ -231,5 +284,45 @@ func TestProberStatesSnapshot(t *testing.T) {
 		if probe.dead[s.Member] && s.LastError == "" {
 			t.Errorf("down member %s has no LastError", s.Member)
 		}
+	}
+}
+
+// TestObserveConcurrent: peer hops report from request goroutines while the
+// probe loop runs, so Observe, ProbeOnce, States and the live ring must be
+// safe together (run under -race). Every goroutine ends with a success, so
+// once they have all returned no peer may be left Down.
+func TestObserveConcurrent(t *testing.T) {
+	fleet := testFleet(t, 3)
+	p := NewProber(fleet, ProberOptions{DownAfter: 2, Probe: (&fakeProbe{}).fn})
+	hopErr := errors.New("injected: connection reset")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(member string) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				p.Observe(member, hopErr)
+				p.Observe(member, hopErr)
+				p.States()
+				fleet.Owner(fmt.Sprintf("k%d", i))
+				p.Observe(member, nil)
+			}
+		}(fleet.Members()[1+g%2])
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			p.ProbeOnce(context.Background())
+		}
+	}()
+	wg.Wait()
+	for _, s := range p.States() {
+		if s.State == StateDown {
+			t.Errorf("peer %s left down after a final success", s.Member)
+		}
+	}
+	if fleet.LiveSize() != 3 {
+		t.Errorf("live size = %d, want 3", fleet.LiveSize())
 	}
 }

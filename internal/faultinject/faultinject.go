@@ -64,20 +64,20 @@ const (
 	// reach the network. Unlike FaultPeerFetch (keyed by run-cache key, one
 	// request at a time) this one is keyed by the peer's member URL, so a
 	// firing partition takes out the whole link — exercising retry-to-
-	// failure, circuit-breaker opening, and the failure detector marking the
-	// peer Down.
+	// failure, local fallback, and the failure detector marking the peer
+	// Down (from failed probes and failed hops alike).
 	FaultPeerPartition Fault = "partition"
 	// FaultPeerLatency delays peer HTTP operations toward affected members
 	// by PeerLatencyDelay before sending, keyed by member URL. Like
 	// FaultSlowDisk it is a latency fault, not a correctness fault: it
-	// exercises retry budgets, hedged fetches and deadline propagation —
-	// slow links must cost time, never wrong bytes.
+	// exercises retry budgets, peer-fetch timeouts and deadline propagation
+	// — slow links must cost time, never wrong bytes.
 	FaultPeerLatency Fault = "peerlatency"
 	// FaultPeerFlap makes this node's link to affected members come and go
 	// on a fixed period (severed for the configured fraction of each
 	// FlapPeriod window, with a deterministic per-member phase): the
-	// flapping-peer torture test for breaker half-open/re-open cycling and
-	// Suspect-state damping. Whether a member flaps at all is decided by
+	// flapping-peer torture test for the failure detector's Down/Up cycling
+	// and Suspect-state damping. Whether a member flaps at all is decided by
 	// Should(FaultPeerFlap, member); when it does, FlapSevered says if the
 	// link is down at this instant.
 	FaultPeerFlap Fault = "peerflap"

@@ -86,8 +86,8 @@ type Halving struct {
 // are filled by Normalized before the spec is digested, so two specs
 // describing the same search hash identically.
 type Spec struct {
-	// Space is the sweep searched; its variants are the candidates, and a
-	// candidate's index into Space.Variants() is the search's tie-breaker.
+	// Space is the sweep searched; its variants are the candidates, and the
+	// search breaks ties by a candidate's index into Space.Variants().
 	Space    experiments.Space `json:"space"`
 	Strategy string            `json:"strategy,omitempty"` // grid | random | halving (default grid)
 	// Seed drives the search's stochastic parts (the random strategy's

@@ -7,22 +7,25 @@
 //     member. The owner's response — success or typed error — is replayed
 //     verbatim (peerStatusError), preserving the sim.SimError mapping
 //     end-to-end. Transport failures retry with budget-aware backoff
-//     (retry.go); a peer that keeps failing trips its circuit breaker and
-//     later hops fail fast. When the retries are spent — or the breaker
-//     refuses the hop — the request degrades to executing locally:
-//     availability beats dedup. A draining owner degrades the same way.
+//     (retry.go). When the retries are spent the request degrades to
+//     executing locally: availability beats dedup. A draining owner
+//     degrades the same way.
 //   - the peer cache-fetch path: the run cache's peer tier
 //     (runcache.PeerFetchFunc). On a local mem+disk miss the owner asks the
 //     ring's next candidates (the members that owned the key before a
 //     membership change) for their cached entry via GET /v1/peer/cache/{key}
-//     before paying for a simulation. Candidates behind an open breaker are
-//     skipped; with Options.HedgeDelay set, a second candidate is raced
-//     after the delay for tail tolerance.
+//     before paying for a simulation.
 //   - the serving side of both: POST /v1/peer/run (a run that never
 //     re-proxies — ownership was already decided by the caller, so
 //     inconsistent ring views can cost an extra hop but never a loop) and
 //     GET /v1/peer/cache/{key} (strictly validated key → local-tier lookup
 //     only, 404 on miss).
+//
+// Every hop, trace transfers included, goes out through peerClient.send,
+// which reports its outcome to the failure detector (cluster.Prober): a
+// peer whose hops keep failing is marked Down and drops out of the live
+// ring, so later proxies, cache fetches and trace fetches route around it
+// without dialling it.
 package server
 
 import (
@@ -35,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/runcache"
@@ -43,12 +47,12 @@ import (
 )
 
 // Fleet-serving counters, next to the runcache.peer.* set the cache tier
-// maintains (see internal/runcache) and the retry/breaker set (retry.go).
+// maintains (see internal/runcache) and the retry counter (retry.go).
 const (
 	// CounterProxied counts requests forwarded to their ring owner.
 	CounterProxied = "server.proxied"
 	// CounterProxyErrors counts proxied requests that fell back to local
-	// execution (owner unreachable, breaker open, or draining).
+	// execution (owner unreachable or draining).
 	CounterProxyErrors = "server.proxy.errors"
 	// CounterPeerRuns counts /v1/peer/run requests served for other members.
 	CounterPeerRuns = "server.peer.runs"
@@ -114,6 +118,25 @@ func newPeerClient(s *Server) *peerClient {
 	}
 }
 
+// send is every peer hop's trip over the wire: the injected link faults,
+// then the HTTP round trip, whose outcome goes to the failure detector.
+// Any HTTP answer is a success, even a 503 from a draining owner or another
+// typed error: the peer is alive and talking. A transport failure counts
+// against the peer, unless the caller's own context (ctx, not the
+// request's per-attempt timeout) has already ended: then it is not the
+// peer's fault and counts as nothing.
+func (p *peerClient) send(ctx context.Context, req *http.Request, peer, key string) (*http.Response, error) {
+	err := linkFault(req.Context(), peer, key)
+	var resp *http.Response
+	if err == nil {
+		resp, err = p.http.Do(req)
+	}
+	if err == nil || ctx.Err() == nil {
+		p.s.prober.Observe(peer, err)
+	}
+	return resp, err
+}
+
 // budgetExhausted types a spent retry budget as sim.ErrTimeout so the
 // client sees 504 Gateway Timeout — never a generic 500, and never a silent
 // nil result. proxyFallback refuses local execution for this kind: a
@@ -131,16 +154,15 @@ func budgetExhausted(cfg sim.Config, last error) error {
 // backoff. Error taxonomy: a *peerStatusError wraps the owner's own HTTP
 // error response (authoritative — replayed verbatim, never retried); a
 // sim.ErrTimeout means the deadline budget ran out (504, no fallback); any
-// other error is transport-level — the owner never saw the request (or the
-// breaker refused the hop), and the caller may fall back to executing
-// locally.
+// other error is transport-level — the owner never saw the request, and
+// the caller may fall back to executing locally.
 func (p *peerClient) proxyRun(ctx context.Context, owner, key string, cfg sim.Config) (*stats.Run, error) {
-	if !p.s.brk.allow(owner) {
-		return nil, fmt.Errorf("%w: %s", errBreakerOpen, owner)
-	}
 	var lastErr error
 	for attempt := 1; attempt <= p.retry.attempts; attempt++ {
 		if attempt > 1 {
+			if p.s.prober.StateOf(owner) == cluster.StateDown {
+				break // the earlier attempts marked it Down: stop dialling it
+			}
 			p.s.metrics.Add(CounterRetries, 1)
 			if err := sleepBudget(ctx, p.retry.backoff(key, attempt-1)); err != nil {
 				return nil, budgetExhausted(cfg, lastErr)
@@ -148,18 +170,14 @@ func (p *peerClient) proxyRun(ctx context.Context, owner, key string, cfg sim.Co
 		}
 		run, err := p.proxyOnce(ctx, owner, key, cfg)
 		if err == nil {
-			p.s.brk.success(owner)
 			return run, nil
 		}
 		var pe *peerStatusError
-		if errors.As(err, &pe) {
-			// The owner answered — the link works and its verdict stands.
-			p.s.brk.success(owner)
-			return nil, err
-		}
 		var se *sim.SimError
-		if errors.As(err, &se) {
-			return nil, err // typed before the wire (budget exhausted)
+		if errors.As(err, &pe) || errors.As(err, &se) {
+			// The owner answered and its verdict stands, or the budget ran
+			// out before the wire.
+			return nil, err
 		}
 		lastErr = err
 		if ctx.Err() != nil {
@@ -167,16 +185,12 @@ func (p *peerClient) proxyRun(ctx context.Context, owner, key string, cfg sim.Co
 			// the peer's fault, and there is no budget left to retry with.
 			return nil, budgetExhausted(cfg, lastErr)
 		}
-		p.s.brk.failure(owner)
 	}
 	return nil, lastErr
 }
 
 // proxyOnce is a single proxy attempt.
 func (p *peerClient) proxyOnce(ctx context.Context, owner, key string, cfg sim.Config) (*stats.Run, error) {
-	if err := linkFault(ctx, owner, key); err != nil {
-		return nil, err
-	}
 	// Forward the remaining request budget so the owner clocks the same
 	// deadline this node would have.
 	var timeoutMS int64
@@ -199,7 +213,7 @@ func (p *peerClient) proxyOnce(ctx context.Context, owner, key string, cfg sim.C
 	// The owner schedules the run on the same tenant share this node would
 	// have: tenancy crosses the proxy hop in the header, never the config.
 	req.Header.Set(TenantHeader, experiments.TenantFrom(ctx))
-	resp, err := p.http.Do(req)
+	resp, err := p.send(ctx, req, owner, key)
 	if err != nil {
 		return nil, err
 	}
@@ -230,17 +244,14 @@ func (p *peerClient) proxyOnce(ctx context.Context, owner, key string, cfg sim.C
 // (run, true, nil) on a hit, (nil, false, nil) on a clean 404 miss, and an
 // error for anything else (unreachable member, malformed response).
 func (p *peerClient) fetchCache(ctx context.Context, from, key string) (*stats.Run, bool, error) {
-	if err := linkFault(ctx, from, key); err != nil {
-		return nil, false, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, p.s.opt.PeerFetchTimeout)
+	fctx, cancel := context.WithTimeout(ctx, p.s.opt.PeerFetchTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+	req, err := http.NewRequestWithContext(fctx, http.MethodGet,
 		from+"/v1/peer/cache/"+key, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := p.http.Do(req)
+	resp, err := p.send(ctx, req, from, key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -265,83 +276,6 @@ func (p *peerClient) fetchCache(ctx context.Context, from, key string) (*stats.R
 	}
 }
 
-// fetchAttempt is fetchCache plus the per-attempt accounting every caller
-// needs: the latency histogram, the error counter, and the breaker verdict
-// (a failure with the caller's own context still live is the peer's fault;
-// one after cancellation is not).
-func (p *peerClient) fetchAttempt(ctx context.Context, from, key string) (*stats.Run, bool, error) {
-	start := time.Now()
-	run, ok, err := p.fetchCache(ctx, from, key)
-	p.fetchHist.ObserveDuration(time.Since(start))
-	if err != nil {
-		p.s.metrics.Add(runcache.CounterPeerErrors, 1)
-		if ctx.Err() == nil {
-			p.s.brk.failure(from)
-		}
-	} else {
-		p.s.brk.success(from)
-	}
-	return run, ok, err
-}
-
-// hedgedFetch races two candidates for key: the primary starts immediately,
-// the hedge after HedgeDelay (cancelled wordlessly if the primary answers
-// first). First hit wins; both failing (or missing) is a miss. The loser's
-// goroutine drains into a buffered channel, so nothing leaks past the
-// request.
-func (p *peerClient) hedgedFetch(ctx context.Context, primary, hedge, key string) (*stats.Run, bool) {
-	type result struct {
-		from string
-		run  *stats.Run
-		ok   bool
-		err  error
-	}
-	ch := make(chan result, 2)
-	launch := func(from string) {
-		go func() {
-			run, ok, err := p.fetchAttempt(ctx, from, key)
-			ch <- result{from, run, ok, err}
-		}()
-	}
-	launch(primary)
-	// fired: the hedge candidate has been launched (by race or in sequence);
-	// raced: it was launched by the timer, i.e. a true hedge.
-	inflight, fired, raced := 1, false, false
-	timer := time.NewTimer(p.s.opt.HedgeDelay)
-	defer timer.Stop()
-	for inflight > 0 {
-		select {
-		case <-timer.C:
-			if !fired {
-				fired, raced = true, true
-				inflight++
-				p.s.metrics.Add(CounterHedgeFired, 1)
-				launch(hedge)
-			}
-		case r := <-ch:
-			inflight--
-			if r.err == nil && r.ok {
-				if raced && r.from == hedge {
-					p.s.metrics.Add(CounterHedgeWins, 1)
-				}
-				return r.run, true
-			}
-			if ctx.Err() != nil {
-				return nil, false
-			}
-			if inflight == 0 && !fired {
-				// Primary resolved without a hit before the hedge delay:
-				// the second candidate is now just the next sequential
-				// attempt, not a hedge.
-				fired = true
-				inflight++
-				launch(hedge)
-			}
-		}
-	}
-	return nil, false
-}
-
 // PeerFetch is the run cache's peer tier (runcache.PeerFetchFunc): on a
 // local miss it asks the key's next ring candidates for their cached entry
 // before the cache simulates. Wire it at startup:
@@ -350,9 +284,7 @@ func (p *peerClient) hedgedFetch(ctx context.Context, primary, hedge, key string
 //	runner.SetPeerFetch(srv.PeerFetch)
 //
 // Candidates come from the live (health-filtered) ring, so Down members are
-// never asked; candidates behind an open circuit breaker are skipped
-// fail-fast. With Options.HedgeDelay set and two candidates available, the
-// second is raced after the delay (tail tolerance for one slow peer).
+// never asked; they are tried in ring order until one hits.
 //
 // Hit/miss accounting is the cache's (runcache.peer.hits / .misses); this
 // side counts failed attempts (runcache.peer.errors) and observes the
@@ -362,19 +294,12 @@ func (s *Server) PeerFetch(ctx context.Context, key string) (*stats.Run, bool) {
 	if s.peers == nil {
 		return nil, false
 	}
-	candidates := s.fleet.FetchCandidates(key, peerFetchCandidates)
-	allowed := make([]string, 0, len(candidates))
-	for _, from := range candidates {
-		if s.brk.allow(from) {
-			allowed = append(allowed, from)
-		}
-	}
-	if s.opt.HedgeDelay > 0 && len(allowed) >= 2 {
-		return s.peers.hedgedFetch(ctx, allowed[0], allowed[1], key)
-	}
-	for _, from := range allowed {
-		run, ok, err := s.peers.fetchAttempt(ctx, from, key)
+	for _, from := range s.fleet.FetchCandidates(key, peerFetchCandidates) {
+		start := time.Now()
+		run, ok, err := s.peers.fetchCache(ctx, from, key)
+		s.peers.fetchHist.ObserveDuration(time.Since(start))
 		if err != nil {
+			s.metrics.Add(runcache.CounterPeerErrors, 1)
 			if ctx.Err() != nil {
 				return nil, false
 			}
@@ -389,12 +314,11 @@ func (s *Server) PeerFetch(ctx context.Context, key string) (*stats.Run, bool) {
 
 // proxyFallback decides whether a failed proxy should degrade to local
 // execution. Yes for transport-level failures (the owner never saw the
-// request — including a breaker-refused hop) and for a draining owner (it
-// refused by policy, not capacity); no when this request's own context
-// already ended or its deadline budget is spent (sim.ErrTimeout — there is
-// no time left to execute locally either), and no for any other owner-side
-// response — a 429 must stay a 429, or proxying would quietly defeat the
-// fleet's admission control.
+// request) and for a draining owner (it refused by policy, not capacity);
+// no when this request's own context already ended or its deadline budget
+// is spent (sim.ErrTimeout — there is no time left to execute locally
+// either), and no for any other owner-side response — a 429 must stay a
+// 429, or proxying would quietly defeat the fleet's admission control.
 func proxyFallback(ctx context.Context, err error) bool {
 	if ctx.Err() != nil {
 		return false

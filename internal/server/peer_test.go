@@ -31,7 +31,7 @@ type fleetNode struct {
 // startFleet boots n fleet members on loopback. Listeners are bound first so
 // every member can be configured with the complete URL list — the same
 // chicken-and-egg ordering a deployment script uses.
-func startFleet(t *testing.T, n int) []*fleetNode {
+func startFleet(t testing.TB, n int) []*fleetNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)

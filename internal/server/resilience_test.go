@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +21,7 @@ import (
 
 // configOwnedBy searches seeds until it finds a config whose cache key the
 // given member owns in fleet's live ring.
-func configOwnedBy(t *testing.T, fleet *cluster.Fleet, owner string) sim.Config {
+func configOwnedBy(t testing.TB, fleet *cluster.Fleet, owner string) sim.Config {
 	t.Helper()
 	for seed := int64(1); seed < 10_000; seed++ {
 		cfg := sim.Config{App: "511.povray", Predictor: "phast", Instructions: 8_000, Seed: seed}
@@ -107,8 +109,8 @@ func TestProxyBudgetExhausted504(t *testing.T) {
 // TestDrainingOwnerProxyFallsBackLocal (satellite): a draining owner
 // answers the proxied run with its typed 503 draining error; the non-owner
 // must degrade to local execution exactly once — no retries (the owner's
-// answer is authoritative), no breaker damage (the link works), and no
-// leaked goroutines.
+// answer is authoritative), no failure charged to the owner (the link
+// works), and no leaked goroutines.
 func TestDrainingOwnerProxyFallsBackLocal(t *testing.T) {
 	nodes := startFleet(t, 2)
 	client := &http.Client{}
@@ -144,8 +146,11 @@ func TestDrainingOwnerProxyFallsBackLocal(t *testing.T) {
 	if v := other.reg.Get(CounterRetries); v != 0 {
 		t.Errorf("retries = %d, want 0 (a draining answer is authoritative)", v)
 	}
-	if v := other.srv.brk.state(owner.url); v != breakerClosed {
-		t.Errorf("breaker after draining answer = %s, want closed (the link works)", v)
+	for _, ph := range other.srv.prober.States() {
+		if ph.Member == owner.url && (ph.State != cluster.StateUp || ph.ConsecutiveFails != 0) {
+			t.Errorf("owner after draining answer = %s with %d consecutive failures, want up with 0 (the link works)",
+				ph.State, ph.ConsecutiveFails)
+		}
 	}
 	if v := owner.reg.Get(CounterDrained); v != 1 {
 		t.Errorf("owner drained refusals = %d, want 1", v)
@@ -226,8 +231,141 @@ func TestHealthGatedRoutingSkipsDownOwner(t *testing.T) {
 	}
 }
 
-// TestClusterEndpoint: /v1/cluster reports per-member health, liveness and
-// breaker state on a fleet member, and 404s on a standalone server.
+// TestFailedProxyHopsMarkOwnerDown: the failure detector hears about real
+// hops, not only probes. A non-owner proxies to an owner that accepts
+// connections and drops them; the one request's first two failed attempts
+// (ProbeDownAfter 2) mark the owner Down with no probe run, its third
+// attempt is not made, the request degrades to local execution, and the
+// next request for that key executes here without dialling the owner
+// again.
+func TestFailedProxyHopsMarkOwnerDown(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			conn.Close()
+		}
+	}()
+	t.Cleanup(func() { ln.Close() })
+	deadURL := "http://" + ln.Addr().String()
+	self := "http://127.0.0.1:1" // handler invoked directly; never dialled
+
+	fleet, err := cluster.NewFleet(self, []string{self, deadURL}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := stats.NewMetrics()
+	r := experiments.NewRunner(experiments.Options{Instructions: 8_000, Metrics: reg, KeepGoing: true})
+	defer r.Close()
+	srv := New(r, Options{Metrics: reg, Fleet: fleet, ProbeDownAfter: 2, RetryBackoff: 5 * time.Millisecond})
+	cfg := srv.normalize(configOwnedBy(t, fleet, deadURL))
+
+	if run, err := srv.runOne(context.Background(), cfg, false); err != nil || run == nil {
+		t.Fatalf("first request: (%v, %v), want local fallback success", run, err)
+	}
+	if got := srv.prober.StateOf(deadURL); got != cluster.StateDown {
+		t.Fatalf("owner after one request's failed hops = %s, want down", got)
+	}
+	if fleet.Owner(runcache.Key(cfg)) != self {
+		t.Fatal("key did not remap to self with the owner down")
+	}
+	if v := reg.Get(CounterProxyErrors); v != 1 {
+		t.Errorf("proxy fallbacks = %d, want 1", v)
+	}
+	if v := reg.Get(cluster.CounterProbeFail); v != 0 {
+		t.Errorf("probe failures = %d, want 0 (hop outcomes are not probes)", v)
+	}
+	proxied, dialled := reg.Get(CounterProxied), dials.Load()
+	if proxied != 1 || dialled != 2 || reg.Get(CounterRetries) != 1 {
+		t.Fatalf("first request: proxied %d, owner dialled %d times, %d retries; want 1, 2 and 1 (no attempt after Down)",
+			proxied, dialled, reg.Get(CounterRetries))
+	}
+
+	if run, err := srv.runOne(context.Background(), cfg, false); err != nil || run == nil {
+		t.Fatalf("second request: (%v, %v), want success", run, err)
+	}
+	if v := reg.Get(CounterProxied); v != proxied {
+		t.Errorf("proxied %d -> %d: the request for a Down owner's key was proxied", proxied, v)
+	}
+	if v := dials.Load(); v != dialled {
+		t.Errorf("owner dialled %d -> %d times: a Down owner must not be dialled", dialled, v)
+	}
+}
+
+// TestHopOutcomeRules pins how one peer hop reports to the failure
+// detector: any HTTP answer is a success (even a 503, which heals a
+// Suspect peer), a transport failure counts against the peer, and a
+// transport failure after the caller's own context ended counts as nothing.
+func TestHopOutcomeRules(t *testing.T) {
+	answering := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, ErrDraining)
+	}))
+	defer answering.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadURL := "http://" + ln.Addr().String()
+	ln.Close()
+	self := "http://127.0.0.1:1" // never dialled
+
+	fleet, err := cluster.NewFleet(self, []string{self, answering.URL, deadURL}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := experiments.NewRunner(experiments.Options{Instructions: 8_000, KeepGoing: true})
+	defer r.Close()
+	srv := New(r, Options{Metrics: r.Metrics(), Fleet: fleet})
+	hop := func(ctx context.Context, peer string) {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := srv.peers.send(ctx, req, peer, ""); err == nil {
+			resp.Body.Close()
+		}
+	}
+	health := func(peer string) (cluster.State, int) {
+		t.Helper()
+		for _, ph := range srv.prober.States() {
+			if ph.Member == peer {
+				return ph.State, ph.ConsecutiveFails
+			}
+		}
+		t.Fatalf("no health row for %s", peer)
+		return 0, 0
+	}
+
+	srv.prober.Observe(answering.URL, errors.New("an earlier failure"))
+	hop(context.Background(), answering.URL)
+	if st, n := health(answering.URL); st != cluster.StateUp || n != 0 {
+		t.Errorf("after a 503 answer: %s with %d failures, want up with 0", st, n)
+	}
+
+	hop(context.Background(), deadURL)
+	if st, n := health(deadURL); st != cluster.StateSuspect || n != 1 {
+		t.Errorf("after a refused connection: %s with %d failures, want suspect with 1", st, n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	hop(ctx, deadURL)
+	if st, n := health(deadURL); st != cluster.StateSuspect || n != 1 {
+		t.Errorf("after a failure past the caller's context: %s with %d failures, want unchanged (suspect, 1)", st, n)
+	}
+}
+
+// TestClusterEndpoint: /v1/cluster reports per-member health and liveness
+// on a fleet member, and 404s on a standalone server.
 func TestClusterEndpoint(t *testing.T) {
 	nodes := startFleet(t, 3)
 	resp, err := http.Get(nodes[0].url + "/v1/cluster")
@@ -257,8 +395,8 @@ func TestClusterEndpoint(t *testing.T) {
 			}
 			continue
 		}
-		if m.State != "up" || !m.Live || m.Breaker != breakerClosed {
-			t.Errorf("peer row = %+v, want up/live/closed", m)
+		if m.State != "up" || !m.Live || m.ConsecutiveFails != 0 {
+			t.Errorf("peer row = %+v, want up/live with no failures", m)
 		}
 	}
 	if selfRows != 1 {
@@ -277,48 +415,6 @@ func TestClusterEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Errorf("standalone /v1/cluster = %d, want 404", resp2.StatusCode)
-	}
-}
-
-// TestBreakerStateMachine drives one breaker through close → open →
-// half-open → closed and the failed-trial re-open.
-func TestBreakerStateMachine(t *testing.T) {
-	b := newBreaker(3, 50*time.Millisecond)
-	if !b.allow() || b.current() != breakerClosed {
-		t.Fatal("new breaker must be closed and allowing")
-	}
-	// Two failures: still closed. Third: open.
-	b.failure()
-	b.failure()
-	if b.current() != breakerClosed {
-		t.Fatalf("state after 2 failures = %s, want closed", b.current())
-	}
-	if opened := b.failure(); !opened {
-		t.Fatal("third failure did not report opening")
-	}
-	if b.current() != breakerOpen || b.allow() {
-		t.Fatalf("state = %s allow = true, want open and refusing", b.current())
-	}
-	// Cooldown elapses: exactly one trial admitted (half-open).
-	time.Sleep(60 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("cooled-down breaker refused the trial")
-	}
-	if b.current() != breakerHalfOpen || b.allow() {
-		t.Fatal("half-open breaker must hold at one trial")
-	}
-	// Failed trial re-opens immediately.
-	if opened := b.failure(); !opened || b.current() != breakerOpen {
-		t.Fatalf("failed trial left state %s, want open", b.current())
-	}
-	// Probe recovery half-opens without waiting; successful trial closes.
-	b.probeRecovered()
-	if b.current() != breakerHalfOpen {
-		t.Fatalf("state after probe recovery = %s, want half-open", b.current())
-	}
-	b.success()
-	if b.current() != breakerClosed || !b.allow() {
-		t.Fatal("successful trial must close the breaker")
 	}
 }
 

@@ -1,58 +1,32 @@
-// Retry and circuit-breaking policy for the fleet's peer hops. Every peer
-// interaction is idempotent by construction — proxied runs coalesce on the
-// owner's single-flight map and cache fetches are GETs — so retrying is
-// always safe; what this file adds is the discipline around it:
-//
-//   - backoff with deterministic jitter (a pure hash of key and attempt, so
-//     chaos runs replay identically) that is *budget-aware*: the remaining
-//     request deadline is re-checked before every sleep and every attempt,
-//     and an exhausted budget surfaces as a typed timeout (HTTP 504), never
-//     as a generic 500 or a silent nil result;
-//   - per-peer circuit breakers: enough consecutive transport failures open
-//     the breaker and further hops to that peer fail fast (degrading to
-//     local execution immediately instead of re-paying connect timeouts);
-//     the breaker half-opens after a cooldown or on the failure detector's
-//     probe success, and one successful trial closes it.
+// Retry policy for the fleet's peer hops. Every peer interaction is
+// idempotent by construction — proxied runs coalesce on the owner's
+// single-flight map and cache fetches are GETs — so retrying is always
+// safe; what this file adds is the discipline around it: backoff with
+// deterministic jitter (a pure hash of key and attempt, so chaos runs
+// replay identically) that is *budget-aware*: the remaining request
+// deadline is re-checked before every sleep and every attempt, and an
+// exhausted budget surfaces as a typed timeout (HTTP 504), never as a
+// generic 500 or a silent nil result. A peer that keeps failing is the
+// failure detector's business (cluster.Prober, fed by every hop): once it
+// is Down the live ring stops routing to it.
 package server
 
 import (
 	"context"
 	"errors"
 	"hash/fnv"
-	"sync"
 	"time"
-
-	"repro/internal/stats"
 )
 
-// Resilience counters, published next to the proxy/peer set in /metrics.
-const (
-	// CounterRetries counts re-attempts of peer operations beyond the first.
-	CounterRetries = "server.retry.attempts"
-	// CounterBreakerOpened counts per-peer circuit-breaker open events.
-	CounterBreakerOpened = "server.breaker.opened"
-	// CounterBreakerShortCircuit counts peer operations refused fail-fast by
-	// an open breaker (each degrades to local execution or the next
-	// candidate without touching the network).
-	CounterBreakerShortCircuit = "server.breaker.shortcircuit"
-	// CounterHedgeFired counts hedged peer cache fetches (second candidate
-	// raced after the hedge delay).
-	CounterHedgeFired = "server.hedge.fired"
-	// CounterHedgeWins counts hedged fetches where the hedge (not the
-	// primary) supplied the result.
-	CounterHedgeWins = "server.hedge.wins"
-)
+// CounterRetries counts re-attempts of peer operations beyond the first,
+// published next to the proxy/peer set in /metrics.
+const CounterRetries = "server.retry.attempts"
 
 // errBudget marks a peer operation abandoned because the request's
 // remaining deadline budget ran out mid-retry. Mapped to a typed
 // sim.ErrTimeout (HTTP 504) by the caller — never a generic 500, and never
 // a local-execution fallback (there is no budget left to execute with).
 var errBudget = errors.New("server: peer retry budget exhausted")
-
-// errBreakerOpen marks a peer operation refused fail-fast by an open
-// circuit breaker. Transport-class: the peer never saw the request, so
-// proxy callers degrade to local execution.
-var errBreakerOpen = errors.New("server: peer circuit breaker open")
 
 // retryPolicy is the backoff schedule for peer hops.
 type retryPolicy struct {
@@ -109,139 +83,3 @@ func sleepBudget(ctx context.Context, d time.Duration) error {
 		return errBudget
 	}
 }
-
-// Breaker states.
-const (
-	breakerClosed   = "closed"
-	breakerOpen     = "open"
-	breakerHalfOpen = "half-open"
-)
-
-// breaker is one peer's circuit breaker. Failures here are transport-level
-// only — a peer that answers HTTP (even with an error status) is a healthy
-// link.
-type breaker struct {
-	threshold int           // consecutive failures that open the circuit
-	openFor   time.Duration // cooldown before half-opening on its own
-
-	mu     sync.Mutex
-	state  string
-	fails  int
-	reopen time.Time // when an open breaker self-half-opens
-}
-
-func newBreaker(threshold int, openFor time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if openFor <= 0 {
-		openFor = 2 * time.Second
-	}
-	return &breaker{threshold: threshold, openFor: openFor, state: breakerClosed}
-}
-
-// allow reports whether a peer operation may proceed. Closed always allows;
-// open allows nothing until the cooldown elapses, at which point the
-// breaker half-opens and admits exactly one trial; half-open admits the one
-// trial whose outcome decides the next state.
-func (b *breaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if time.Now().After(b.reopen) {
-			b.state = breakerHalfOpen
-			return true // the trial request
-		}
-		return false
-	default: // half-open: trial already in flight
-		return false
-	}
-}
-
-// success records a completed peer interaction (any HTTP response counts —
-// the link works). Closes the breaker from any state.
-func (b *breaker) success() {
-	b.mu.Lock()
-	b.state, b.fails = breakerClosed, 0
-	b.mu.Unlock()
-}
-
-// failure records a transport-level failure; returns true when this one
-// opened the circuit (for the opened counter).
-func (b *breaker) failure() (opened bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.fails++
-	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.fails >= b.threshold) {
-		b.state = breakerOpen
-		b.reopen = time.Now().Add(b.openFor)
-		return true
-	}
-	return false
-}
-
-// probeRecovered half-opens an open breaker immediately — the failure
-// detector saw a successful health probe, so the next real request is worth
-// trying without waiting out the cooldown.
-func (b *breaker) probeRecovered() {
-	b.mu.Lock()
-	if b.state == breakerOpen {
-		b.state = breakerHalfOpen
-	}
-	b.mu.Unlock()
-}
-
-// current returns the state name for /v1/cluster.
-func (b *breaker) current() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// breakers is the per-peer breaker registry.
-type breakers struct {
-	threshold int
-	openFor   time.Duration
-	metrics   *stats.Metrics
-
-	mu sync.Mutex
-	m  map[string]*breaker
-}
-
-func newBreakers(threshold int, openFor time.Duration, m *stats.Metrics) *breakers {
-	return &breakers{threshold: threshold, openFor: openFor, metrics: m, m: map[string]*breaker{}}
-}
-
-func (bs *breakers) of(peer string) *breaker {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	b, ok := bs.m[peer]
-	if !ok {
-		b = newBreaker(bs.threshold, bs.openFor)
-		bs.m[peer] = b
-	}
-	return b
-}
-
-// allow is breaker.allow plus short-circuit accounting.
-func (bs *breakers) allow(peer string) bool {
-	if bs.of(peer).allow() {
-		return true
-	}
-	bs.metrics.Add(CounterBreakerShortCircuit, 1)
-	return false
-}
-
-// failure is breaker.failure plus open accounting.
-func (bs *breakers) failure(peer string) {
-	if bs.of(peer).failure() {
-		bs.metrics.Add(CounterBreakerOpened, 1)
-	}
-}
-
-func (bs *breakers) success(peer string)        { bs.of(peer).success() }
-func (bs *breakers) probeRecovered(peer string) { bs.of(peer).probeRecovered() }
-func (bs *breakers) state(peer string) string   { return bs.of(peer).current() }

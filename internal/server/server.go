@@ -183,9 +183,9 @@ type Options struct {
 	// (default 1s); ProbeTimeout bounds one probe (default interval/2).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// ProbeDownAfter is the consecutive probe failures that mark a peer Down
-	// and remap its ring segment (default 3); ProbeUpAfter the consecutive
-	// successes that restore it (default 1).
+	// ProbeDownAfter is the consecutive failures — probes and peer hops
+	// alike — that mark a peer Down and remap its ring segment (default 3);
+	// ProbeUpAfter the consecutive successes that restore it (default 1).
 	ProbeDownAfter int
 	ProbeUpAfter   int
 	// ProxyAttempts bounds total attempts per proxied run, first try
@@ -193,15 +193,6 @@ type Options struct {
 	// retry with deterministic jitter (default 50ms).
 	ProxyAttempts int
 	RetryBackoff  time.Duration
-	// BreakerThreshold is the consecutive transport failures that open a
-	// peer's circuit breaker (default 3); BreakerOpenFor how long it stays
-	// open before half-opening on its own (default 2s; a successful health
-	// probe half-opens it early).
-	BreakerThreshold int
-	BreakerOpenFor   time.Duration
-	// HedgeDelay, when positive, races the second peer-cache candidate
-	// after this delay instead of waiting out the first (default 0: off).
-	HedgeDelay time.Duration
 }
 
 func (o Options) norm() Options {
@@ -246,7 +237,6 @@ type Server struct {
 	adm     *admitter
 	fleet   *cluster.Fleet   // nil = standalone
 	peers   *peerClient      // nil = standalone
-	brk     *breakers        // nil = standalone
 	prober  *cluster.Prober  // nil = standalone
 	lookup  CacheLookup      // nil when the backend has no local cache probe
 	sched   ScheduledBackend // nil when the backend has no fair worker pool
@@ -300,12 +290,11 @@ func New(backend Backend, opt Options) *Server {
 	zeros := []string{CounterRequests, CounterAccepted, CounterRejected, CounterCoalesced}
 	if opt.Fleet != nil {
 		s.fleet = opt.Fleet
-		s.brk = newBreakers(opt.BreakerThreshold, opt.BreakerOpenFor, opt.Metrics)
 		s.peers = newPeerClient(s)
-		// The failure detector drives the fleet's live ring; a recovered
-		// probe also half-opens the member's breaker so the next real
-		// request is the trial. Built here, started by StartHealth (tests
-		// that never start it keep the full ring live).
+		// The failure detector drives the fleet's live ring from probes and
+		// from every peer hop's outcome. Built here, its probe loop started
+		// by StartHealth: without it (unit tests) a peer marked Down by
+		// failed hops stays Down.
 		s.prober = cluster.NewProber(opt.Fleet, cluster.ProberOptions{
 			Interval:  opt.ProbeInterval,
 			Timeout:   opt.ProbeTimeout,
@@ -313,15 +302,8 @@ func New(backend Backend, opt Options) *Server {
 			UpAfter:   opt.ProbeUpAfter,
 			Metrics:   opt.Metrics,
 			Probe:     s.probePeer,
-			OnTransition: func(member string, from, to cluster.State) {
-				if to == cluster.StateUp {
-					s.brk.probeRecovered(member)
-				}
-			},
 		})
-		zeros = append(zeros, CounterProxied, CounterProxyErrors,
-			CounterRetries, CounterBreakerOpened, CounterBreakerShortCircuit,
-			CounterHedgeFired, CounterHedgeWins,
+		zeros = append(zeros, CounterProxied, CounterProxyErrors, CounterRetries,
 			runcache.CounterPeerHits, runcache.CounterPeerMisses, runcache.CounterPeerErrors)
 	}
 	if s.store != nil {
@@ -370,9 +352,10 @@ func (s *Server) probePeer(ctx context.Context, member string) error {
 	return cluster.HTTPHealthz(ctx, member)
 }
 
-// StartHealth launches the fleet failure detector: one background probe
-// loop per peer, running until ctx is cancelled. No-op standalone. Without
-// it (unit tests, single-node smoke) the live ring stays the full ring.
+// StartHealth launches the fleet failure detector's probe loops: one per
+// peer, running until ctx is cancelled. No-op standalone. The loops are
+// what brings a Down peer back — no hop dials it — so without them (unit
+// tests) the live ring only ever shrinks, and only by failed hops.
 func (s *Server) StartHealth(ctx context.Context) {
 	if s.prober != nil {
 		s.prober.Start(ctx)
@@ -380,8 +363,8 @@ func (s *Server) StartHealth(ctx context.Context) {
 }
 
 // handleCluster serves GET /v1/cluster: this member's view of fleet health
-// — per-peer failure-detector state, live-ring membership, and circuit
-// breakers. Standalone servers answer 404: there is no cluster to report.
+// — per-peer failure-detector state and live-ring membership. Standalone
+// servers answer 404: there is no cluster to report.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		methodNotAllowed(w, http.MethodGet)
@@ -409,7 +392,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 			URL:              ph.Member,
 			State:            ph.State.String(),
 			Live:             live[ph.Member],
-			Breaker:          s.brk.state(ph.Member),
 			ConsecutiveFails: ph.ConsecutiveFails,
 			LastError:        ph.LastError,
 		})

@@ -51,7 +51,7 @@ func (f *fakeBackend) RunConfigsDetailedContext(ctx context.Context, cfgs []sim.
 
 // postJSON posts v and decodes the response body into out, returning the
 // status code.
-func postJSON(t *testing.T, client *http.Client, url string, v any, out any) (int, http.Header) {
+func postJSON(t testing.TB, client *http.Client, url string, v any, out any) (int, http.Header) {
 	t.Helper()
 	body, err := json.Marshal(v)
 	if err != nil {

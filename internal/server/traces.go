@@ -302,8 +302,6 @@ func (s *Server) replicateTrace(ctx context.Context, digest string) {
 	if err != nil {
 		return // raced with eviction/corruption: the fetch path re-derives
 	}
-	ctx, cancel := context.WithTimeout(ctx, 2*s.opt.PeerFetchTimeout)
-	defer cancel()
 	if err := s.peers.pushTrace(ctx, owner, digest, data); err != nil {
 		s.metrics.Add(CounterTraceReplErrors, 1)
 		return
@@ -355,16 +353,16 @@ func (s *Server) TraceFetch(ctx context.Context, digest string) (*trace.Trace, e
 
 // traceCandidates orders the members worth asking for digest: the ring
 // candidates first (the replication target and its successor), then the
-// remaining live members, self excluded, breaker-refused members skipped.
+// remaining live members, self excluded. Down members are in neither list.
 func (s *Server) traceCandidates(digest string) []string {
 	seen := map[string]bool{s.fleet.Self(): true}
 	var out []string
 	add := func(members []string) {
 		for _, m := range members {
-			if !seen[m] && s.brk.allow(m) {
+			if !seen[m] {
+				seen[m] = true
 				out = append(out, m)
 			}
-			seen[m] = true
 		}
 	}
 	add(s.fleet.FetchCandidates(digest, peerFetchCandidates))
@@ -376,17 +374,14 @@ func (s *Server) traceCandidates(digest string) []string {
 // (data, true, nil) on a hit, (nil, false, nil) on a clean 404 miss, an
 // error otherwise. The caller verifies the bytes via PutCanonical.
 func (p *peerClient) fetchTrace(ctx context.Context, from, digest string) ([]byte, bool, error) {
-	if err := linkFault(ctx, from, digest); err != nil {
-		return nil, false, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, 2*p.s.opt.PeerFetchTimeout)
+	fctx, cancel := context.WithTimeout(ctx, 2*p.s.opt.PeerFetchTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+	req, err := http.NewRequestWithContext(fctx, http.MethodGet,
 		from+"/v1/peer/trace/"+digest, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := p.http.Do(req)
+	resp, err := p.send(ctx, req, from, digest)
 	if err != nil {
 		return nil, false, err
 	}
@@ -413,18 +408,17 @@ func (p *peerClient) fetchTrace(ctx context.Context, from, digest string) ([]byt
 }
 
 // pushTrace PUTs canonical trace bytes to another member (the replication
-// hop after an upload).
+// hop after an upload), within the same budget as a trace fetch.
 func (p *peerClient) pushTrace(ctx context.Context, to, digest string, data []byte) error {
-	if err := linkFault(ctx, to, digest); err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
+	pctx, cancel := context.WithTimeout(ctx, 2*p.s.opt.PeerFetchTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(pctx, http.MethodPut,
 		to+"/v1/peer/trace/"+digest, strings.NewReader(string(data)))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := p.http.Do(req)
+	resp, err := p.send(ctx, req, to, digest)
 	if err != nil {
 		return err
 	}

@@ -89,9 +89,8 @@ type MetricsResponse struct {
 }
 
 // ClusterMember is one member's row in GET /v1/cluster: this node's view of
-// that member's health (failure-detector state), ring liveness, and circuit
-// breaker. The self row always reads up/live with no breaker — a node does
-// not probe or circuit-break itself.
+// that member's health (failure-detector state) and ring liveness. The self
+// row always reads up/live — a node does not probe itself.
 type ClusterMember struct {
 	URL   string `json:"url"`
 	Self  bool   `json:"self,omitempty"`
@@ -100,7 +99,6 @@ type ClusterMember struct {
 	// view: false means the member's keys are remapped elsewhere until it
 	// recovers.
 	Live             bool   `json:"live"`
-	Breaker          string `json:"breaker,omitempty"` // closed | open | half-open
 	ConsecutiveFails int    `json:"consecutive_fails,omitempty"`
 	LastError        string `json:"last_error,omitempty"`
 }

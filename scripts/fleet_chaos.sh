@@ -2,10 +2,12 @@
 # Fleet chaos: boot a solo reference node and a 3-node self-healing fleet on
 # loopback, drive the SAME workload mix at both, and kill -9 one fleet
 # member mid-run (restarting it seconds later). The fleet must ride through
-# the outage with zero client-visible failures: the health prober remaps the
-# dead member's ring segments, peer hops retry behind circuit breakers, the
-# client's one-pass failover covers requests that were in flight to the dead
-# node, and every result row must be byte-identical to the solo reference
+# the outage with zero client-visible failures: each survivor's failure
+# detector, fed by its health probes and by its own failed peer hops, marks
+# the dead member Down and remaps its ring segments (probes readmit it after
+# the restart), failed proxies retry and then degrade to local execution,
+# the client's one-pass failover covers requests that were in flight to the
+# dead node, and every result row must be byte-identical to the solo reference
 # (per-seed sha256 digests). Cluster-wide work stays bounded: at most 2x
 # unique configs simulated (the remapped owner may redo work the dead node's
 # reset counters no longer admit to).
@@ -23,8 +25,7 @@ P3=19293
 PEERS="$BASE:$P1,$BASE:$P2,$BASE:$P3"
 
 FLEETFLAGS="-probe-interval 150ms -probe-timeout 100ms -probe-down-after 2 -probe-up-after 1
-            -proxy-retries 3 -retry-backoff 25ms
-            -breaker-threshold 3 -breaker-open-for 500ms -hedge-delay 40ms"
+            -proxy-retries 3 -retry-backoff 25ms"
 
 # start_node leaves a launcher per node ($SMOKEDIR/run-<port>.sh), so the
 # chaos event below restarts node 2 with the exact same flags and cache dir.
@@ -92,9 +93,9 @@ $col["target"] != "all" { next }
             fail("chaos-fleet: no down/up transition recorded (down=" \
                  $col["cluster_transitions_down"] " up=" $col["cluster_transitions_up"] ")")
     }
-    printf "fleet chaos: %-12s %s requests, %s ok, %s unique, %s simulated, %s failovers, down/up %s/%s, breaker opened %s\n", \
+    printf "fleet chaos: %-12s %s requests, %s ok, %s unique, %s simulated, %s failovers, down/up %s/%s, proxy fallbacks %s\n", \
         name, requests, ok, unique, simulated, $col["failovers"], \
-        $col["cluster_transitions_down"], $col["cluster_transitions_up"], $col["server_breaker_opened"]
+        $col["cluster_transitions_down"], $col["cluster_transitions_up"], $col["server_proxy_errors"]
 }
 function fail(msg) { print "fleet chaos FAIL: " msg > "/dev/stderr"; exit 1 }
 END {

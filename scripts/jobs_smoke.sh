@@ -5,9 +5,11 @@
 #
 #   1. curl submits a successive-halving job over 12 candidates
 #      (3 predictors + 3 set counts + 3 table counts + 3 confidence caps,
-#      eta 2, 3 rungs: 12@10k -> 6@20k -> 3@40k instructions over 2 apps =
-#      42 unique simulations), waits for rung 0 to checkpoint, and
-#      kill -9s the member mid-search.
+#      eta 2, 3 rungs: 12@100k -> 6@200k -> 3@400k instructions over 2 apps
+#      = 42 unique simulations), waits for rung 0 to checkpoint, and
+#      kill -9s the member mid-search. Each rung is 2.4M µops, so rungs 1
+#      and 2 leave the kill a window of several hundred ms on 2 workers,
+#      wide against the 25 ms poll.
 #   2. The member restarts on the same -cache/-jobs-dir and resumes the job
 #      from its checkpoint unprompted. Zero repeat simulations: the two
 #      lives together simulate at most the 42 unique configs, and the
@@ -76,7 +78,7 @@ cat >"$SMOKEDIR/spec.json" <<EOF
   "strategy": "halving",
   "halving": {"eta": 2, "rungs": 3},
   "apps": ["511.povray", "519.lbm"],
-  "instructions": 40000
+  "instructions": 400000
 }
 EOF
 
@@ -105,7 +107,11 @@ done
 [ "$RUNG" -ge 1 ] || fail "rung 0 never completed"
 
 S1=$(simulated "$P1")
-kill -9 "$(cat "$SMOKEDIR/pid-$P1")"
+PID1=$(cat "$SMOKEDIR/pid-$P1")
+kill -9 "$PID1"
+# Reap it before the restart binds its port: kill returns before the dying
+# process has closed its listener.
+wait "$PID1" 2>/dev/null || true
 rm -f "$SMOKEDIR/pid-$P1"
 echo "jobs smoke: killed member 1 after rung $((RUNG - 1)) ($S1 simulations in life 1)"
 [ "$S1" -ge 24 ] || fail "life 1 simulated $S1 runs, want >= 24 (rung 0 = 12 candidates x 2 apps)"
@@ -184,7 +190,7 @@ echo "jobs smoke: winner table byte-identical to solo paperfigs -config replay"
 
 # A different fidelity is a different spec (new digest) whose configs are
 # all cache misses — the search has real work in flight to cancel.
-sed 's/"instructions": 40000/"instructions": 48000/' \
+sed 's/"instructions": 400000/"instructions": 480000/' \
     "$SMOKEDIR/spec.json" >"$SMOKEDIR/spec2.json"
 curl -sf -X POST -H "X-Phast-Tenant: acme" --data-binary @"$SMOKEDIR/spec2.json" \
     "$BASE:$P1/v1/jobs" -o "$SMOKEDIR/submit2.json" || fail "second POST /v1/jobs failed"
